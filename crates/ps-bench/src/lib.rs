@@ -990,6 +990,39 @@ mod tests {
         }
     }
 
+    /// The per-goal row-op budget of ALG goal extension: answering a goal
+    /// costs row operations in proportion to what the goal adds (arcs
+    /// inserted plus terms appended), never in proportion to `|V|`.  Every
+    /// single extension over a 120-PD set must stay within 4 row operations
+    /// per added arc or term; an extension that re-ORs whole old rows
+    /// (hundreds of operations per arc) fails here by counter.
+    #[test]
+    fn goal_extension_row_ops_stay_proportional_to_what_it_adds() {
+        use ps_lattice::ImplicationEngine;
+
+        let w = skewed_query_mix(1, 16, 120, 3, 40, 0x5EED);
+        let mut engine = ImplicationEngine::new(&w.arena, &w.sets[0]);
+        let mut extensions = 0;
+        for (i, &(_, goal)) in w.queries.iter().enumerate() {
+            let (ops, arcs, terms) = (
+                engine.row_ops(),
+                engine.rule_firings(),
+                engine.terms().len(),
+            );
+            if engine.add_goal_terms(&w.arena, &[goal.lhs, goal.rhs]) == 0 {
+                continue;
+            }
+            extensions += 1;
+            let row_ops = engine.row_ops() - ops;
+            let added = (engine.rule_firings() - arcs) + (engine.terms().len() - terms);
+            assert!(
+                row_ops <= 4 * added,
+                "goal {i}: {row_ops} row ops for {added} added arcs and terms"
+            );
+        }
+        assert!(extensions > 20, "the fixture must exercise extensions");
+    }
+
     /// Incremental `add_goal_terms` pays only the frontier: extending a
     /// built engine with the goal batch fires strictly fewer rules than the
     /// full from-scratch saturation of an equivalent fresh engine, and lands

@@ -7,8 +7,12 @@
 //! # Hot-path discipline
 //!
 //! The saturation engine ([`crate::ImplicationEngine`]) spends almost all of
-//! its time in the three delta row operations ([`BitMatrix::or_row_into_delta`],
-//! [`BitMatrix::or_and_rows_into_delta`], [`BitMatrix::union_rows_into_delta`]).
+//! its time in the delta row operations: the row-to-row kernels
+//! ([`BitMatrix::or_row_into_delta`], [`BitMatrix::or_and_rows_into_delta`],
+//! [`BitMatrix::union_rows_into_delta`]) that seed new composites and push
+//! whole rows, and the window kernels ([`BitMatrix::or_window_into_delta`],
+//! [`BitMatrix::or_and_window_into_delta`]) that push a goal extension's
+//! pending bits.
 //! They are written to three rules, measured by the `BENCH_*.json` trajectory
 //! (see `docs/BENCHMARKS.md`):
 //!
@@ -23,15 +27,17 @@
 //!    work done.
 //!
 //! The straightforward per-bit loops are kept as `*_per_bit` reference
-//! implementations; property tests pin the optimized paths to them.
+//! implementations; property tests pin the optimized paths to them
+//! (`tests/bitmatrix_props.rs`).
 //!
 //! # The tail invariant
 //!
 //! When `n` is not a multiple of 64, the last word of each row has `64 - n%64`
 //! spare high bits.  Every mutating operation preserves the invariant that
 //! those tail bits are **zero**: [`BitMatrix::set`] is bounds-asserted,
-//! [`BitMatrix::grow`] only ever appends zeroed storage, and the row
-//! operations can only copy zeros into a tail.  The invariant is what lets
+//! [`BitMatrix::grow`] zeroes every word it adds to a row, and the row
+//! operations can only copy zeros into a tail (window sources must carry
+//! no bits at or beyond `dim()`).  The invariant is what lets
 //! [`BitMatrix::count_ones`] and the delta extraction loops skip last-word
 //! masking; [`BitMatrix::debug_validate_tails`] checks it in tests.
 
@@ -127,22 +133,25 @@ impl BitMatrix {
             return;
         }
         let new_words_per_row = new_n.div_ceil(64);
-        if new_words_per_row == self.words_per_row {
-            // Same row stride: the new columns live in already-present (and
-            // zero, by the tail invariant) word tails, so appending zeroed
-            // rows suffices — no full matrix copy on the incremental-
-            // extension hot path.
-            self.bits.resize(new_n * new_words_per_row, 0);
-        } else {
-            let mut new_bits = vec![0u64; new_n * new_words_per_row];
-            for row in 0..self.n {
-                let src = row * self.words_per_row;
+        let old_words_per_row = self.words_per_row;
+        // One resize of the backing store, zero-filled at the end.  When the
+        // stride grows, the old rows are moved to their new offsets back to
+        // front (a row's new offset is never below its old one, so moving
+        // the last row first never overwrites a row still to be moved) and
+        // each moved row's new tail words are zeroed.  No second matrix is
+        // allocated on the incremental-extension hot path.
+        self.bits.resize(new_n * new_words_per_row, 0);
+        if new_words_per_row != old_words_per_row {
+            for row in (1..self.n).rev() {
+                let src = row * old_words_per_row;
                 let dst = row * new_words_per_row;
-                new_bits[dst..dst + self.words_per_row]
-                    .copy_from_slice(&self.bits[src..src + self.words_per_row]);
+                self.bits.copy_within(src..src + old_words_per_row, dst);
+            }
+            for row in 0..self.n {
+                let start = row * new_words_per_row;
+                self.bits[start + old_words_per_row..start + new_words_per_row].fill(0);
             }
             self.words_per_row = new_words_per_row;
-            self.bits = new_bits;
         }
         self.n = new_n;
     }
@@ -337,6 +346,164 @@ impl BitMatrix {
                 }
             }
             k = end;
+        }
+        changed
+    }
+
+    /// ORs the word window `src` into row `dst`, starting at word
+    /// `first_word` (`dst[first_word + k] |= src[k]`), appending the column
+    /// index of every bit that became set to `delta`.  Returns `true` if
+    /// `dst` changed.
+    ///
+    /// The window kernel of semi-naive saturation: `src` is a pending delta
+    /// row that lives outside the matrix, and it may cover only the words
+    /// from `first_word` on (the columns Lemma 9.2 lets an old row gain).
+    /// `src` must not carry bits at or beyond `dim()`.
+    pub fn or_window_into_delta(
+        &mut self,
+        dst: usize,
+        first_word: usize,
+        src: &[u64],
+        delta: &mut Vec<usize>,
+    ) -> bool {
+        let start = dst * self.words_per_row + first_word;
+        let dst_row = &mut self.bits[start..start + src.len()];
+        let mut changed = false;
+        let mut base = first_word;
+        let mut dst_chunks = dst_row.chunks_exact_mut(CHUNK);
+        let mut src_chunks = src.chunks_exact(CHUNK);
+        for (dc, sc) in dst_chunks.by_ref().zip(src_chunks.by_ref()) {
+            let mut any = 0u64;
+            for (d, &s) in dc.iter().zip(sc) {
+                any |= s & !d;
+            }
+            if any != 0 {
+                changed = true;
+                for (j, (d, &s)) in dc.iter_mut().zip(sc).enumerate() {
+                    push_set_bits(s & !*d, (base + j) * 64, delta);
+                    *d |= s;
+                }
+            }
+            base += CHUNK;
+        }
+        for (j, (d, &s)) in dst_chunks
+            .into_remainder()
+            .iter_mut()
+            .zip(src_chunks.remainder())
+            .enumerate()
+        {
+            let new_bits = s & !*d;
+            if new_bits != 0 {
+                changed = true;
+                push_set_bits(new_bits, (base + j) * 64, delta);
+                *d |= s;
+            }
+        }
+        changed
+    }
+
+    /// ORs the intersection of the word window `src` with row `other` into
+    /// row `dst` (`dst[first_word + k] |= src[k] & other[first_word + k]`),
+    /// appending newly set column indices to `delta`.  Returns `true` if
+    /// `dst` changed.
+    ///
+    /// The window form of the two-premise rules (2 and 4) under semi-naive
+    /// saturation: the pending bits of one child meet the whole row of its
+    /// sibling.  When `other == dst` the intersection is already in `dst`
+    /// and the call is a no-op.
+    pub fn or_and_window_into_delta(
+        &mut self,
+        dst: usize,
+        first_word: usize,
+        src: &[u64],
+        other: usize,
+        delta: &mut Vec<usize>,
+    ) -> bool {
+        if other == dst {
+            return false;
+        }
+        let w = self.words_per_row;
+        let (other_row, dst_row) = two_rows_mut(&mut self.bits, w, other, dst);
+        let other_row = &other_row[first_word..first_word + src.len()];
+        let dst_row = &mut dst_row[first_word..first_word + src.len()];
+        let mut changed = false;
+        let mut base = first_word;
+        let mut dst_chunks = dst_row.chunks_exact_mut(CHUNK);
+        let mut src_chunks = src.chunks_exact(CHUNK);
+        let mut other_chunks = other_row.chunks_exact(CHUNK);
+        for ((dc, sc), oc) in dst_chunks
+            .by_ref()
+            .zip(src_chunks.by_ref())
+            .zip(other_chunks.by_ref())
+        {
+            let mut any = 0u64;
+            for ((d, &x), &y) in dc.iter().zip(sc).zip(oc) {
+                any |= (x & y) & !d;
+            }
+            if any != 0 {
+                changed = true;
+                for (j, ((d, &x), &y)) in dc.iter_mut().zip(sc).zip(oc).enumerate() {
+                    let s = x & y;
+                    push_set_bits(s & !*d, (base + j) * 64, delta);
+                    *d |= s;
+                }
+            }
+            base += CHUNK;
+        }
+        for (j, ((d, &x), &y)) in dst_chunks
+            .into_remainder()
+            .iter_mut()
+            .zip(src_chunks.remainder())
+            .zip(other_chunks.remainder())
+            .enumerate()
+        {
+            let new_bits = (x & y) & !*d;
+            if new_bits != 0 {
+                changed = true;
+                push_set_bits(new_bits, (base + j) * 64, delta);
+                *d |= new_bits;
+            }
+        }
+        changed
+    }
+
+    /// Per-bit reference for [`BitMatrix::or_window_into_delta`]: one
+    /// [`BitMatrix::set`] per set bit of the window, in column order.
+    pub fn or_window_into_delta_per_bit(
+        &mut self,
+        dst: usize,
+        first_word: usize,
+        src: &[u64],
+        delta: &mut Vec<usize>,
+    ) -> bool {
+        let mut changed = false;
+        for col in first_word * 64..(first_word + src.len()) * 64 {
+            let k = col / 64 - first_word;
+            if (src[k] >> (col % 64)) & 1 == 1 && self.set(dst, col) {
+                delta.push(col);
+                changed = true;
+            }
+        }
+        changed
+    }
+
+    /// Per-bit reference for [`BitMatrix::or_and_window_into_delta`] (see
+    /// [`BitMatrix::or_window_into_delta_per_bit`]).
+    pub fn or_and_window_into_delta_per_bit(
+        &mut self,
+        dst: usize,
+        first_word: usize,
+        src: &[u64],
+        other: usize,
+        delta: &mut Vec<usize>,
+    ) -> bool {
+        let mut changed = false;
+        for col in first_word * 64..(first_word + src.len()) * 64 {
+            let k = col / 64 - first_word;
+            if (src[k] >> (col % 64)) & 1 == 1 && self.get(other, col) && self.set(dst, col) {
+                delta.push(col);
+                changed = true;
+            }
         }
         changed
     }

@@ -31,13 +31,18 @@
 //!   and their transpose), answers arbitrarily many [`ImplicationEngine::leq`]
 //!   / [`ImplicationEngine::entails`] queries without re-saturating, and
 //!   grows on demand: [`ImplicationEngine::add_goal_terms`] appends new
-//!   subterms to `V` and re-saturates only the worklist frontier seeded by
-//!   the new rows/columns.  Rules 2–5 and transitivity fire as word-parallel
-//!   row OR/AND operations ([`BitMatrix::or_row_into_delta`],
-//!   [`BitMatrix::or_and_rows_into_delta`]) instead of per-pair probes, and a
-//!   rule-firing counter ([`ImplicationEngine::rule_firings`]) exposes the
-//!   work done so the benchmark suite can assert that build-once-query-many
-//!   does strictly less work than rebuilding per goal.
+//!   subterms to `V` and re-saturates only what they add.  Rules 2–5 and
+//!   transitivity fire as word-parallel row OR/AND operations instead of
+//!   per-pair probes.  A goal extension pushes only each row's pending bits,
+//!   stored in the column window Lemma 9.2 leaves open
+//!   ([`BitMatrix::or_window_into_delta`],
+//!   [`BitMatrix::or_and_window_into_delta`]), and pushes an arc that one
+//!   of rules 2–5 wrote along transitivity in one direction only; the cold
+//!   build and [`ImplicationEngine::add_equations`] push whole
+//!   rows.  See [`ImplicationEngine`] for the discipline and its
+//!   completeness argument.  The rule-firing and row-op counters
+//!   ([`ImplicationEngine::rule_firings`], [`ImplicationEngine::row_ops`])
+//!   expose the work done so the benchmark suite can assert it by counter.
 //! * [`DerivedOrder`] — the reference implementation, rebuilt from scratch
 //!   per instance.  Two saturation strategies are provided (see
 //!   [`Algorithm`]): the paper's literal repeat-until-no-change fixpoint
@@ -444,14 +449,69 @@ struct Occurrences {
 /// * rule 7 (transitivity): `succ[u] |= succ[x]` for `u ∈ pred[x]`, and
 ///   `pred[v] |= pred[x]` for `v ∈ succ[x]`.
 ///
+/// # Re-saturation discipline
+///
 /// A worklist of dirty terms drives the fixpoint: every newly inserted arc
 /// `(u, v)` marks `u` successor-dirty and `v` predecessor-dirty, and only
-/// dirty rows re-fire their rules.  [`ImplicationEngine::add_goal_terms`]
-/// reuses exactly that machinery for incremental extension: new subterms get
-/// fresh (reflexive) rows, the rules of the new composites are seeded once
-/// against the already-saturated rows of their children, and the worklist
-/// drains the frontier — the closure over the old `V` is never recomputed
-/// (by Lemma 9.2 it cannot change).
+/// dirty terms re-fire their rules.  New terms get reflexive arcs (rule 1)
+/// and each new composite fires its rules once against the whole current
+/// rows of its children (old children are clean and would never re-fire on
+/// their own).  What a dirty term then pushes depends on the mode:
+///
+/// * **Whole rows** — [`ImplicationEngine::new`] and
+///   [`ImplicationEngine::add_equations`]: a dirty term pushes its entire
+///   row, along rule 7 and into rules 2–5.  Adding an equation can change
+///   arcs between old terms, so nothing narrower is safe without more
+///   bookkeeping; [`ImplicationEngine::retract_equations`] rebuilds.
+/// * **Pending bits** — [`ImplicationEngine::add_goal_terms`] and every
+///   auto-extending query: a dirty term pushes only the bits its rows
+///   gained since it was last processed (semi-naive evaluation).
+///   - *The Lemma 9.2 window.*  Enlarging `V` never changes `Γ` on old
+///     terms, so an old row can gain bits only in new columns.  Its pending
+///     bits are stored as the words from `old_n / 64` on; only the new rows
+///     are full width.  Per pending kind that is about `n × 2` words, not
+///     `n × |V| / 64`.
+///   - *Side-aware transitivity.*  Each new arc carries the side of rule 7
+///     it is pushed along.  An arc that rule 3 or 2 wrote into `succ[c]` is
+///     pushed only to the predecessors of `c`; an arc that rule 5 or 4
+///     wrote into `pred[c]` only to the successors of `c`; base arcs and
+///     arcs inserted by rule 7 itself both ways.  Rules 2–5 see every new
+///     bit.  The saving is in the seeding: a new join `t = l+r` copies
+///     `pred[l] ∪ pred[r]` into `pred[t]`, hundreds of arcs `(u, t)` whose
+///     push to the predecessors of each `u` could only rediscover arcs into
+///     `t` — `pred[u] ⊆ pred[l]` already.
+///
+/// The pending bits and the worklist live only inside one saturation call;
+/// the engine at rest, which sessions cache and snapshots clone, holds only
+/// `V`, the two matrices and the occurrence lists.
+///
+/// **Completeness of the side rule.**  Rules 2–5 are closed at the fixpoint:
+/// a new composite is seeded from the whole rows of its children, and every
+/// later bit of a child's row reaches the composite through the child's
+/// pending bits (for rules 2 and 4 the later of the two premises meets the
+/// other's whole row).  For transitivity take arcs `f = (a, b)` and
+/// `s = (b, c)`; show `(a, c) ∈ Γ` by induction on the sum of their
+/// insertion times (arcs of the saturated `Γ` before the extension count
+/// as time 0: present from the start, never pushed, and closed among
+/// themselves).
+///
+/// * `s` is pushed to the predecessors of `b` (or is old) and `f` to the
+///   successors of `b` (or is old): the push that is processed last sees
+///   the other arc and inserts `(a, c)` — if `f` existed when `s` was
+///   pushed, `a ∈ pred[b]` then; otherwise `f` arrived later and so was
+///   pushed after `s` existed.  (Two old arcs: `Γ` was closed.)
+/// * `f` was written by rule 3 or 2, so `a` is a meet `l*r` with `(l, b)`,
+///   or a join `l+r` with `(l, b)` and `(r, b)`.  Those premises are older
+///   than `f`, so by induction `(l, c)` (and `(r, c)`) are in `Γ`, and the
+///   closed rule 3 (rule 2) gives `(a, c)`.
+/// * `s` was written by rule 5 or 4: the mirror image, through `c`'s
+///   children.
+///
+/// These cases are exhaustive, since only rule 2–5 arcs skip a side.  Arcs
+/// inserted by rule 7 keep both sides: skipping one there has no argument
+/// this short.  It costs nothing: on `skewed_query_mix` goal streams no
+/// goal extension inserts a single arc by rule 7 — every new arc comes from
+/// rules 2–5 — so the two-sided rule-7 arcs never add a push.
 ///
 /// ```
 /// use ps_base::Universe;
@@ -489,16 +549,6 @@ pub struct ImplicationEngine {
     pred: BitMatrix,
     /// Child → parent-composite occurrence lists.
     occ: Vec<Occurrences>,
-    /// Worklist state: terms whose successor / predecessor row changed.
-    s_dirty: Vec<bool>,
-    p_dirty: Vec<bool>,
-    queued: Vec<bool>,
-    queue: VecDeque<usize>,
-    /// Scratch buffer for row-operation deltas (reused across firings).
-    scratch: Vec<usize>,
-    /// Scratch buffer for row snapshots taken while processing a dirty term
-    /// (reused across worklist pops to avoid per-pop allocations).
-    row_buf: Vec<usize>,
     /// Arcs inserted by rule applications (same unit as
     /// [`DerivedOrder::rule_firings`]).
     rule_firings: usize,
@@ -520,24 +570,10 @@ impl ImplicationEngine {
             succ: BitMatrix::new(0),
             pred: BitMatrix::new(0),
             occ: Vec::new(),
-            s_dirty: Vec::new(),
-            p_dirty: Vec::new(),
-            queued: Vec::new(),
-            queue: VecDeque::new(),
-            scratch: Vec::new(),
-            row_buf: Vec::new(),
             rule_firings: 0,
             row_ops: 0,
         };
-        let roots: Vec<TermId> = equations.iter().flat_map(|eq| [eq.lhs, eq.rhs]).collect();
-        engine.add_terms(arena, &roots);
-        // Rule 6: the equations of E, in both directions.
-        for eq in equations {
-            let (i, j) = (engine.dense[&eq.lhs], engine.dense[&eq.rhs]);
-            engine.insert_arc(i, j);
-            engine.insert_arc(j, i);
-        }
-        engine.saturate();
+        engine.add_equations_whole_rows(arena, equations);
         engine
     }
 
@@ -558,11 +594,14 @@ impl ImplicationEngine {
     /// new rows/columns is processed, never the already-saturated closure.
     /// Returns the number of terms actually added (0 is a no-op).
     pub fn add_goal_terms(&mut self, arena: &TermArena, terms: &[TermId]) -> usize {
-        let added = self.add_terms(arena, terms);
-        if added > 0 {
-            self.saturate();
+        let old_n = self.push_terms(arena, terms);
+        let n = self.terms.len();
+        if n > old_n {
+            let mut frontier = Frontier::window(old_n, n);
+            self.seed_terms(arena, old_n, &mut frontier);
+            self.saturate(&mut frontier);
         }
-        added
+        n - old_n
     }
 
     /// Appends `new_equations` to the constraint set `E` and re-saturates
@@ -582,18 +621,8 @@ impl ImplicationEngine {
     /// ones.
     pub fn add_equations(&mut self, arena: &TermArena, new_equations: &[Equation]) -> usize {
         let before = self.rule_firings;
-        let roots: Vec<TermId> = new_equations
-            .iter()
-            .flat_map(|eq| [eq.lhs, eq.rhs])
-            .collect();
-        self.add_terms(arena, &roots);
-        for eq in new_equations {
-            self.equations.push(*eq);
-            let (i, j) = (self.dense[&eq.lhs], self.dense[&eq.rhs]);
-            self.insert_arc(i, j);
-            self.insert_arc(j, i);
-        }
-        self.saturate();
+        self.equations.extend_from_slice(new_equations);
+        self.add_equations_whole_rows(arena, new_equations);
         self.rule_firings - before
     }
 
@@ -744,12 +773,30 @@ impl ImplicationEngine {
 
     // --- Internals -----------------------------------------------------
 
+    /// Adds the subterms of `new_equations` to `V` and their rule-6 arcs
+    /// to `Γ`, then saturates in whole-row mode.  (The caller records the
+    /// equations themselves in `self.equations`.)
+    fn add_equations_whole_rows(&mut self, arena: &TermArena, new_equations: &[Equation]) {
+        let roots: Vec<TermId> = new_equations
+            .iter()
+            .flat_map(|eq| [eq.lhs, eq.rhs])
+            .collect();
+        let old_n = self.push_terms(arena, &roots);
+        let mut frontier = Frontier::whole_rows(self.terms.len());
+        self.seed_terms(arena, old_n, &mut frontier);
+        // Rule 6: the equations, in both directions.
+        for eq in new_equations {
+            let (i, j) = (self.dense[&eq.lhs], self.dense[&eq.rhs]);
+            self.insert_arc(i, j, &mut frontier);
+            self.insert_arc(j, i, &mut frontier);
+        }
+        self.saturate(&mut frontier);
+    }
+
     /// Appends every not-yet-present subterm of `roots` to `V`, growing the
-    /// matrices and occurrence lists, setting reflexive arcs for the new
-    /// rows and seeding the rules of the new composites against the
-    /// (already saturated) rows of their children.  Does **not** drain the
-    /// worklist — callers follow up with [`ImplicationEngine::saturate`].
-    fn add_terms(&mut self, arena: &TermArena, roots: &[TermId]) -> usize {
+    /// matrices and the occurrence lists.  Returns the old size of `V`;
+    /// callers seed the new terms with [`ImplicationEngine::seed_terms`].
+    fn push_terms(&mut self, arena: &TermArena, roots: &[TermId]) -> usize {
         let old_n = self.terms.len();
         for &root in roots {
             for t in arena.subterms(root) {
@@ -761,20 +808,13 @@ impl ImplicationEngine {
         }
         let new_n = self.terms.len();
         if new_n == old_n {
-            return 0;
+            return old_n;
         }
         self.succ.grow(new_n);
         self.pred.grow(new_n);
         self.occ.resize_with(new_n, Occurrences::default);
-        self.s_dirty.resize(new_n, false);
-        self.p_dirty.resize(new_n, false);
-        self.queued.resize(new_n, false);
-
-        // Occurrence lists for the new composites.  Children of a new
-        // composite are always in V already (subterms are added child-first),
-        // but may be *old* terms — which is exactly why the rules below must
-        // be seeded explicitly: old children are clean and will never re-fire
-        // on their own.
+        // Children of a new composite are always in V already (subterms are
+        // added child-first), but may be *old* terms.
         for i in old_n..new_n {
             match arena.node(self.terms[i]) {
                 TermNode::Meet(l, r) => {
@@ -790,181 +830,117 @@ impl ImplicationEngine {
                 TermNode::Atom(_) => {}
             }
         }
-        // Rule 1 (reflexivity) for the new rows; marks them dirty so
-        // transitivity through existing arcs fires when the worklist drains.
-        for i in old_n..new_n {
-            self.insert_arc(i, i);
+        old_n
+    }
+
+    /// Seeds the terms from `old_n` on: reflexive arcs (rule 1), then each
+    /// new composite fires its rules once against the whole current rows of
+    /// its children.  Old children are clean and would never re-fire on
+    /// their own, which is why the seeding must be explicit.  The
+    /// one-premise rules (3 and 5) take both children in a single batched
+    /// row union.
+    fn seed_terms(&mut self, arena: &TermArena, old_n: usize, f: &mut Frontier) {
+        let n = self.terms.len();
+        for i in old_n..n {
+            self.insert_arc(i, i, f);
         }
-        // Seed the frontier: each new composite fires its rules once against
-        // the current rows of its children.  The one-premise rules (3 and 5)
-        // take both children in a single batched row union, so the composite
-        // row is walked once per seeding instead of once per child.
-        for i in old_n..new_n {
+        for i in old_n..n {
             match arena.node(self.terms[i]) {
                 TermNode::Meet(l, r) => {
                     let (dl, dr) = (self.dense[&l], self.dense[&r]);
-                    self.union_succ(&[dl, dr], i); // rule 3 (either child)
-                    self.or_and_pred(dl, dr, i); // rule 4
+                    self.row_ops += 2;
+                    self.succ.union_rows_into_delta(&[dl, dr], i, &mut f.delta);
+                    self.absorb(i, Side::Succ, false, f); // rule 3 (either child)
+                    self.row_ops += 1;
+                    self.pred.or_and_rows_into_delta(dl, dr, i, &mut f.delta);
+                    self.absorb(i, Side::Pred, false, f); // rule 4
                 }
                 TermNode::Join(l, r) => {
                     let (dl, dr) = (self.dense[&l], self.dense[&r]);
-                    self.or_and_succ(dl, dr, i); // rule 2
-                    self.union_pred(&[dl, dr], i); // rule 5 (either child)
+                    self.row_ops += 1;
+                    self.succ.or_and_rows_into_delta(dl, dr, i, &mut f.delta);
+                    self.absorb(i, Side::Succ, false, f); // rule 2
+                    self.row_ops += 2;
+                    self.pred.union_rows_into_delta(&[dl, dr], i, &mut f.delta);
+                    self.absorb(i, Side::Pred, false, f); // rule 5 (either child)
                 }
                 TermNode::Atom(_) => {}
             }
         }
-        new_n - old_n
     }
 
-    /// Inserts the arc `terms[u] ≤_E terms[v]`, mirroring it into the
-    /// transpose and marking both endpoints dirty.
-    fn insert_arc(&mut self, u: usize, v: usize) {
+    /// Inserts the base arc `terms[u] ≤_E terms[v]` (rules 1 and 6),
+    /// mirroring it into the transpose.  Base arcs are pushed along rule 7
+    /// both ways.
+    fn insert_arc(&mut self, u: usize, v: usize, f: &mut Frontier) {
         if self.succ.set(u, v) {
             self.pred.set(v, u);
             self.rule_firings += 1;
-            self.mark_s_dirty(u);
-            self.mark_p_dirty(v);
+            if let Some(p) = &mut f.pending {
+                p.note(u, v, Side::Succ, true);
+            }
+            f.mark_dirty(u, Side::Succ);
+            f.mark_dirty(v, Side::Pred);
         }
     }
 
-    fn mark_s_dirty(&mut self, x: usize) {
-        if !self.s_dirty[x] {
-            self.s_dirty[x] = true;
-            if !self.queued[x] {
-                self.queued[x] = true;
-                self.queue.push_back(x);
+    /// The matrix whose rows are `side`'s rows: `succ` or `pred`.
+    fn rows(&mut self, side: Side) -> &mut BitMatrix {
+        match side {
+            Side::Succ => &mut self.succ,
+            Side::Pred => &mut self.pred,
+        }
+    }
+
+    /// The composites `x` is a child of that fire a rule on `side` from a
+    /// single child (`either`: rule 3 on the successor side, rule 5 on the
+    /// predecessor side) or from both children (rules 2 and 4), with the
+    /// sibling's index.
+    fn parents(&self, x: usize, side: Side, either: bool) -> &[(usize, usize)] {
+        let occ = &self.occ[x];
+        if (side == Side::Succ) == either {
+            &occ.meets
+        } else {
+            &occ.joins
+        }
+    }
+
+    /// Takes the bits a row operation just set in row `dst` of `side`'s
+    /// matrix (left in `f.delta`), mirrors them into the transpose and
+    /// records the new arcs — as pushed along rule 7 on `side` only, or
+    /// both ways when `both` (arcs inserted by rule 7 itself).
+    fn absorb(&mut self, dst: usize, side: Side, both: bool, f: &mut Frontier) {
+        let delta = std::mem::take(&mut f.delta);
+        if !delta.is_empty() {
+            let (mirror, other) = (self.rows(side.other()), side.other());
+            for &k in &delta {
+                mirror.set(k, dst);
+                f.mark_dirty(k, other);
+            }
+            f.mark_dirty(dst, side);
+            self.rule_firings += delta.len();
+            if let Some(p) = &mut f.pending {
+                for &k in &delta {
+                    match side {
+                        Side::Succ => p.note(dst, k, side, both),
+                        Side::Pred => p.note(k, dst, side, both),
+                    }
+                }
             }
         }
+        f.delta = delta;
+        f.delta.clear();
     }
 
-    fn mark_p_dirty(&mut self, x: usize) {
-        if !self.p_dirty[x] {
-            self.p_dirty[x] = true;
-            if !self.queued[x] {
-                self.queued[x] = true;
-                self.queue.push_back(x);
-            }
-        }
-    }
-
-    /// `succ[dst] |= succ[src]`, mirroring every newly reachable term into
-    /// `pred` and marking the affected terms dirty.
-    fn or_succ(&mut self, src: usize, dst: usize) {
-        self.row_ops += 1;
-        let mut delta = std::mem::take(&mut self.scratch);
-        delta.clear();
-        self.succ.or_row_into_delta(src, dst, &mut delta);
-        for &t in &delta {
-            self.pred.set(t, dst);
-            self.rule_firings += 1;
-            self.mark_p_dirty(t);
-        }
-        if !delta.is_empty() {
-            self.mark_s_dirty(dst);
-        }
-        self.scratch = delta;
-    }
-
-    /// `succ[dst] |= succ[s]` for every `s` in `srcs`, batched: one pass
-    /// over `dst`'s row, one delta extraction, with mirroring.
-    fn union_succ(&mut self, srcs: &[usize], dst: usize) {
-        self.row_ops += srcs.len();
-        let mut delta = std::mem::take(&mut self.scratch);
-        delta.clear();
-        self.succ.union_rows_into_delta(srcs, dst, &mut delta);
-        for &t in &delta {
-            self.pred.set(t, dst);
-            self.rule_firings += 1;
-            self.mark_p_dirty(t);
-        }
-        if !delta.is_empty() {
-            self.mark_s_dirty(dst);
-        }
-        self.scratch = delta;
-    }
-
-    /// `pred[dst] |= pred[s]` for every `s` in `srcs`, batched, with
-    /// mirroring.
-    fn union_pred(&mut self, srcs: &[usize], dst: usize) {
-        self.row_ops += srcs.len();
-        let mut delta = std::mem::take(&mut self.scratch);
-        delta.clear();
-        self.pred.union_rows_into_delta(srcs, dst, &mut delta);
-        for &s in &delta {
-            self.succ.set(s, dst);
-            self.rule_firings += 1;
-            self.mark_s_dirty(s);
-        }
-        if !delta.is_empty() {
-            self.mark_p_dirty(dst);
-        }
-        self.scratch = delta;
-    }
-
-    /// `succ[dst] |= succ[a] & succ[b]` (rule 2), with mirroring.
-    fn or_and_succ(&mut self, a: usize, b: usize, dst: usize) {
-        self.row_ops += 1;
-        let mut delta = std::mem::take(&mut self.scratch);
-        delta.clear();
-        self.succ.or_and_rows_into_delta(a, b, dst, &mut delta);
-        for &t in &delta {
-            self.pred.set(t, dst);
-            self.rule_firings += 1;
-            self.mark_p_dirty(t);
-        }
-        if !delta.is_empty() {
-            self.mark_s_dirty(dst);
-        }
-        self.scratch = delta;
-    }
-
-    /// `pred[dst] |= pred[src]`, mirroring every new predecessor into
-    /// `succ` and marking the affected terms dirty.
-    fn or_pred(&mut self, src: usize, dst: usize) {
-        self.row_ops += 1;
-        let mut delta = std::mem::take(&mut self.scratch);
-        delta.clear();
-        self.pred.or_row_into_delta(src, dst, &mut delta);
-        for &s in &delta {
-            self.succ.set(s, dst);
-            self.rule_firings += 1;
-            self.mark_s_dirty(s);
-        }
-        if !delta.is_empty() {
-            self.mark_p_dirty(dst);
-        }
-        self.scratch = delta;
-    }
-
-    /// `pred[dst] |= pred[a] & pred[b]` (rule 4), with mirroring.
-    fn or_and_pred(&mut self, a: usize, b: usize, dst: usize) {
-        self.row_ops += 1;
-        let mut delta = std::mem::take(&mut self.scratch);
-        delta.clear();
-        self.pred.or_and_rows_into_delta(a, b, dst, &mut delta);
-        for &s in &delta {
-            self.succ.set(s, dst);
-            self.rule_firings += 1;
-            self.mark_s_dirty(s);
-        }
-        if !delta.is_empty() {
-            self.mark_p_dirty(dst);
-        }
-        self.scratch = delta;
-    }
-
-    /// Drains the dirty-term worklist to the fixpoint.
-    fn saturate(&mut self) {
-        while let Some(x) = self.queue.pop_front() {
-            self.queued[x] = false;
-            if self.s_dirty[x] {
-                self.s_dirty[x] = false;
-                self.process_succ_dirty(x);
-            }
-            if self.p_dirty[x] {
-                self.p_dirty[x] = false;
-                self.process_pred_dirty(x);
+    /// Drains the worklist to the fixpoint.  Each popped term processes its
+    /// successor side first, then its predecessor side.
+    fn saturate(&mut self, f: &mut Frontier) {
+        while let Some(x) = f.queue.pop_front() {
+            f.queued[x] = false;
+            for side in [Side::Succ, Side::Pred] {
+                if std::mem::take(&mut f.dirty[side as usize][x]) {
+                    self.process(x, side, f);
+                }
             }
         }
         debug_assert_eq!(
@@ -974,58 +950,301 @@ impl ImplicationEngine {
         );
     }
 
-    /// `succ[x]` changed: propagate it backwards along transitivity and
-    /// upwards into the composites `x` is a child of (rules 3 and 2).
-    fn process_succ_dirty(&mut self, x: usize) {
-        // Rule 7: (u, x) and (x, w) give (u, w) — every predecessor of x
-        // absorbs x's successor row.  The snapshot is taken into a reused
-        // buffer because the row ops below may grow pred[x] itself (any
-        // additions re-mark x dirty, so nothing is missed).
-        let mut preds = std::mem::take(&mut self.row_buf);
-        preds.clear();
-        preds.extend(self.pred.iter_row(x));
-        for &u in &preds {
-            if u != x {
-                self.or_succ(x, u);
+    /// `x`'s row on `side` gained bits: push them along rule 7 (on the
+    /// successor side backwards to `x`'s predecessors, on the predecessor
+    /// side forwards to its successors) and up into the composites `x` is a
+    /// child of (rules 3 and 2, or 5 and 4).
+    fn process(&mut self, x: usize, side: Side, f: &mut Frontier) {
+        let (mut trans, mut rule) = (std::mem::take(&mut f.trans), std::mem::take(&mut f.rule));
+        match f.take_pending(x, side, &mut trans, &mut rule) {
+            None => self.push(x, side, WholeRow(x), WholeRow(x), f),
+            Some(first) => {
+                let window = |words| Window { first, words };
+                self.push(x, side, window(&trans), window(&rule), f);
             }
         }
-        self.row_buf = preds;
-        // Rule 3: for meets c = x*sib (either child suffices).
-        for k in 0..self.occ[x].meets.len() {
-            let (c, _sibling) = self.occ[x].meets[k];
-            self.or_succ(x, c);
+        (f.trans, f.rule) = (trans, rule);
+    }
+
+    /// Pushes `trans` along rule 7 and `rule` into rules 2–5 for the dirty
+    /// term `x` on `side`.  Generic so that each mode's loop compiles to
+    /// direct kernel calls.
+    fn push<P: Push>(&mut self, x: usize, side: Side, trans: P, rule: P, f: &mut Frontier) {
+        if !trans.is_empty() {
+            // Rule 7.  The neighbour list is snapshotted because the rule
+            // ops below may grow it (any such arc is recorded for `x`, so
+            // nothing is missed).
+            let mut others = std::mem::take(&mut f.row_buf);
+            others.clear();
+            others.extend(self.rows(side.other()).iter_row(x));
+            for &u in &others {
+                if u != x {
+                    self.row_ops += 1;
+                    if trans.or_into(self.rows(side), u, &mut f.delta) {
+                        self.absorb(u, side, true, f);
+                    }
+                }
+            }
+            f.row_buf = others;
         }
-        // Rule 2: for joins c = x+sib (both children required).
-        for k in 0..self.occ[x].joins.len() {
-            let (c, sibling) = self.occ[x].joins[k];
-            self.or_and_succ(x, sibling, c);
+        if !rule.is_empty() {
+            for k in 0..self.parents(x, side, true).len() {
+                let (c, _sibling) = self.parents(x, side, true)[k];
+                self.row_ops += 1;
+                if rule.or_into(self.rows(side), c, &mut f.delta) {
+                    self.absorb(c, side, false, f);
+                }
+            }
+            for k in 0..self.parents(x, side, false).len() {
+                let (c, sibling) = self.parents(x, side, false)[k];
+                self.row_ops += 1;
+                if rule.or_and_into(self.rows(side), c, sibling, &mut f.delta) {
+                    self.absorb(c, side, false, f);
+                }
+            }
+        }
+    }
+}
+
+/// One of the two matrices: `Succ` rows hold what a term reaches, `Pred`
+/// rows what reaches it.  A row operation writes one side's rows and the
+/// new arcs are mirrored into the other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Side {
+    Succ = 0,
+    Pred = 1,
+}
+
+impl Side {
+    fn other(self) -> Side {
+        match self {
+            Side::Succ => Side::Pred,
+            Side::Pred => Side::Succ,
+        }
+    }
+}
+
+/// What a dirty term pushes into another row `dst` of the matrix being
+/// written.
+trait Push: Copy {
+    /// Whether there is nothing to push.
+    fn is_empty(&self) -> bool;
+    /// `m[dst] |= pushed`; returns whether `dst` changed.
+    fn or_into(&self, m: &mut BitMatrix, dst: usize, delta: &mut Vec<usize>) -> bool;
+    /// `m[dst] |= pushed & m[other]`; returns whether `dst` changed.
+    fn or_and_into(
+        &self,
+        m: &mut BitMatrix,
+        dst: usize,
+        other: usize,
+        delta: &mut Vec<usize>,
+    ) -> bool;
+}
+
+/// Whole-row mode: the term's entire row.  It holds at least the reflexive
+/// bit, so it is never empty.
+#[derive(Debug, Clone, Copy)]
+struct WholeRow(usize);
+
+impl Push for WholeRow {
+    fn is_empty(&self) -> bool {
+        false
+    }
+    fn or_into(&self, m: &mut BitMatrix, dst: usize, delta: &mut Vec<usize>) -> bool {
+        m.or_row_into_delta(self.0, dst, delta)
+    }
+    fn or_and_into(
+        &self,
+        m: &mut BitMatrix,
+        dst: usize,
+        other: usize,
+        delta: &mut Vec<usize>,
+    ) -> bool {
+        m.or_and_rows_into_delta(self.0, other, dst, delta)
+    }
+}
+
+/// Pending-bit mode: the term's pending words, starting at word `first`.
+#[derive(Debug, Clone, Copy)]
+struct Window<'a> {
+    first: usize,
+    words: &'a [u64],
+}
+
+impl Push for Window<'_> {
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+    fn or_into(&self, m: &mut BitMatrix, dst: usize, delta: &mut Vec<usize>) -> bool {
+        m.or_window_into_delta(dst, self.first, self.words, delta)
+    }
+    fn or_and_into(
+        &self,
+        m: &mut BitMatrix,
+        dst: usize,
+        other: usize,
+        delta: &mut Vec<usize>,
+    ) -> bool {
+        m.or_and_window_into_delta(dst, self.first, self.words, other, delta)
+    }
+}
+
+/// One kind of pending bits during a goal extension, one row per term of
+/// `V`.  By Lemma 9.2 a row that existed before the extension can only gain
+/// bits in new columns, so an old row stores just the window of words from
+/// `old_n / 64` on; the new rows are full width.
+#[derive(Debug)]
+struct DeltaRows {
+    old_n: usize,
+    /// First word of an old row's window.
+    base: usize,
+    /// Full row width in words.
+    width: usize,
+    bits: Vec<u64>,
+}
+
+impl DeltaRows {
+    fn new(old_n: usize, n: usize) -> Self {
+        let width = n.div_ceil(64);
+        let base = old_n / 64;
+        DeltaRows {
+            old_n,
+            base,
+            width,
+            bits: vec![0; old_n * (width - base) + (n - old_n) * width],
         }
     }
 
-    /// `pred[x]` changed: propagate it forwards along transitivity and
-    /// upwards into the composites `x` is a child of (rules 5 and 4).
-    fn process_pred_dirty(&mut self, x: usize) {
-        // Rule 7: (s, x) and (x, v) give (s, v) — every successor of x
-        // absorbs x's predecessor row (snapshot into the reused buffer, as
-        // in `process_succ_dirty`).
-        let mut succs = std::mem::take(&mut self.row_buf);
-        succs.clear();
-        succs.extend(self.succ.iter_row(x));
-        for &v in &succs {
-            if v != x {
-                self.or_pred(x, v);
+    /// `(offset into bits, first word, length)` of row `x`.
+    fn span(&self, x: usize) -> (usize, usize, usize) {
+        let win = self.width - self.base;
+        if x < self.old_n {
+            (x * win, self.base, win)
+        } else {
+            (
+                self.old_n * win + (x - self.old_n) * self.width,
+                0,
+                self.width,
+            )
+        }
+    }
+
+    fn set(&mut self, x: usize, col: usize) {
+        let (offset, first, _) = self.span(x);
+        debug_assert!(
+            col / 64 >= first,
+            "Lemma 9.2: old row {x} gained old column {col}"
+        );
+        self.bits[offset + col / 64 - first] |= 1u64 << (col % 64);
+    }
+
+    /// Moves row `x`'s pending bits into `buf` (replacing its contents)
+    /// and clears them; returns the first word the bits belong at.
+    fn take(&mut self, x: usize, buf: &mut Vec<u64>) -> usize {
+        let (offset, first, len) = self.span(x);
+        buf.clear();
+        buf.extend_from_slice(&self.bits[offset..offset + len]);
+        self.bits[offset..offset + len].fill(0);
+        first
+    }
+}
+
+/// The pending bits of a goal extension, per side (indexed by `Side as
+/// usize`).  `rule[side]` holds every bit a row gained (rules 2–5 see them
+/// all); `trans[side]` only the bits rule 7 pushes on from that row —
+/// everything except the arcs the other side's rules (4–5 for the
+/// successor side, 2–3 for the predecessor side) wrote.
+#[derive(Debug)]
+struct Pending {
+    rule: [DeltaRows; 2],
+    trans: [DeltaRows; 2],
+}
+
+impl Pending {
+    /// Records the new arc `(u, w)`, written into a `side` row; `both` when
+    /// rule 7 pushes it on from both of its rows.
+    fn note(&mut self, u: usize, w: usize, side: Side, both: bool) {
+        self.rule[Side::Succ as usize].set(u, w);
+        self.rule[Side::Pred as usize].set(w, u);
+        if side == Side::Succ || both {
+            self.trans[Side::Succ as usize].set(u, w);
+        }
+        if side == Side::Pred || both {
+            self.trans[Side::Pred as usize].set(w, u);
+        }
+    }
+}
+
+/// The state of one saturation: the dirty-term worklist and, for a goal
+/// extension, the pending bits.  It lives only for the duration of one
+/// `new` / `add_goal_terms` / `add_equations` call; the engine at rest
+/// holds none of it.
+#[derive(Debug)]
+struct Frontier {
+    /// Per side (`Side as usize`): terms whose row on that side changed.
+    dirty: [Vec<bool>; 2],
+    queued: Vec<bool>,
+    queue: VecDeque<usize>,
+    /// `None`: whole-row mode, where a dirty term pushes its entire row.
+    pending: Option<Pending>,
+    /// Columns (or rows) set by the last row operation.
+    delta: Vec<usize>,
+    /// Row snapshot taken while processing a dirty term.
+    row_buf: Vec<usize>,
+    /// The pending words the term being processed pushes along rule 7 and
+    /// into rules 2–5.
+    trans: Vec<u64>,
+    rule: Vec<u64>,
+}
+
+impl Frontier {
+    /// Whole-row mode over `n` terms: the cold build and `add_equations`.
+    fn whole_rows(n: usize) -> Self {
+        Frontier {
+            dirty: [vec![false; n], vec![false; n]],
+            queued: vec![false; n],
+            queue: VecDeque::new(),
+            pending: None,
+            delta: Vec::new(),
+            row_buf: Vec::new(),
+            trans: Vec::new(),
+            rule: Vec::new(),
+        }
+    }
+
+    /// Pending-bit mode for a goal extension from `old_n` to `n` terms.
+    fn window(old_n: usize, n: usize) -> Self {
+        let rows = || DeltaRows::new(old_n, n);
+        Frontier {
+            pending: Some(Pending {
+                rule: [rows(), rows()],
+                trans: [rows(), rows()],
+            }),
+            ..Frontier::whole_rows(n)
+        }
+    }
+
+    /// Moves `x`'s pending bits on `side` into `trans` and `rule` and
+    /// returns the word they start at, or `None` in whole-row mode.
+    fn take_pending(
+        &mut self,
+        x: usize,
+        side: Side,
+        trans: &mut Vec<u64>,
+        rule: &mut Vec<u64>,
+    ) -> Option<usize> {
+        let p = self.pending.as_mut()?;
+        p.trans[side as usize].take(x, trans);
+        Some(p.rule[side as usize].take(x, rule))
+    }
+
+    fn mark_dirty(&mut self, x: usize, side: Side) {
+        if !self.dirty[side as usize][x] {
+            self.dirty[side as usize][x] = true;
+            if !self.queued[x] {
+                self.queued[x] = true;
+                self.queue.push_back(x);
             }
-        }
-        self.row_buf = succs;
-        // Rule 5: for joins c = x+sib (either child suffices).
-        for k in 0..self.occ[x].joins.len() {
-            let (c, _sibling) = self.occ[x].joins[k];
-            self.or_pred(x, c);
-        }
-        // Rule 4: for meets c = x*sib (both children required).
-        for k in 0..self.occ[x].meets.len() {
-            let (c, sibling) = self.occ[x].meets[k];
-            self.or_and_pred(x, sibling, c);
         }
     }
 }

@@ -14,7 +14,11 @@
 //!    extension, and batched queries alike — is pinned to the
 //!    `NaiveFixpoint` reference strategy on random equation sets;
 //! 5. the term/equation printers round-trip through the parser onto the
-//!    same hash-consed [`TermId`]s.
+//!    same hash-consed [`TermId`]s;
+//! 6. **full-`Γ` differential**: one engine walked through build, goal-by-goal
+//!    extension, `add_equations`, more goals and `retract_equations` holds,
+//!    after every step, exactly the `leq` relation that a from-scratch
+//!    `NaiveFixpoint` order computes over the same `E` and `V`.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -42,8 +46,13 @@ enum Shape {
 }
 
 fn arb_shape() -> impl Strategy<Value = Shape> {
-    let leaf = (0u8..4).prop_map(Shape::Atom);
-    leaf.prop_recursive(3, 16, 2, |inner| {
+    arb_shape_over(4, 3)
+}
+
+/// Term shapes over `atoms` attributes, nested up to `depth` levels.
+fn arb_shape_over(atoms: u8, depth: u32) -> impl Strategy<Value = Shape> {
+    let leaf = (0..atoms).prop_map(Shape::Atom);
+    leaf.prop_recursive(depth, 16, 2, |inner| {
         prop_oneof![
             (inner.clone(), inner.clone()).prop_map(|(l, r)| Shape::Meet(Box::new(l), Box::new(r))),
             (inner.clone(), inner).prop_map(|(l, r)| Shape::Join(Box::new(l), Box::new(r))),
@@ -64,6 +73,94 @@ fn build(shape: &Shape, attrs: &[Attribute], arena: &mut TermArena) -> TermId {
             let rt = build(r, attrs, arena);
             arena.join(lt, rt)
         }
+    }
+}
+
+/// Builds one equation per shape pair.
+fn equations_of(
+    shapes: &[(Shape, Shape)],
+    attrs: &[Attribute],
+    arena: &mut TermArena,
+) -> Vec<Equation> {
+    shapes
+        .iter()
+        .map(|(l, r)| Equation::new(build(l, attrs, arena), build(r, attrs, arena)))
+        .collect()
+}
+
+/// The first pair of `engine`'s `V` on which it disagrees with a
+/// `NaiveFixpoint` order built from scratch over the same `E` and `V`, or
+/// `None` when the whole `Γ` agrees.  Also checks that the firing counter
+/// saw every arc exactly once.
+fn full_gamma_mismatch(arena: &TermArena, engine: &ImplicationEngine) -> Option<String> {
+    let terms = engine.terms();
+    let reference = word_problem::DerivedOrder::build(
+        arena,
+        engine.equations(),
+        terms,
+        Algorithm::NaiveFixpoint,
+    );
+    if reference.terms().len() != terms.len() {
+        return Some(format!(
+            "|V| {} vs reference {}",
+            terms.len(),
+            reference.terms().len()
+        ));
+    }
+    for &p in terms {
+        for &q in terms {
+            if engine.leq(p, q) != reference.leq(p, q) {
+                return Some(format!("leq({p:?}, {q:?}) differs"));
+            }
+        }
+    }
+    if engine.rule_firings() != engine.num_arcs() {
+        return Some("rule_firings != num_arcs".to_owned());
+    }
+    None
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One engine through its whole life cycle — build, goal-by-goal
+    /// extension, `add_equations`, more goals, `retract_equations` — holds
+    /// the reference `Γ` over its current `V` after every step.  Six
+    /// attributes, up to twelve equations and depth-4 goal terms.
+    #[test]
+    fn engine_walk_matches_naive_fixpoint_on_the_full_gamma(
+        base_shapes in prop::collection::vec((arb_shape_over(6, 3), arb_shape_over(6, 3)), 0..9),
+        extra_shapes in prop::collection::vec((arb_shape_over(6, 3), arb_shape_over(6, 3)), 1..5),
+        first_goals in prop::collection::vec((arb_shape_over(6, 4), arb_shape_over(6, 4)), 1..5),
+        later_goals in prop::collection::vec((arb_shape_over(6, 4), arb_shape_over(6, 4)), 1..4),
+        retract_picks in prop::collection::vec(0usize..12, 1..4),
+    ) {
+        let mut u = Universe::new();
+        let attrs = u.attrs(["A", "B", "C", "D", "E", "F"]);
+        let mut arena = TermArena::new();
+        let base = equations_of(&base_shapes, &attrs, &mut arena);
+        let extra = equations_of(&extra_shapes, &attrs, &mut arena);
+        let first = equations_of(&first_goals, &attrs, &mut arena);
+        let later = equations_of(&later_goals, &attrs, &mut arena);
+
+        let mut engine = ImplicationEngine::new(&arena, &base);
+        prop_assert_eq!(full_gamma_mismatch(&arena, &engine), None, "after build");
+        for (i, goal) in first.iter().enumerate() {
+            engine.add_goal_terms(&arena, &[goal.lhs, goal.rhs]);
+            prop_assert_eq!(full_gamma_mismatch(&arena, &engine), None, "after goal {}", i);
+        }
+        engine.add_equations(&arena, &extra);
+        prop_assert_eq!(full_gamma_mismatch(&arena, &engine), None, "after add_equations");
+        for (i, goal) in later.iter().enumerate() {
+            engine.add_goal_terms(&arena, &[goal.lhs, goal.rhs]);
+            prop_assert_eq!(full_gamma_mismatch(&arena, &engine), None, "after later goal {}", i);
+        }
+        let live = engine.equations().to_vec();
+        let removed: Vec<Equation> = retract_picks.iter().map(|&k| live[k % live.len()]).collect();
+        engine.retract_equations(&arena, &removed);
+        prop_assert_eq!(full_gamma_mismatch(&arena, &engine), None, "after retract");
+        engine.add_goal_terms(&arena, &[later[0].lhs, later[0].rhs]);
+        prop_assert_eq!(full_gamma_mismatch(&arena, &engine), None, "after retract + goal");
     }
 }
 

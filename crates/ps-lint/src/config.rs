@@ -26,6 +26,12 @@ pub const NAIVE_PAIRS: &[(&str, &str)] = &[
     // ps-lattice: word-parallel BitMatrix delta kernels vs. per-bit loops.
     ("or_row_into_delta", "or_row_into_delta_per_bit"),
     ("or_and_rows_into_delta", "or_and_rows_into_delta_per_bit"),
+    // ps-lattice: semi-naive window kernels vs. per-bit loops.
+    ("or_window_into_delta", "or_window_into_delta_per_bit"),
+    (
+        "or_and_window_into_delta",
+        "or_and_window_into_delta_per_bit",
+    ),
 ];
 
 /// Suffixes that mark a function as a pinned reference implementation.
