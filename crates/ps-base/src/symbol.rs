@@ -2,8 +2,10 @@
 //!
 //! Tuple entries in relations are drawn from `𝒟`.  The weak-instance chase
 //! additionally needs an endless supply of *fresh* symbols ("nulls" or
-//! "unique variables"); [`SymbolTable::fresh`] provides them without ever
-//! colliding with interned constants.
+//! "unique variables"); a [`NullSource`] provides them without ever
+//! colliding with interned constants.  Whether a symbol is a constant or a
+//! null is a property of the symbol itself ([`Symbol::is_constant`]), so
+//! code that only classifies symbols needs no table.
 
 use std::fmt;
 
@@ -12,6 +14,10 @@ use crate::{BaseError, Interner, Result};
 /// An interned data symbol (an element of `𝒟`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Symbol(u32);
+
+/// Nulls are tagged with the high bit so they can never collide with
+/// interned constants; each namespace holds 2³¹ symbols.
+const FRESH_TAG: u32 = 1 << 31;
 
 impl Symbol {
     /// Constructs a symbol from a raw index (see [`SymbolTable`]).
@@ -28,6 +34,16 @@ impl Symbol {
     pub fn as_usize(self) -> usize {
         self.0 as usize
     }
+
+    /// Whether this is an interned constant (as opposed to a null).
+    pub fn is_constant(self) -> bool {
+        self.0 & FRESH_TAG == 0
+    }
+
+    /// Whether this is a null minted by a [`NullSource`].
+    pub fn is_null(self) -> bool {
+        !self.is_constant()
+    }
 }
 
 impl fmt::Display for Symbol {
@@ -36,15 +52,27 @@ impl fmt::Display for Symbol {
     }
 }
 
+/// A supply of nulls: each call returns a symbol distinct from every
+/// constant and from every null this source issued before.
+///
+/// The chase and the Lemma 12.1 repair take their padding nulls from one.
+/// A [`SymbolTable`] is a source that advances the table itself; a
+/// [`FreshSymbols`] cursor is a detached source that leaves a shared table
+/// untouched (one per snapshot worker).
+pub trait NullSource {
+    /// Mints the next null.
+    fn fresh(&mut self) -> Symbol;
+}
+
 /// The catalog of data symbols, modelling the countably infinite set `𝒟`.
 ///
 /// Two kinds of symbols are issued:
 ///
 /// * **constants** — interned by name via [`SymbolTable::symbol`]; these are
 ///   the symbols that appear in user databases;
-/// * **fresh symbols** — generated via [`SymbolTable::fresh`]; each call
-///   returns a brand-new symbol distinct from every other symbol.  These play
-///   the role of the "distinct new values" used when padding weak instances
+/// * **nulls** — generated via [`SymbolTable::fresh`]; each call returns a
+///   brand-new symbol distinct from every other symbol.  These play the role
+///   of the "distinct new values" used when padding weak instances
 ///   (Section 6.2) and of the unique tuple indices `i_t` of Definition 5.
 ///
 /// ```
@@ -53,20 +81,15 @@ impl fmt::Display for Symbol {
 /// let a = t.symbol("a");
 /// let fresh = t.fresh();
 /// assert_ne!(a, fresh);
-/// assert!(t.is_constant(a));
-/// assert!(!t.is_constant(fresh));
+/// assert!(a.is_constant());
+/// assert!(fresh.is_null());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
     interner: Interner,
-    /// Fresh symbols are allocated above all interned constants, in a
-    /// parallel namespace tagged by the high bit.
-    fresh_count: u32,
+    /// The cursor of the null namespace.
+    nulls: FreshSymbols,
 }
-
-/// Fresh symbols are tagged with the high bit so they can never collide with
-/// interned constants (which would need more than 2³¹ names to reach it).
-const FRESH_TAG: u32 = 1 << 31;
 
 impl SymbolTable {
     /// Creates an empty symbol table.
@@ -97,34 +120,22 @@ impl SymbolTable {
             .ok_or_else(|| BaseError::UnknownSymbol(name.to_owned()))
     }
 
-    /// Generates a fresh symbol, distinct from every constant and every
-    /// previously generated fresh symbol.
+    /// Generates a null, distinct from every constant and every null this
+    /// table generated before.
     pub fn fresh(&mut self) -> Symbol {
-        let id = self.fresh_count;
-        self.fresh_count += 1;
-        Symbol(FRESH_TAG | id)
-    }
-
-    /// Whether `sym` is an interned constant (as opposed to a fresh symbol).
-    pub fn is_constant(&self, sym: Symbol) -> bool {
-        sym.0 & FRESH_TAG == 0
-    }
-
-    /// Whether `sym` was produced by [`SymbolTable::fresh`].
-    pub fn is_fresh(&self, sym: Symbol) -> bool {
-        !self.is_constant(sym)
+        self.nulls.fresh()
     }
 
     /// The name of a constant symbol, if it was interned here.
     pub fn name(&self, sym: Symbol) -> Option<&str> {
-        if self.is_constant(sym) {
+        if sym.is_constant() {
             self.interner.resolve(sym.0)
         } else {
             None
         }
     }
 
-    /// Renders a symbol: constants by name, fresh symbols as `⊥k`.
+    /// Renders a symbol: constants by name, nulls as `⊥k`.
     pub fn render(&self, sym: Symbol) -> String {
         match self.name(sym) {
             Some(n) => n.to_owned(),
@@ -132,42 +143,42 @@ impl SymbolTable {
         }
     }
 
-    /// Number of interned constants (fresh symbols are not counted).
+    /// Number of interned constants (nulls are not counted).
     pub fn num_constants(&self) -> usize {
         self.interner.len()
     }
 
-    /// Number of fresh symbols issued so far.
+    /// Number of nulls issued so far.
     pub fn num_fresh(&self) -> usize {
-        self.fresh_count as usize
+        self.nulls.next as usize
     }
 
-    /// A detached fresh-symbol source starting just above every fresh symbol
-    /// this table has issued so far.
+    /// A detached null source starting just above every null this table
+    /// has issued so far.
     ///
-    /// The source mints symbols in the same tagged namespace as
-    /// [`SymbolTable::fresh`], so [`SymbolTable::is_constant`] /
-    /// [`SymbolTable::is_fresh`] classify them correctly, but it never
-    /// touches the table: many workers can each hold their own source and
-    /// mint nulls against a shared `&SymbolTable`.  Symbols from two sources
-    /// derived from the same table state *may* collide with each other —
-    /// callers that need cross-worker distinctness must keep worker outputs
-    /// separate (null names never influence chase verdicts; each worker only
-    /// needs within-run distinctness).
+    /// The source never touches the table: many workers can each hold their
+    /// own source and mint nulls against a shared `&SymbolTable`.  Symbols
+    /// from two sources derived from the same table state *may* collide
+    /// with each other — callers that need cross-worker distinctness must
+    /// keep worker outputs separate (null names never influence chase
+    /// verdicts; each worker only needs within-run distinctness).
     pub fn fresh_source(&self) -> FreshSymbols {
         FreshSymbols {
-            next: self.fresh_count,
-            start: self.fresh_count,
+            next: self.nulls.next,
+            start: self.nulls.next,
         }
     }
 }
 
-/// A cursor minting fresh symbols without mutating the [`SymbolTable`] it
-/// was derived from (see [`SymbolTable::fresh_source`]).
-///
-/// This is what lets the chase pipeline run against a frozen `&SymbolTable`:
-/// padding nulls and Lemma-12.1 repair values come from a per-worker
-/// `FreshSymbols` instead of `SymbolTable::fresh`.
+impl NullSource for SymbolTable {
+    fn fresh(&mut self) -> Symbol {
+        SymbolTable::fresh(self)
+    }
+}
+
+/// A cursor over the null namespace.  A [`SymbolTable`] keeps one for its
+/// own nulls; [`SymbolTable::fresh_source`] hands out detached copies that
+/// mint without mutating the table.
 ///
 /// ```
 /// use ps_base::SymbolTable;
@@ -176,18 +187,24 @@ impl SymbolTable {
 /// let mut source = t.fresh_source();
 /// let detached = source.fresh();
 /// assert_ne!(minted, detached);
-/// assert!(t.is_fresh(detached));
+/// assert!(detached.is_null());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FreshSymbols {
     next: u32,
     start: u32,
 }
 
 impl FreshSymbols {
-    /// Mints the next fresh symbol from this source.
+    /// Mints the next null from this source.
+    ///
+    /// # Panics
+    ///
+    /// When the 2³¹ nulls of the namespace are used up: one more would wrap
+    /// onto the first null.
     pub fn fresh(&mut self) -> Symbol {
         let id = self.next;
+        assert!(id < FRESH_TAG, "null source overflowed the null namespace");
         self.next += 1;
         Symbol(FRESH_TAG | id)
     }
@@ -195,6 +212,12 @@ impl FreshSymbols {
     /// Number of symbols this source has minted.
     pub fn minted(&self) -> usize {
         (self.next - self.start) as usize
+    }
+}
+
+impl NullSource for FreshSymbols {
+    fn fresh(&mut self) -> Symbol {
+        FreshSymbols::fresh(self)
     }
 }
 
@@ -230,13 +253,13 @@ mod tests {
         let consts: Vec<_> = (0..50).map(|i| t.symbol(&format!("c{i}"))).collect();
         let fresh: Vec<_> = (0..50).map(|_| t.fresh()).collect();
         for c in &consts {
-            assert!(t.is_constant(*c));
+            assert!(c.is_constant());
             for f in &fresh {
                 assert_ne!(c, f);
             }
         }
         for f in &fresh {
-            assert!(t.is_fresh(*f));
+            assert!(f.is_null());
         }
     }
 
@@ -259,13 +282,26 @@ mod tests {
         let s2 = source.fresh();
         assert_ne!(s1, s2);
         assert_ne!(before, s1);
-        assert!(t.is_fresh(s1) && t.is_fresh(s2));
+        assert!(s1.is_null() && s2.is_null());
         assert_eq!(source.minted(), 2);
         // Minting from the source never advances the table.
         assert_eq!(t.num_fresh(), 1);
         // A second source from the same state restarts at the same cursor.
         let mut again = t.fresh_source();
         assert_eq!(again.fresh(), s1);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflowed the null namespace")]
+    fn null_namespace_does_not_wrap() {
+        let mut source = FreshSymbols {
+            next: FRESH_TAG - 1,
+            start: FRESH_TAG - 1,
+        };
+        let last = source.fresh();
+        assert_eq!(last.index(), u32::MAX);
+        // The next null would be FRESH_TAG | 0 again.
+        let _ = source.fresh();
     }
 
     #[test]

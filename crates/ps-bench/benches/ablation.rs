@@ -1,8 +1,9 @@
 //! Experiment E7 — ablations of the implementation choices called out in
 //! `DESIGN.md`.
 //!
-//! * ALG saturation strategy: the paper's literal repeat-until-stable loop
-//!   versus the incremental worklist (same closure, different constants and
+//! * ALG saturation: the paper's literal repeat-until-stable loop
+//!   (`DerivedOrder`) versus the word-parallel `ImplicationEngine` behind
+//!   `word_problem::entails` (same closure, different constants and
 //!   growth).
 //! * Partition sum: the paper's chaining definition evaluated literally
 //!   versus the union–find implementation.
@@ -11,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ps_bench::{fpd_chain, identity_workload, random_partitions};
-use ps_lattice::{free_order, word_problem, Algorithm};
+use ps_lattice::{free_order, word_problem, DerivedOrder};
 use std::time::Duration;
 
 fn bench_alg_strategies(c: &mut Criterion) {
@@ -22,25 +23,15 @@ fn bench_alg_strategies(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(700));
     for n in [16usize, 32, 64] {
         let workload = fpd_chain(n);
+        let goal = workload.goal;
         group.bench_with_input(BenchmarkId::new("naive_fixpoint", n), &n, |b, _| {
             b.iter(|| {
-                word_problem::entails(
-                    &workload.arena,
-                    &workload.equations,
-                    workload.goal,
-                    Algorithm::NaiveFixpoint,
-                )
+                DerivedOrder::build(&workload.arena, &workload.equations, &[goal.lhs, goal.rhs])
+                    .entails(goal)
             })
         });
-        group.bench_with_input(BenchmarkId::new("worklist", n), &n, |b, _| {
-            b.iter(|| {
-                word_problem::entails(
-                    &workload.arena,
-                    &workload.equations,
-                    workload.goal,
-                    Algorithm::Worklist,
-                )
-            })
+        group.bench_with_input(BenchmarkId::new("engine", n), &n, |b, _| {
+            b.iter(|| word_problem::entails(&workload.arena, &workload.equations, goal))
         });
     }
     group.finish();

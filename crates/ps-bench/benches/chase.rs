@@ -15,9 +15,23 @@
 //! `satisfies_fd` / `satisfies_mvd` passes on growing relations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ps_bench::{chase_chain_workload, random_chase_workload};
-use ps_relation::{chase_fds, chase_fds_naive, Mvd};
+use ps_bench::{chase_chain_workload, random_chase_workload, ChaseWorkload};
+use ps_relation::{chase_tableau_naive, chase_tableau_with, Mvd, Tableau};
 use std::time::Duration;
+
+/// Pads the workload's database into a tableau and chases it with the
+/// indexed engine (`naive == false`) or the full-rescan reference.
+fn chase(workload: &ChaseWorkload, naive: bool) -> bool {
+    let mut symbols = workload.symbols.clone();
+    let attrs = workload.database.all_attributes();
+    let tableau = Tableau::from_database(&workload.database, &attrs, &mut symbols);
+    let outcome = if naive {
+        chase_tableau_naive(&tableau, &workload.fds)
+    } else {
+        chase_tableau_with(&tableau, &workload.fds, &mut Default::default())
+    };
+    outcome.consistent
+}
 
 fn bench_chase_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("E5_chase/propagation_chain");
@@ -31,18 +45,10 @@ fn bench_chase_engines(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("indexed_worklist", tuples),
             &tuples,
-            |b, _| {
-                b.iter(|| {
-                    let mut symbols = workload.symbols.clone();
-                    chase_fds(&workload.database, &workload.fds, &mut symbols).consistent
-                })
-            },
+            |b, _| b.iter(|| chase(&workload, false)),
         );
         group.bench_with_input(BenchmarkId::new("full_rescan", tuples), &tuples, |b, _| {
-            b.iter(|| {
-                let mut symbols = workload.symbols.clone();
-                chase_fds_naive(&workload.database, &workload.fds, &mut symbols).consistent
-            })
+            b.iter(|| chase(&workload, true))
         });
     }
     group.finish();
@@ -60,18 +66,10 @@ fn bench_chase_random(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("indexed_worklist", tuples),
             &tuples,
-            |b, _| {
-                b.iter(|| {
-                    let mut symbols = workload.symbols.clone();
-                    chase_fds(&workload.database, &workload.fds, &mut symbols).consistent
-                })
-            },
+            |b, _| b.iter(|| chase(&workload, false)),
         );
         group.bench_with_input(BenchmarkId::new("full_rescan", tuples), &tuples, |b, _| {
-            b.iter(|| {
-                let mut symbols = workload.symbols.clone();
-                chase_fds_naive(&workload.database, &workload.fds, &mut symbols).consistent
-            })
+            b.iter(|| chase(&workload, true))
         });
     }
     group.finish();

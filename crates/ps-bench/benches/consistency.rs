@@ -19,7 +19,6 @@ use ps_bench::{consistency_workload, lattice_closure_generators};
 use ps_core::consistency::consistent_with_pds;
 use ps_core::weak_bridge::satisfiable_with_fpds;
 use ps_core::Fpd;
-use ps_lattice::Algorithm;
 use ps_partition::{close_under_ops, close_under_ops_naive};
 use ps_relation::consistency::weak_instance_consistent;
 use ps_relation::Fd;
@@ -60,7 +59,6 @@ fn bench_consistency(c: &mut Criterion) {
                         &mut arena,
                         &mut universe,
                         &mut symbols,
-                        Algorithm::Worklist,
                     )
                     .unwrap()
                     .consistent

@@ -11,7 +11,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ps_bench::random_fd_workload;
 use ps_core::fd_bridge::{fd_implies_via_lattice, fd_implies_via_semigroup};
-use ps_lattice::Algorithm;
 use ps_relation::fd_closure;
 use std::time::Duration;
 
@@ -33,7 +32,7 @@ fn bench_fd_routes(c: &mut Criterion) {
         if n <= 32 {
             assert_eq!(
                 expected,
-                fd_implies_via_lattice(&workload.fds, &workload.goal, Algorithm::Worklist)
+                fd_implies_via_lattice(&workload.fds, &workload.goal)
             );
         }
 
@@ -45,9 +44,7 @@ fn bench_fd_routes(c: &mut Criterion) {
         });
         if n <= 32 {
             group.bench_with_input(BenchmarkId::new("lattice_word_problem", n), &n, |b, _| {
-                b.iter(|| {
-                    fd_implies_via_lattice(&workload.fds, &workload.goal, Algorithm::Worklist)
-                })
+                b.iter(|| fd_implies_via_lattice(&workload.fds, &workload.goal))
             });
         }
     }

@@ -15,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ps_base::SymbolTable;
 use ps_bench::{identity_workload, random_interpretation};
-use ps_lattice::{free_order, word_problem, Algorithm};
+use ps_lattice::{free_order, word_problem};
 use std::time::Duration;
 
 fn bench_identity(c: &mut Criterion) {
@@ -50,7 +50,7 @@ fn bench_identity(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new("alg_empty_theory", depth),
                 &depth,
-                |b, _| b.iter(|| word_problem::entails(&arena, &[], goal, Algorithm::Worklist)),
+                |b, _| b.iter(|| word_problem::entails(&arena, &[], goal)),
             );
         }
     }

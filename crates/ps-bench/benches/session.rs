@@ -8,7 +8,7 @@
 //! * **warm session** — one `Session`, one `register`, `implies_many` over
 //!   the goal batch (build once, extend incrementally per goal);
 //! * **free function per goal** — `pd_implies` per goal, paying a full
-//!   `DerivedOrder` construction every time (the pre-session call shape);
+//!   engine build every time (the pre-session call shape);
 //! * **cold session per batch** — a fresh `Session` per iteration,
 //!   including registration, so the engine build is inside the loop.
 //!
@@ -19,7 +19,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ps_base::SymbolTable;
 use ps_bench::random_word_problem_workload;
 use ps_core::implication::pd_implies;
-use ps_lattice::Algorithm;
 use ps_session::Session;
 use std::time::Duration;
 
@@ -61,7 +60,7 @@ fn bench_session_vs_free_functions(c: &mut Criterion) {
                 b.iter(|| {
                     w.goals
                         .iter()
-                        .map(|&goal| pd_implies(&w.arena, &w.equations, goal, Algorithm::Worklist))
+                        .map(|&goal| pd_implies(&w.arena, &w.equations, goal))
                         .collect::<Vec<bool>>()
                 })
             },

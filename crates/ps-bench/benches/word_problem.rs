@@ -3,18 +3,18 @@
 //! Two questions, both on the random word-problem workload (one constraint
 //! set `E`, a batch of goal equations):
 //!
-//! * **Engine vs. reference strategies** on a single goal: the bitset-row
-//!   `ImplicationEngine` against the paper's literal fixpoint and the
-//!   per-pair worklist (`Algorithm::{NaiveFixpoint, Worklist}`).
+//! * **Engine vs. reference** on a single goal: the bitset-row
+//!   `ImplicationEngine` (through the one-shot `word_problem::entails`)
+//!   against the paper's literal fixpoint (`DerivedOrder`).
 //! * **Build-once-query-many vs. rebuild-per-goal** (the ablation behind
 //!   the ROADMAP's "ALG is the hot kernel" claim): one engine built per
 //!   constraint set and extended incrementally across the goal batch,
-//!   against one fresh `DerivedOrder` per goal.  The companion counter test
-//!   in `ps-bench/src/lib.rs` asserts the same advantage by rule firings.
+//!   against one fresh engine per goal.  The companion counter test in
+//!   `ps-bench/src/lib.rs` asserts the same advantage by rule firings.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ps_bench::random_word_problem_workload;
-use ps_lattice::{word_problem, Algorithm, DerivedOrder, ImplicationEngine};
+use ps_lattice::{word_problem, DerivedOrder, ImplicationEngine};
 use std::time::Duration;
 
 fn bench_single_goal_strategies(c: &mut Criterion) {
@@ -26,19 +26,13 @@ fn bench_single_goal_strategies(c: &mut Criterion) {
     for num_pds in [4usize, 8, 16, 32] {
         let w = random_word_problem_workload(6, num_pds, 6, 1, 4, 42);
         let goal = w.goals[0];
-        for (label, algorithm) in [
-            ("naive", Algorithm::NaiveFixpoint),
-            ("worklist", Algorithm::Worklist),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, num_pds), &num_pds, |b, _| {
-                b.iter(|| word_problem::entails(&w.arena, &w.equations, goal, algorithm))
-            });
-        }
-        group.bench_with_input(BenchmarkId::new("engine", num_pds), &num_pds, |b, _| {
+        group.bench_with_input(BenchmarkId::new("naive", num_pds), &num_pds, |b, _| {
             b.iter(|| {
-                let mut engine = ImplicationEngine::new(&w.arena, &w.equations);
-                engine.entails_goal(&w.arena, goal)
+                DerivedOrder::build(&w.arena, &w.equations, &[goal.lhs, goal.rhs]).entails(goal)
             })
+        });
+        group.bench_with_input(BenchmarkId::new("engine", num_pds), &num_pds, |b, _| {
+            b.iter(|| word_problem::entails(&w.arena, &w.equations, goal))
         });
     }
     group.finish();
@@ -69,16 +63,7 @@ fn bench_build_once_vs_rebuild(c: &mut Criterion) {
                 b.iter(|| {
                     w.goals
                         .iter()
-                        .map(|&goal| {
-                            DerivedOrder::build(
-                                &w.arena,
-                                &w.equations,
-                                &[goal.lhs, goal.rhs],
-                                Algorithm::Worklist,
-                            )
-                            .entails(goal)
-                            .expect("goal terms are in V")
-                        })
+                        .map(|&goal| word_problem::entails(&w.arena, &w.equations, goal))
                         .collect::<Vec<bool>>()
                 })
             },

@@ -13,8 +13,8 @@
 //! | E5 | `consistency` | Theorems 6, 7, 12: polynomial consistency tests |
 //! | E6 / F3 | `cad_np` | Theorem 11: CAD+EAP consistency is NP-complete |
 //! | F1, F2 | `figures` | Figures 1 and 2 regenerated from scratch |
-//! | E7 | `ablation` | Design-choice ablations (naïve vs worklist ALG, sum via chaining vs union–find) |
-//! | E8 | `word_problem` | Cached `ImplicationEngine`: build-once-query-many vs rebuild-per-goal, engine vs reference strategies |
+//! | E7 | `ablation` | Design-choice ablations (naïve-fixpoint vs engine ALG, sum via chaining vs union–find) |
+//! | E8 | `word_problem` | Cached `ImplicationEngine`: build-once-query-many vs rebuild-per-goal, engine vs the naive-fixpoint reference |
 //! | E9 | `session` | Session facade: warm cached-engine queries vs free-function rebuilds vs cold sessions |
 
 #![forbid(unsafe_code)]
@@ -805,27 +805,17 @@ pub fn random_interpretation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ps_lattice::{free_order, word_problem, Algorithm};
+    use ps_lattice::{free_order, word_problem, DerivedOrder};
 
     #[test]
     fn chain_goals_are_implied_and_grid_goals_too() {
         for n in [2usize, 5, 17] {
             let w = fpd_chain(n);
-            assert!(word_problem::entails(
-                &w.arena,
-                &w.equations,
-                w.goal,
-                Algorithm::Worklist
-            ));
+            assert!(word_problem::entails(&w.arena, &w.equations, w.goal));
         }
         for n in [3usize, 6, 12] {
             let w = mixed_pd_grid(n);
-            assert!(word_problem::entails(
-                &w.arena,
-                &w.equations,
-                w.goal,
-                Algorithm::Worklist
-            ));
+            assert!(word_problem::entails(&w.arena, &w.equations, w.goal));
         }
     }
 
@@ -833,10 +823,11 @@ mod tests {
     fn random_pd_sets_are_well_formed() {
         let w = random_pd_set(5, 6, 5, 99);
         assert_eq!(w.equations.len(), 6);
-        // Both strategies agree on the random goal.
+        // The engine and the naive fixpoint agree on the random goal.
+        let reference = DerivedOrder::build(&w.arena, &w.equations, &[w.goal.lhs, w.goal.rhs]);
         assert_eq!(
-            word_problem::entails(&w.arena, &w.equations, w.goal, Algorithm::Worklist),
-            word_problem::entails(&w.arena, &w.equations, w.goal, Algorithm::NaiveFixpoint)
+            Some(word_problem::entails(&w.arena, &w.equations, w.goal)),
+            reference.entails(w.goal)
         );
     }
 
@@ -960,7 +951,7 @@ mod tests {
     /// one fresh `DerivedOrder` per goal, while agreeing on every verdict.
     #[test]
     fn cached_engine_does_strictly_fewer_rule_firings_than_rebuilds() {
-        use ps_lattice::{DerivedOrder, ImplicationEngine};
+        use ps_lattice::ImplicationEngine;
 
         for seed in [1u64, 7, 23, 71] {
             let w = random_word_problem_workload(6, 5, 6, 8, 3, seed);
@@ -970,12 +961,7 @@ mod tests {
             let mut rebuild_firings = 0usize;
             let mut reference_verdicts = Vec::new();
             for &goal in &w.goals {
-                let order = DerivedOrder::build(
-                    &w.arena,
-                    &w.equations,
-                    &[goal.lhs, goal.rhs],
-                    Algorithm::Worklist,
-                );
+                let order = DerivedOrder::build(&w.arena, &w.equations, &[goal.lhs, goal.rhs]);
                 rebuild_firings += order.rule_firings();
                 reference_verdicts.push(order.entails(goal).expect("goal terms are in V"));
             }
@@ -1058,6 +1044,18 @@ mod tests {
         }
     }
 
+    /// One tableau of the workload's database, chased by the indexed engine
+    /// and by the full-rescan reference.
+    fn chase_both(w: &ChaseWorkload) -> (ps_relation::ChaseOutcome, ps_relation::ChaseOutcome) {
+        let mut symbols = w.symbols.clone();
+        let attrs = w.database.all_attributes();
+        let tableau = ps_relation::Tableau::from_database(&w.database, &attrs, &mut symbols);
+        (
+            ps_relation::chase_tableau_with(&tableau, &w.fds, &mut Default::default()),
+            ps_relation::chase_tableau_naive(&tableau, &w.fds),
+        )
+    }
+
     /// The acceptance gate for the indexed, worklist-driven chase: on the
     /// propagation-chain fixture (where the full-rescan engine needs one
     /// global round per chain level), the worklist engine agrees on the
@@ -1066,10 +1064,7 @@ mod tests {
     fn indexed_chase_does_strictly_less_work_than_full_rescans() {
         for (levels, rows) in [(4usize, 4usize), (6, 8), (8, 16)] {
             let w = chase_chain_workload(levels, rows);
-            let mut symbols = w.symbols.clone();
-            let indexed = ps_relation::chase_fds(&w.database, &w.fds, &mut symbols);
-            let mut symbols = w.symbols.clone();
-            let naive = ps_relation::chase_fds_naive(&w.database, &w.fds, &mut symbols);
+            let (indexed, naive) = chase_both(&w);
             assert_eq!(indexed.consistent, naive.consistent, "{levels}x{rows}");
             assert!(indexed.consistent, "the chain fixture is consistent");
             assert_eq!(
@@ -1093,10 +1088,7 @@ mod tests {
         let mut inconsistent = 0usize;
         for seed in 0..24u64 {
             let w = random_chase_workload(6, 2, 3, 6, 2, seed);
-            let mut symbols = w.symbols.clone();
-            let indexed = ps_relation::chase_fds(&w.database, &w.fds, &mut symbols);
-            let mut symbols = w.symbols.clone();
-            let naive = ps_relation::chase_fds_naive(&w.database, &w.fds, &mut symbols);
+            let (indexed, naive) = chase_both(&w);
             assert_eq!(indexed.consistent, naive.consistent, "seed {seed}");
             match indexed.consistent {
                 true => consistent += 1,

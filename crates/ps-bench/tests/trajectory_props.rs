@@ -123,9 +123,10 @@ fn worklist_chase_beats_naive_at_1e5_rows() {
     assert_eq!(rows, 100_000, "the fixture must hold 1e5 tuples");
 
     let mut symbols = w.symbols.clone();
-    let indexed = ps_relation::chase_fds(&w.database, &w.fds, &mut symbols);
-    let mut symbols = w.symbols.clone();
-    let naive = ps_relation::chase_fds_naive(&w.database, &w.fds, &mut symbols);
+    let attrs = w.database.all_attributes();
+    let tableau = ps_relation::Tableau::from_database(&w.database, &attrs, &mut symbols);
+    let indexed = ps_relation::chase_tableau_with(&tableau, &w.fds, &mut Default::default());
+    let naive = ps_relation::chase_tableau_naive(&tableau, &w.fds);
 
     assert!(indexed.consistent && naive.consistent);
     assert_eq!(indexed.steps, naive.steps, "the FD chase is confluent");

@@ -246,7 +246,7 @@ mod tests {
         let fresh_count = r
             .iter()
             .flat_map(|t| t.values())
-            .filter(|&s| symbols.is_fresh(s))
+            .filter(|s| s.is_null())
             .count();
         assert_eq!(fresh_count, 1);
     }

@@ -15,25 +15,28 @@
 //!    collapses and the constraint becomes an FPD).
 //! 4. **Chase**: by Lemma 12.1, the database is consistent with `E` iff it is
 //!    consistent with the FD set `F` alone, which Honeyman's chase decides in
-//!    polynomial time — [`consistent_with_pds`].
+//!    polynomial time — [`consistent_with_pds`] runs all four steps, and
+//!    [`consistent_with_closed`] the chase alone against a cached `E⁺`.
 //!
 //! Lemma 12.1's constructive argument (adding bridging tuples to repair
 //! violated sum constraints) is implemented by [`repair_sum_violations`], so
 //! the tests can exhibit an explicit weak instance satisfying the *whole* of
 //! `E⁺`, not just `F`.
+//!
+//! The chase and the repair mint their nulls from a [`NullSource`]: the
+//! session passes its own [`SymbolTable`], a snapshot worker a detached
+//! [`ps_base::FreshSymbols`].  There is one pipeline for both; the source
+//! only decides the nulls' identities, never a verdict or a counter.
 
 use std::collections::HashMap;
 
-use ps_base::{AttrSet, Attribute, FreshSymbols, Symbol, SymbolTable, Universe};
-use ps_lattice::{Algorithm, Equation, TermArena, TermNode};
+use ps_base::{AttrSet, Attribute, NullSource, Symbol, SymbolTable, Universe};
+use ps_lattice::{Equation, TermArena, TermNode};
 use ps_partition::UnionFind;
 use ps_relation::{
-    chase_fds_over_frozen, chase_fds_over_with, fd_closure, ChaseOutcome, ChaseScratch, Database,
-    Fd, Relation,
+    chase_fds_over_with, fd_closure, ChaseOutcome, ChaseScratch, Database, Fd, Relation,
 };
 
-#[cfg(debug_assertions)]
-use crate::implication::atom_order_closure;
 use crate::Result;
 
 /// A residual sum constraint `target ≤ left + right` (the only non-functional
@@ -279,27 +282,26 @@ impl ClosedConstraints {
 ///
 /// One [`ps_lattice::ImplicationEngine`] is built per normalized constraint
 /// set and queried for every consequence; the per-pair lookups below hit a
-/// hash set, not a rebuilt derived order.  The `algorithm` parameter selects
-/// the reference strategy the engine's closure is cross-checked against in
-/// debug builds.
+/// hash set, not a rebuilt derived order.  Debug builds cross-check the
+/// engine's closure against the naive-fixpoint reference
+/// [`ps_lattice::DerivedOrder`].
 pub fn close_constraints(
     normalized: &NormalizedConstraints,
     arena: &mut TermArena,
-    algorithm: Algorithm,
 ) -> ClosedConstraints {
     let mut engine = ps_lattice::ImplicationEngine::new(arena, &normalized.equations);
     #[cfg(debug_assertions)]
     {
         let attributes: Vec<Attribute> = normalized.attributes.iter().collect();
         let cached = crate::implication::atom_order_closure_with(&mut engine, arena, &attributes);
+        let atoms: Vec<_> = attributes.iter().map(|&a| arena.atom(a)).collect();
+        let reference = ps_lattice::DerivedOrder::build(arena, &normalized.equations, &atoms);
         debug_assert_eq!(
             cached,
-            atom_order_closure(arena, &normalized.equations, &attributes, algorithm),
-            "the cached engine and the {algorithm:?} reference must derive the same closure"
+            crate::implication::atom_pairs(arena, reference.atom_consequences(arena)),
+            "the cached engine and the naive fixpoint must derive the same closure"
         );
     }
-    #[cfg(not(debug_assertions))]
-    let _ = algorithm;
     close_constraints_with(&mut engine, normalized, arena)
 }
 
@@ -379,7 +381,7 @@ pub struct ConsistencyOutcome {
 /// ```
 /// use ps_base::{SymbolTable, Universe};
 /// use ps_core::consistency::consistent_with_pds;
-/// use ps_lattice::{parse_equation, Algorithm, TermArena};
+/// use ps_lattice::{parse_equation, TermArena};
 /// use ps_relation::DatabaseBuilder;
 ///
 /// let mut universe = Universe::new();
@@ -393,17 +395,15 @@ pub struct ConsistencyOutcome {
 /// // A = A*B is the FPD for A → B, which the two rows violate (same a,
 /// // different b): inconsistent.
 /// let violated = vec![parse_equation("A = A*B", &mut universe, &mut arena).unwrap()];
-/// let outcome = consistent_with_pds(
-///     &db, &violated, &mut arena, &mut universe, &mut symbols, Algorithm::Worklist,
-/// ).unwrap();
+/// let outcome = consistent_with_pds(&db, &violated, &mut arena, &mut universe, &mut symbols)
+///     .unwrap();
 /// assert!(!outcome.consistent);
 ///
 /// // The reverse direction B → A is satisfied: consistent, with a weak
 /// // instance to witness it.
 /// let satisfied = vec![parse_equation("B = B*A", &mut universe, &mut arena).unwrap()];
-/// let outcome = consistent_with_pds(
-///     &db, &satisfied, &mut arena, &mut universe, &mut symbols, Algorithm::Worklist,
-/// ).unwrap();
+/// let outcome = consistent_with_pds(&db, &satisfied, &mut arena, &mut universe, &mut symbols)
+///     .unwrap();
 /// assert!(outcome.consistent);
 /// assert!(outcome.weak_instance.is_some());
 /// ```
@@ -413,31 +413,26 @@ pub fn consistent_with_pds(
     arena: &mut TermArena,
     universe: &mut Universe,
     symbols: &mut SymbolTable,
-    algorithm: Algorithm,
 ) -> Result<ConsistencyOutcome> {
     let normalized = normalize_pds(pds, arena, universe);
-    let closed = close_constraints(&normalized, arena, algorithm);
-    Ok(consistent_with_closed(db, &closed, symbols))
+    let closed = close_constraints(&normalized, arena);
+    Ok(consistent_with_closed(
+        db,
+        &closed,
+        symbols,
+        &mut ChaseScratch::default(),
+    ))
 }
 
 /// The chase half of [`consistent_with_pds`], for callers that cache the
-/// normalized/closed constraint system per set (the session layer): chases
-/// `db` against an already-closed system and packages the outcome.
+/// normalized/closed constraint system per set (the session layer and its
+/// snapshots): chases `db` against an already-closed system and packages
+/// the outcome.  Padding nulls come from `nulls`; `scratch` holds the
+/// chase's reusable index and worklist buffers across calls.
 pub fn consistent_with_closed(
     db: &Database,
     closed: &ClosedConstraints,
-    symbols: &mut SymbolTable,
-) -> ConsistencyOutcome {
-    consistent_with_closed_scratch(db, closed, symbols, &mut ChaseScratch::default())
-}
-
-/// [`consistent_with_closed`] with caller-provided chase buffers: the
-/// session layer holds one [`ChaseScratch`] across queries so that repeated
-/// consistency tests reuse the chase's index and worklist allocations.
-pub fn consistent_with_closed_scratch(
-    db: &Database,
-    closed: &ClosedConstraints,
-    symbols: &mut SymbolTable,
+    nulls: &mut impl NullSource,
     scratch: &mut ChaseScratch,
 ) -> ConsistencyOutcome {
     // The chase runs over the database's attributes together with every
@@ -447,30 +442,7 @@ pub fn consistent_with_closed_scratch(
         attrs.insert(a);
     }
 
-    let chase = chase_fds_over_with(db, &attrs, &closed.fds, symbols, scratch);
-    package_chase_outcome(chase, closed, attrs)
-}
-
-/// [`consistent_with_closed_scratch`] against a *frozen* symbol table:
-/// padding nulls come from the caller's detached [`FreshSymbols`] source, so
-/// the whole Theorem 12 test runs with only `&SymbolTable` — the entry point
-/// snapshot workers use to chase independent databases in parallel against
-/// one shared interner.  Verdict and `row_visits` are identical to the
-/// mutable variant (the chase consults the table only through
-/// `is_constant`, a pure tag-bit test).
-pub fn consistent_with_closed_frozen(
-    db: &Database,
-    closed: &ClosedConstraints,
-    symbols: &SymbolTable,
-    fresh: &mut FreshSymbols,
-    scratch: &mut ChaseScratch,
-) -> ConsistencyOutcome {
-    let mut attrs = db.all_attributes();
-    for a in closed.attributes.iter() {
-        attrs.insert(a);
-    }
-
-    let chase = chase_fds_over_frozen(db, &attrs, &closed.fds, symbols, fresh, scratch);
+    let chase = chase_fds_over_with(db, &attrs, &closed.fds, nulls, scratch);
     package_chase_outcome(chase, closed, attrs)
 }
 
@@ -496,59 +468,15 @@ fn package_chase_outcome(
 
 /// Whether a relation satisfies the *one-directional* sum PD `C ≤ A + B`
 /// under Definition 7: tuples with equal `C` entries must be chain-connected
-/// through shared `A` or `B` entries.
+/// through shared `A` or `B` entries.  A constraint over an attribute the
+/// relation lacks is vacuous.
 pub fn relation_satisfies_sum_constraint(relation: &Relation, constraint: SumConstraint) -> bool {
-    let scheme = relation.scheme();
-    if !scheme.contains(constraint.target)
-        || !scheme.contains(constraint.left)
-        || !scheme.contains(constraint.right)
-    {
-        // Attributes outside the scheme denote nothing; the constraint is
-        // vacuous on this relation.
-        return true;
-    }
-    let n = relation.len();
-    if n == 0 {
-        return true;
-    }
-    let mut uf = UnionFind::new(n);
-    let mut by_a: HashMap<Symbol, usize> = HashMap::new();
-    let mut by_b: HashMap<Symbol, usize> = HashMap::new();
-    for (idx, tuple) in relation.iter().enumerate() {
-        let a = tuple.get(constraint.left).expect("left in scheme");
-        let b = tuple.get(constraint.right).expect("right in scheme");
-        match by_a.get(&a) {
-            Some(&leader) => {
-                uf.union(leader, idx);
-            }
-            None => {
-                by_a.insert(a, idx);
-            }
-        }
-        match by_b.get(&b) {
-            Some(&leader) => {
-                uf.union(leader, idx);
-            }
-            None => {
-                by_b.insert(b, idx);
-            }
-        }
-    }
-    let mut class_of_c: HashMap<Symbol, usize> = HashMap::new();
-    for (idx, tuple) in relation.iter().enumerate() {
-        let c = tuple.get(constraint.target).expect("target in scheme");
-        let class = uf.find(idx);
-        if *class_of_c.entry(c).or_insert(class) != class {
-            return false;
-        }
-    }
-    true
+    first_sum_violation(relation, &[constraint]).is_none()
 }
 
 /// Whether a relation satisfies every surviving sum constraint.
 pub fn relation_satisfies_sum_constraints(relation: &Relation, sums: &[SumConstraint]) -> bool {
-    sums.iter()
-        .all(|&s| relation_satisfies_sum_constraint(relation, s))
+    first_sum_violation(relation, sums).is_none()
 }
 
 /// The constructive half of Lemma 12.1: starting from a weak instance
@@ -557,35 +485,13 @@ pub fn relation_satisfies_sum_constraints(relation: &Relation, sums: &[SumConstr
 /// `t[B⁺] = t₂[B⁺]`, fresh elsewhere).  The paper iterates this ω times; in
 /// practice a handful of rounds suffices for finite inputs, so the loop is
 /// bounded by `max_rounds` and the second component of the return value
-/// reports whether a fixpoint (all constraints satisfied) was reached.
+/// reports whether a fixpoint (all constraints satisfied) was reached.  The
+/// bridging tuples' fresh entries are minted from `nulls`.
 pub fn repair_sum_violations(
     weak_instance: &Relation,
     fds: &[Fd],
     sums: &[SumConstraint],
-    symbols: &mut SymbolTable,
-    max_rounds: usize,
-) -> (Relation, bool) {
-    repair_sum_violations_by(weak_instance, fds, sums, || symbols.fresh(), max_rounds)
-}
-
-/// [`repair_sum_violations`] minting the bridging tuples' fresh entries from
-/// a detached [`FreshSymbols`] source instead of the table — the repair step
-/// of the frozen (`&SymbolTable`) pipeline.
-pub fn repair_sum_violations_frozen(
-    weak_instance: &Relation,
-    fds: &[Fd],
-    sums: &[SumConstraint],
-    fresh: &mut FreshSymbols,
-    max_rounds: usize,
-) -> (Relation, bool) {
-    repair_sum_violations_by(weak_instance, fds, sums, || fresh.fresh(), max_rounds)
-}
-
-fn repair_sum_violations_by(
-    weak_instance: &Relation,
-    fds: &[Fd],
-    sums: &[SumConstraint],
-    mut fresh: impl FnMut() -> Symbol,
+    nulls: &mut impl NullSource,
     max_rounds: usize,
 ) -> (Relation, bool) {
     let mut current = weak_instance.clone();
@@ -611,7 +517,7 @@ fn repair_sum_violations_by(
                             } else if b_plus.contains(attr) {
                                 row2.get(attr).expect("attr in scheme")
                             } else {
-                                fresh()
+                                nulls.fresh()
                             }
                         })
                         .collect()
@@ -627,7 +533,8 @@ fn repair_sum_violations_by(
 }
 
 /// Finds one violated sum constraint together with a witnessing pair of tuple
-/// indices (equal `target` value, different chain classes).
+/// indices (equal `target` value, different chain classes).  Constraints
+/// over attributes outside the relation's scheme are skipped as vacuous.
 fn first_sum_violation(
     relation: &Relation,
     sums: &[SumConstraint],
@@ -734,7 +641,7 @@ mod tests {
         ];
         let normalized = normalize_pds(&pds, &mut f.arena, &mut f.universe);
         assert_eq!(normalized.sums.len(), 1);
-        let closed = close_constraints(&normalized, &mut f.arena, Algorithm::Worklist);
+        let closed = close_constraints(&normalized, &mut f.arena);
         assert!(closed.sums.is_empty(), "A ≤ B collapses the sum constraint");
         // And C → B is now derivable from F alone.
         let b = f.universe.lookup("B").unwrap();
@@ -753,7 +660,7 @@ mod tests {
         let unrelated = parse_equation("D = D*E", &mut f.universe, &mut f.arena).unwrap();
         let normalized = normalize_pds(&[a_fd, sum], &mut f.arena, &mut f.universe);
         assert_eq!(normalized.source_pds, vec![a_fd, sum]);
-        let closed = close_constraints(&normalized, &mut f.arena, Algorithm::Worklist);
+        let closed = close_constraints(&normalized, &mut f.arena);
 
         // Dependency is modulo orientation; PDs never consumed don't count.
         let flipped = Equation::new(a_fd.rhs, a_fd.lhs);
@@ -788,7 +695,6 @@ mod tests {
             &mut f.arena,
             &mut f.universe,
             &mut f.symbols,
-            Algorithm::Worklist,
         )
         .unwrap();
         assert!(!outcome.consistent);
@@ -801,7 +707,6 @@ mod tests {
             &mut f.arena,
             &mut f.universe,
             &mut f.symbols,
-            Algorithm::Worklist,
         )
         .unwrap();
         assert!(outcome.consistent);
@@ -828,15 +733,8 @@ mod tests {
         // C = A + B: the two tuples share a C value but are not chain
         // connected; still consistent because a bridging tuple can be added.
         let pds = vec![parse_equation("C = A+B", &mut f.universe, &mut f.arena).unwrap()];
-        let outcome = consistent_with_pds(
-            &db,
-            &pds,
-            &mut f.arena,
-            &mut f.universe,
-            &mut f.symbols,
-            Algorithm::Worklist,
-        )
-        .unwrap();
+        let outcome =
+            consistent_with_pds(&db, &pds, &mut f.arena, &mut f.universe, &mut f.symbols).unwrap();
         assert!(outcome.consistent);
         assert!(!outcome.sums.is_empty());
         let w = outcome.weak_instance.clone().unwrap();
@@ -870,15 +768,8 @@ mod tests {
             parse_equation("D = A+B", &mut f.universe, &mut f.arena).unwrap(),
             parse_equation("D = D*E", &mut f.universe, &mut f.arena).unwrap(),
         ];
-        let outcome = consistent_with_pds(
-            &db,
-            &pds,
-            &mut f.arena,
-            &mut f.universe,
-            &mut f.symbols,
-            Algorithm::Worklist,
-        )
-        .unwrap();
+        let outcome =
+            consistent_with_pds(&db, &pds, &mut f.arena, &mut f.universe, &mut f.symbols).unwrap();
         // D → E is in F and is violated by the two rows (same d, e1 ≠ e2).
         assert!(!outcome.consistent);
     }
@@ -954,15 +845,8 @@ mod tests {
             parse_equation("A = A*Q", &mut f.universe, &mut f.arena).unwrap(),
             parse_equation("B = B*Q", &mut f.universe, &mut f.arena).unwrap(),
         ];
-        let outcome = consistent_with_pds(
-            &db,
-            &pds,
-            &mut f.arena,
-            &mut f.universe,
-            &mut f.symbols,
-            Algorithm::Worklist,
-        )
-        .unwrap();
+        let outcome =
+            consistent_with_pds(&db, &pds, &mut f.arena, &mut f.universe, &mut f.symbols).unwrap();
         assert!(outcome.consistent);
         let w = outcome.weak_instance.clone().unwrap();
         let (repaired, converged) =

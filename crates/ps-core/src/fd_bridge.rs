@@ -11,7 +11,7 @@
 //! the embedding is exercised by [`fd_implies_via_lattice`] and benchmarked
 //! as experiment E2.
 
-use ps_lattice::{word_problem, Algorithm, ImplicationEngine, TermArena};
+use ps_lattice::{word_problem, ImplicationEngine, TermArena};
 use ps_relation::Fd;
 
 use crate::dependency::{equations_of_fpds, fpds_of_fds, Fpd};
@@ -21,13 +21,13 @@ use crate::dependency::{equations_of_fpds, fpds_of_fds, Fpd};
 ///
 /// Semantically equivalent to [`ps_relation::fd_closure::implies`]; the
 /// equivalence is asserted by property tests and measured by experiment E2.
-/// Rebuilds the derived order per goal — for a batch of goals over one FD
-/// set, use [`fd_implies_many_via_lattice`].
-pub fn fd_implies_via_lattice(fds: &[Fd], goal: &Fd, algorithm: Algorithm) -> bool {
+/// Builds one engine per goal — for a batch of goals over one FD set, use
+/// [`fd_implies_many_via_lattice`].
+pub fn fd_implies_via_lattice(fds: &[Fd], goal: &Fd) -> bool {
     let mut arena = TermArena::new();
     let equations = equations_of_fpds(&fpds_of_fds(fds), &mut arena);
     let goal_equation = Fpd::from_fd(goal).as_meet_equation(&mut arena);
-    word_problem::entails(&arena, &equations, goal_equation, algorithm)
+    word_problem::entails(&arena, &equations, goal_equation)
 }
 
 /// Batched FD implication through the lattice route: the FD set is
@@ -106,13 +106,7 @@ mod tests {
         ];
         for goal in &cases {
             let by_closure = fd_closure::implies(&fds, goal);
-            for algo in [Algorithm::NaiveFixpoint, Algorithm::Worklist] {
-                assert_eq!(
-                    by_closure,
-                    fd_implies_via_lattice(&fds, goal, algo),
-                    "{goal}"
-                );
-            }
+            assert_eq!(by_closure, fd_implies_via_lattice(&fds, goal), "{goal}");
             assert_eq!(by_closure, fd_implies_via_semigroup(&fds, goal), "{goal}");
         }
         // The batched engine route answers the whole case list at once.
@@ -130,12 +124,12 @@ mod tests {
         let fds = vec![fd(&[a[0]], &[a[1]]), fd(&[a[1], a[2]], &[a[3]])];
         // Pseudo-transitivity: A→B, BC→D implies AC→D.
         let goal = fd(&[a[0], a[2]], &[a[3]]);
-        assert!(fd_implies_via_lattice(&fds, &goal, Algorithm::Worklist));
+        assert!(fd_implies_via_lattice(&fds, &goal));
         assert!(fd_implies_via_semigroup(&fds, &goal));
         assert!(fd_closure::implies(&fds, &goal));
         // But AC→E does not follow.
         let bad = fd(&[a[0], a[2]], &[a[4]]);
-        assert!(!fd_implies_via_lattice(&fds, &bad, Algorithm::Worklist));
+        assert!(!fd_implies_via_lattice(&fds, &bad));
         assert!(!fd_implies_via_semigroup(&fds, &bad));
     }
 
@@ -143,7 +137,7 @@ mod tests {
     fn reflexivity_is_reproduced() {
         let a = attrs(2);
         let goal = fd(&[a[0], a[1]], &[a[0]]);
-        assert!(fd_implies_via_lattice(&[], &goal, Algorithm::Worklist));
+        assert!(fd_implies_via_lattice(&[], &goal));
         assert!(fd_implies_via_semigroup(&[], &goal));
     }
 

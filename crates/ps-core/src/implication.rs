@@ -6,7 +6,7 @@
 //! polynomial time by algorithm ALG (Theorem 9).  This module is the façade
 //! the rest of the workspace uses:
 //!
-//! * [`pd_implies`] — does `E` imply a PD?
+//! * [`pd_implies`] — does `E` imply a PD?  (One engine, built per call.)
 //! * [`pd_implies_fpd`] — convenience for FPD goals;
 //! * [`pd_implies_with`] / [`pd_implies_fpd_with`] — the same questions
 //!   answered by a cached [`ImplicationEngine`], for callers with many goals
@@ -21,18 +21,18 @@ use std::collections::HashSet;
 
 use ps_base::Attribute;
 use ps_lattice::{
-    free_order, word_problem, Algorithm, Equation, ImplicationEngine, TermArena, TermId, TermNode,
+    free_order, word_problem, Equation, ImplicationEngine, TermArena, TermId, TermNode,
 };
 
 use crate::dependency::Fpd;
 
 /// Does the set of PDs `e` imply the PD `goal`?  (Theorems 8 and 9.)
 ///
-/// Rebuilds the derived order from scratch; when testing many goals against
-/// the same `e`, build one [`ImplicationEngine`] and use [`pd_implies_with`]
+/// Builds a fresh [`ImplicationEngine`] per call; when testing many goals
+/// against the same `e`, build one engine and use [`pd_implies_with`]
 /// instead.
-pub fn pd_implies(arena: &TermArena, e: &[Equation], goal: Equation, algorithm: Algorithm) -> bool {
-    word_problem::entails(arena, e, goal, algorithm)
+pub fn pd_implies(arena: &TermArena, e: &[Equation], goal: Equation) -> bool {
+    word_problem::entails(arena, e, goal)
 }
 
 /// Does the engine's constraint set imply the PD `goal`?  The cached variant
@@ -43,14 +43,9 @@ pub fn pd_implies_with(engine: &mut ImplicationEngine, arena: &TermArena, goal: 
 }
 
 /// Does the set of PDs `e` imply the FPD `goal`?
-pub fn pd_implies_fpd(
-    arena: &mut TermArena,
-    e: &[Equation],
-    goal: &Fpd,
-    algorithm: Algorithm,
-) -> bool {
+pub fn pd_implies_fpd(arena: &mut TermArena, e: &[Equation], goal: &Fpd) -> bool {
     let goal_equation = goal.as_meet_equation(arena);
-    word_problem::entails(arena, e, goal_equation, algorithm)
+    word_problem::entails(arena, e, goal_equation)
 }
 
 /// Does the engine's constraint set imply the FPD `goal`?  The cached
@@ -80,11 +75,9 @@ pub fn atom_order_closure(
     arena: &mut TermArena,
     e: &[Equation],
     extra_attributes: &[Attribute],
-    algorithm: Algorithm,
 ) -> HashSet<(Attribute, Attribute)> {
-    let extra_terms: Vec<_> = extra_attributes.iter().map(|&a| arena.atom(a)).collect();
-    let order = word_problem::DerivedOrder::build(arena, e, &extra_terms, algorithm);
-    atom_pairs(arena, order.atom_consequences(arena))
+    let mut engine = ImplicationEngine::new(arena, e);
+    atom_order_closure_with(&mut engine, arena, extra_attributes)
 }
 
 /// The cached variant of [`atom_order_closure`]: reads the atom consequences
@@ -100,7 +93,8 @@ pub fn atom_order_closure_with(
     atom_pairs(arena, engine.atom_consequences(arena))
 }
 
-fn atom_pairs(
+/// Maps `(atom term, atom term)` pairs to their attributes.
+pub(crate) fn atom_pairs(
     arena: &TermArena,
     consequences: Vec<(TermId, TermId)>,
 ) -> HashSet<(Attribute, Attribute)> {
@@ -124,7 +118,7 @@ fn atom_pairs(
 mod tests {
     use super::*;
     use ps_base::{AttrSet, Universe};
-    use ps_lattice::parse_equation;
+    use ps_lattice::{parse_equation, DerivedOrder};
 
     #[test]
     fn implication_of_fpds_matches_fd_intuition() {
@@ -137,14 +131,9 @@ mod tests {
         let a = universe.lookup("A").unwrap();
         let c = universe.lookup("C").unwrap();
         let goal = Fpd::new(AttrSet::singleton(a), AttrSet::singleton(c));
-        assert!(pd_implies_fpd(&mut arena, &e, &goal, Algorithm::Worklist));
+        assert!(pd_implies_fpd(&mut arena, &e, &goal));
         let converse = Fpd::new(AttrSet::singleton(c), AttrSet::singleton(a));
-        assert!(!pd_implies_fpd(
-            &mut arena,
-            &e,
-            &converse,
-            Algorithm::Worklist
-        ));
+        assert!(!pd_implies_fpd(&mut arena, &e, &converse));
     }
 
     #[test]
@@ -153,8 +142,7 @@ mod tests {
         let mut arena = TermArena::new();
         let e = vec![parse_equation("C = A + B", &mut universe, &mut arena).unwrap()];
         let goal = parse_equation("A + C = C", &mut universe, &mut arena).unwrap();
-        assert!(pd_implies(&arena, &e, goal, Algorithm::Worklist));
-        assert!(pd_implies(&arena, &e, goal, Algorithm::NaiveFixpoint));
+        assert!(pd_implies(&arena, &e, goal));
     }
 
     #[test]
@@ -167,17 +155,12 @@ mod tests {
         assert!(is_identity(&arena, absorption));
         assert!(!is_identity(&arena, distributivity));
         // Identity recognition agrees with ALG on the empty constraint set.
-        assert!(pd_implies(&arena, &[], absorption, Algorithm::Worklist));
-        assert!(!pd_implies(
-            &arena,
-            &[],
-            distributivity,
-            Algorithm::Worklist
-        ));
+        assert!(pd_implies(&arena, &[], absorption));
+        assert!(!pd_implies(&arena, &[], distributivity));
     }
 
     #[test]
-    fn cached_engine_variants_agree_with_the_rebuilding_entry_points() {
+    fn cached_engine_variants_agree_with_the_naive_fixpoint() {
         let mut universe = Universe::new();
         let mut arena = TermArena::new();
         let e = vec![
@@ -191,21 +174,27 @@ mod tests {
         ];
         let mut engine = ImplicationEngine::new(&arena, &e);
         for &goal in &goals {
-            assert_eq!(
-                pd_implies_with(&mut engine, &arena, goal),
-                pd_implies(&arena, &e, goal, Algorithm::NaiveFixpoint),
-            );
+            let reference = DerivedOrder::build(&arena, &e, &[goal.lhs, goal.rhs]);
+            let expected = reference.entails(goal).unwrap();
+            assert_eq!(pd_implies_with(&mut engine, &arena, goal), expected);
+            assert_eq!(pd_implies(&arena, &e, goal), expected);
         }
         let a = universe.lookup("A").unwrap();
         let c = universe.lookup("C").unwrap();
         let fpd = Fpd::new(AttrSet::singleton(a), AttrSet::singleton(c));
         assert_eq!(
             pd_implies_fpd_with(&mut engine, &mut arena, &fpd),
-            pd_implies_fpd(&mut arena, &e, &fpd, Algorithm::Worklist),
+            pd_implies_fpd(&mut arena, &e, &fpd),
         );
         let closure_cached = atom_order_closure_with(&mut engine, &mut arena, &[a, c]);
-        let closure_rebuilt = atom_order_closure(&mut arena, &e, &[a, c], Algorithm::Worklist);
+        let closure_rebuilt = atom_order_closure(&mut arena, &e, &[a, c]);
         assert_eq!(closure_cached, closure_rebuilt);
+        let atoms = [arena.atom(a), arena.atom(c)];
+        let reference = DerivedOrder::build(&arena, &e, &atoms);
+        assert_eq!(
+            closure_cached,
+            atom_pairs(&arena, reference.atom_consequences(&arena))
+        );
     }
 
     #[test]
@@ -220,7 +209,7 @@ mod tests {
         let b = universe.lookup("B").unwrap();
         let c = universe.lookup("C").unwrap();
         let d = universe.attr("D");
-        let closure = atom_order_closure(&mut arena, &e, &[a, b, c, d], Algorithm::Worklist);
+        let closure = atom_order_closure(&mut arena, &e, &[a, b, c, d]);
         assert!(closure.contains(&(a, b)));
         assert!(closure.contains(&(a, c)));
         assert!(closure.contains(&(b, c)));

@@ -14,14 +14,12 @@
 //! `R(I)`, and a weak instance into an interpretation via the canonical
 //! interpretation `I(w)`.
 
-use ps_base::{FreshSymbols, SymbolTable, Universe};
-use ps_lattice::{Algorithm, Equation, TermArena};
-use ps_relation::{Database, Relation};
+use ps_base::{NullSource, SymbolTable, Universe};
+use ps_lattice::{Equation, TermArena};
+use ps_relation::{chase_fds_over_with, ChaseScratch, Database, Relation};
 
 use crate::canonical::{canonical_interpretation, canonical_relation};
-use crate::consistency::{
-    consistent_with_pds, repair_sum_violations, repair_sum_violations_frozen, ConsistencyOutcome,
-};
+use crate::consistency::{consistent_with_pds, repair_sum_violations, ConsistencyOutcome};
 use crate::dependency::{fds_of_fpds, Fpd};
 use crate::{PartitionInterpretation, Result};
 
@@ -51,12 +49,13 @@ pub fn satisfiable_with_fpds(
     symbols: &mut SymbolTable,
 ) -> Result<SatisfiabilityWitness> {
     let fds = fds_of_fpds(fpds);
-    let outcome = ps_relation::chase_fds(db, &fds, symbols);
+    let attrs = db.all_attributes();
+    let outcome = chase_fds_over_with(db, &attrs, &fds, symbols, &mut ChaseScratch::default());
     if !outcome.consistent {
         return Ok(SatisfiabilityWitness::unsatisfiable());
     }
     let weak_instance = outcome
-        .weak_instance("weak_instance", &db.all_attributes())
+        .weak_instance("weak_instance", &attrs)
         .expect("consistent chase produces rows");
     let interpretation = interpretation_from_weak_instance(&weak_instance)?;
     Ok(SatisfiabilityWitness {
@@ -87,18 +86,19 @@ pub fn satisfiable_with_pds(
     universe: &mut Universe,
     symbols: &mut SymbolTable,
 ) -> Result<SatisfiabilityWitness> {
-    let outcome = consistent_with_pds(db, pds, arena, universe, symbols, Algorithm::Worklist)?;
+    let outcome = consistent_with_pds(db, pds, arena, universe, symbols)?;
     witness_from_consistency(outcome, symbols)
 }
 
 /// The witness-construction tail of [`satisfiable_with_pds`]: upgrades a
 /// [`ConsistencyOutcome`] into the Theorem 7 decision + witness forms (sum
 /// repair bounded at 64 rounds, then `I(w)`).  Shared by the free function
-/// above and by the session layer, which produces the outcome from its
-/// cached closed constraint system.
+/// above, by the session layer and by its snapshots, which produce the
+/// outcome from a cached closed constraint system.  The repair mints its
+/// fresh entries from `nulls`.
 pub fn witness_from_consistency(
     outcome: ConsistencyOutcome,
-    symbols: &mut SymbolTable,
+    nulls: &mut impl NullSource,
 ) -> Result<SatisfiabilityWitness> {
     if !outcome.consistent {
         return Ok(SatisfiabilityWitness::unsatisfiable());
@@ -107,30 +107,7 @@ pub fn witness_from_consistency(
         .weak_instance
         .expect("consistent chase produces rows");
     let (weak_instance, converged) =
-        repair_sum_violations(&chased, &outcome.fds, &outcome.sums, symbols, 64);
-    witness_from_repair(weak_instance, converged)
-}
-
-/// [`witness_from_consistency`] for the frozen (`&SymbolTable`-free)
-/// pipeline: the Lemma 12.1 repair mints its fresh entries from the caller's
-/// detached [`FreshSymbols`] source.  Verdict and convergence behaviour are
-/// identical; only the numeric identity of repair nulls can differ.
-pub fn witness_from_consistency_frozen(
-    outcome: ConsistencyOutcome,
-    fresh: &mut FreshSymbols,
-) -> Result<SatisfiabilityWitness> {
-    if !outcome.consistent {
-        return Ok(SatisfiabilityWitness::unsatisfiable());
-    }
-    let chased = outcome
-        .weak_instance
-        .expect("consistent chase produces rows");
-    let (weak_instance, converged) =
-        repair_sum_violations_frozen(&chased, &outcome.fds, &outcome.sums, fresh, 64);
-    witness_from_repair(weak_instance, converged)
-}
-
-fn witness_from_repair(weak_instance: Relation, converged: bool) -> Result<SatisfiabilityWitness> {
+        repair_sum_violations(&chased, &outcome.fds, &outcome.sums, nulls, 64);
     if !converged {
         return Ok(SatisfiabilityWitness {
             satisfiable: true,

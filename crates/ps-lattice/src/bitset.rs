@@ -510,7 +510,7 @@ impl BitMatrix {
 
     /// Per-bit reference for [`BitMatrix::or_row_into_delta`]: the naive
     /// column loop over [`BitMatrix::get`]/[`BitMatrix::set`].  Kept (like
-    /// `chase_fds_naive` and `Algorithm::NaiveFixpoint`) as the pinned
+    /// `chase_tableau_naive` and `DerivedOrder`) as the pinned
     /// reference the optimized word-parallel path is property-tested and
     /// benchmarked against.
     pub fn or_row_into_delta_per_bit(

@@ -23,8 +23,7 @@ use std::collections::{HashMap, HashSet};
 
 use ps_base::Attribute;
 
-use crate::word_problem::{Algorithm, DerivedOrder};
-use crate::{Equation, FiniteLattice, TermArena, TermId, TermNode};
+use crate::{Equation, FiniteLattice, ImplicationEngine, TermArena, TermId, TermNode};
 
 /// A finite lattice with constants witnessing `E ⊭ goal`.
 #[derive(Debug, Clone)]
@@ -72,7 +71,6 @@ pub fn finite_countermodel(
     equations: &[Equation],
     goal: Equation,
     max_generators: usize,
-    algorithm: Algorithm,
 ) -> Option<Countermodel> {
     // ------------------------------------------------------------------
     // 1. H = subexpressions of E and the goal.
@@ -152,9 +150,9 @@ pub fn finite_countermodel(
     // ------------------------------------------------------------------
     // 3. The derived order ≤_E over the candidates (algorithm ALG).
     // ------------------------------------------------------------------
-    let order = DerivedOrder::build(arena, equations, &candidates, algorithm);
-    // Every queried term is a candidate, and all candidates were passed as
-    // `extra_terms`, so `None` (term outside V) would be a construction bug
+    let order = ImplicationEngine::with_goal_terms(arena, equations, &candidates);
+    // Every queried term is a candidate, and all candidates were added as
+    // goal terms, so `None` (term outside V) would be a construction bug
     // here — surface it instead of conflating it with `false`.
     let leq = |p: TermId, q: TermId| {
         order
@@ -237,21 +235,9 @@ mod tests {
     #[test]
     fn distributivity_gets_a_countermodel() {
         let (universe, mut arena, equations, goal) = build(&[], "A*(B+C) = (A*B)+(A*C)");
-        assert!(!word_problem::entails(
-            &arena,
-            &equations,
-            goal,
-            Algorithm::Worklist
-        ));
-        let model = finite_countermodel(
-            &mut arena,
-            &universe,
-            &equations,
-            goal,
-            12,
-            Algorithm::Worklist,
-        )
-        .expect("the free modular-ish quotient separates the two sides");
+        assert!(!word_problem::entails(&arena, &equations, goal));
+        let model = finite_countermodel(&mut arena, &universe, &equations, goal, 12)
+            .expect("the free modular-ish quotient separates the two sides");
         assert!(!model.satisfies(&arena, &universe, goal).unwrap());
         assert!(!model.lattice.is_distributive() || model.lattice.len() <= 2);
     }
@@ -259,21 +245,9 @@ mod tests {
     #[test]
     fn simple_fd_non_implications_get_countermodels() {
         let (universe, mut arena, equations, goal) = build(&["A = A*B"], "B = B*A");
-        assert!(!word_problem::entails(
-            &arena,
-            &equations,
-            goal,
-            Algorithm::Worklist
-        ));
-        let model = finite_countermodel(
-            &mut arena,
-            &universe,
-            &equations,
-            goal,
-            12,
-            Algorithm::Worklist,
-        )
-        .expect("A ≤ B without B ≤ A is realizable in a two-element chain");
+        assert!(!word_problem::entails(&arena, &equations, goal));
+        let model = finite_countermodel(&mut arena, &universe, &equations, goal, 12)
+            .expect("A ≤ B without B ≤ A is realizable in a two-element chain");
         // The model satisfies the premise and violates the goal, and the
         // constants for A and B denote different elements.
         for &eq in &equations {
@@ -288,21 +262,8 @@ mod tests {
     #[test]
     fn entailed_goals_have_no_countermodel() {
         let (universe, mut arena, equations, goal) = build(&["A = A*B", "B = B*C"], "A = A*C");
-        assert!(word_problem::entails(
-            &arena,
-            &equations,
-            goal,
-            Algorithm::Worklist
-        ));
-        assert!(finite_countermodel(
-            &mut arena,
-            &universe,
-            &equations,
-            goal,
-            12,
-            Algorithm::Worklist
-        )
-        .is_none());
+        assert!(word_problem::entails(&arena, &equations, goal));
+        assert!(finite_countermodel(&mut arena, &universe, &equations, goal, 12).is_none());
     }
 
     #[test]
@@ -326,7 +287,7 @@ mod tests {
         let join = arena.join(atoms[0], atoms[1]);
         let goal = Equation::new(meet_chain, join);
         // 64 distinct subexpressions ⇒ the mask would need a 1 << 64 shift.
-        let result = finite_countermodel(&mut arena, &universe, &[], goal, 64, Algorithm::Worklist);
+        let result = finite_countermodel(&mut arena, &universe, &[], goal, 64);
         // No panic, no wrap: the oversized instance is rejected cleanly.
         assert!(result.is_none());
     }
@@ -335,35 +296,15 @@ mod tests {
     fn oversized_instances_are_rejected() {
         let (universe, mut arena, equations, goal) =
             build(&["A*(B+(C*(D+E))) = A", "B = (A+C)*(D+E)"], "A = B");
-        assert!(finite_countermodel(
-            &mut arena,
-            &universe,
-            &equations,
-            goal,
-            4,
-            Algorithm::Worklist
-        )
-        .is_none());
+        assert!(finite_countermodel(&mut arena, &universe, &equations, goal, 4).is_none());
     }
 
     #[test]
     fn sum_goal_countermodel_respects_constants() {
         // C = A + B does not follow from A ≤ C and B ≤ C alone.
         let (universe, mut arena, equations, goal) = build(&["A = A*C", "B = B*C"], "C = A+B");
-        assert!(!word_problem::entails(
-            &arena,
-            &equations,
-            goal,
-            Algorithm::Worklist
-        ));
-        if let Some(model) = finite_countermodel(
-            &mut arena,
-            &universe,
-            &equations,
-            goal,
-            12,
-            Algorithm::Worklist,
-        ) {
+        assert!(!word_problem::entails(&arena, &equations, goal));
+        if let Some(model) = finite_countermodel(&mut arena, &universe, &equations, goal, 12) {
             for &eq in &equations {
                 assert!(model.satisfies(&arena, &universe, eq).unwrap());
             }

@@ -23,9 +23,9 @@
 //!   [`ImplicationEngine`]: built once per constraint set, queried for
 //!   arbitrarily many goals, incrementally extendable, with rules firing as
 //!   word-parallel bitset row operations.  Algorithm `ALG` of Section 5.2 is
-//!   also implemented as two reference engines — the paper's literal `O(n⁴)`
-//!   repeat-until-stable fixpoint and a worklist propagation
-//!   ([`Algorithm`]) — which property tests pin the engine against.
+//!   also implemented as the paper's literal `O(n⁴)` repeat-until-stable
+//!   fixpoint ([`DerivedOrder`]), the one reference property tests pin the
+//!   engine against.
 //! * [`FiniteLattice`] — explicitly tabulated finite lattices with axiom
 //!   checking, distributivity/modularity tests, generated sublattices,
 //!   isomorphism testing and term evaluation; used to reproduce Figures 1
@@ -55,7 +55,7 @@ pub use error::LatticeError;
 pub use finite::FiniteLattice;
 pub use parser::{parse_equation, parse_term};
 pub use term::{TermArena, TermId, TermNode};
-pub use word_problem::{Algorithm, DerivedOrder, ImplicationEngine};
+pub use word_problem::{DerivedOrder, ImplicationEngine};
 
 /// Convenient `Result` alias for fallible operations in this crate.
 pub type Result<T> = std::result::Result<T, LatticeError>;

@@ -2,7 +2,8 @@
 //!
 //! Five families of properties:
 //!
-//! 1. the two saturation strategies of algorithm ALG compute the same
+//! 1. the one-shot [`word_problem::entails`], which runs on the engine, and
+//!    the naive fixpoint reference [`DerivedOrder`] compute the same
 //!    entailment relation;
 //! 2. with `E = ∅`, ALG agrees with the free-lattice order `≤_id`
 //!    (Lemma 8.2 / Lemma 9.2);
@@ -12,20 +13,20 @@
 //!    "only lattices that satisfy E matter" direction);
 //! 4. the cached [`ImplicationEngine`] — fresh builds, incremental
 //!    extension, and batched queries alike — is pinned to the
-//!    `NaiveFixpoint` reference strategy on random equation sets;
+//!    [`DerivedOrder`] reference on random equation sets;
 //! 5. the term/equation printers round-trip through the parser onto the
 //!    same hash-consed [`TermId`]s;
 //! 6. **full-`Γ` differential**: one engine walked through build, goal-by-goal
 //!    extension, `add_equations`, more goals and `retract_equations` holds,
 //!    after every step, exactly the `leq` relation that a from-scratch
-//!    `NaiveFixpoint` order computes over the same `E` and `V`.
+//!    [`DerivedOrder`] computes over the same `E` and `V`.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 use ps_base::{Attribute, Universe};
 use ps_lattice::{
-    free_order, parse_equation, parse_term, word_problem, Algorithm, Equation, FiniteLattice,
+    free_order, parse_equation, parse_term, word_problem, DerivedOrder, Equation, FiniteLattice,
     ImplicationEngine, TermArena, TermId,
 };
 
@@ -88,18 +89,21 @@ fn equations_of(
         .collect()
 }
 
+/// The reference verdict on `goal`: a from-scratch [`DerivedOrder`] over
+/// `E` and the goal's terms.
+fn naive_entails(arena: &TermArena, equations: &[Equation], goal: Equation) -> bool {
+    DerivedOrder::build(arena, equations, &[goal.lhs, goal.rhs])
+        .entails(goal)
+        .expect("goal terms are in V by construction")
+}
+
 /// The first pair of `engine`'s `V` on which it disagrees with a
-/// `NaiveFixpoint` order built from scratch over the same `E` and `V`, or
+/// [`DerivedOrder`] built from scratch over the same `E` and `V`, or
 /// `None` when the whole `Γ` agrees.  Also checks that the firing counter
 /// saw every arc exactly once.
 fn full_gamma_mismatch(arena: &TermArena, engine: &ImplicationEngine) -> Option<String> {
     let terms = engine.terms();
-    let reference = word_problem::DerivedOrder::build(
-        arena,
-        engine.equations(),
-        terms,
-        Algorithm::NaiveFixpoint,
-    );
+    let reference = DerivedOrder::build(arena, engine.equations(), terms);
     if reference.terms().len() != terms.len() {
         return Some(format!(
             "|V| {} vs reference {}",
@@ -168,7 +172,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn naive_and_worklist_agree(
+    fn one_shot_entails_agrees_with_the_naive_fixpoint(
         eq_shapes in prop::collection::vec((arb_shape(), arb_shape()), 0..4),
         goal in (arb_shape(), arb_shape()),
     ) {
@@ -179,9 +183,9 @@ proptest! {
             .map(|(l, r)| Equation::new(build(l, &attrs, &mut arena), build(r, &attrs, &mut arena)))
             .collect();
         let goal = Equation::new(build(&goal.0, &attrs, &mut arena), build(&goal.1, &attrs, &mut arena));
-        let naive = word_problem::entails(&arena, &equations, goal, Algorithm::NaiveFixpoint);
-        let fast = word_problem::entails(&arena, &equations, goal, Algorithm::Worklist);
-        prop_assert_eq!(naive, fast);
+        let naive = naive_entails(&arena, &equations, goal);
+        let engine = word_problem::entails(&arena, &equations, goal);
+        prop_assert_eq!(naive, engine);
     }
 
     #[test]
@@ -190,12 +194,10 @@ proptest! {
         let mut arena = TermArena::new();
         let l = build(&lhs, &attrs, &mut arena);
         let r = build(&rhs, &attrs, &mut arena);
-        for algo in [Algorithm::NaiveFixpoint, Algorithm::Worklist] {
-            prop_assert_eq!(
-                word_problem::entails_leq(&arena, &[], l, r, algo),
-                free_order::leq_id(&arena, l, r)
-            );
-        }
+        let expected = free_order::leq_id(&arena, l, r);
+        let mut engine = ImplicationEngine::new(&arena, &[]);
+        prop_assert_eq!(engine.leq_goal(&arena, l, r), expected);
+        prop_assert_eq!(DerivedOrder::build(&arena, &[], &[l, r]).leq(l, r), Some(expected));
     }
 
     #[test]
@@ -239,8 +241,12 @@ proptest! {
         let gi = goal_pair.0 % terms.len();
         let gj = goal_pair.1 % terms.len();
         let goal = Equation::new(terms[gi], terms[gj]);
-        for algo in [Algorithm::NaiveFixpoint, Algorithm::Worklist] {
-            if word_problem::entails(&arena, &equations, goal, algo) {
+        let derived = [
+            word_problem::entails(&arena, &equations, goal),
+            naive_entails(&arena, &equations, goal),
+        ];
+        for derived in derived {
+            if derived {
                 prop_assert!(
                     lattice.satisfies(&arena, goal, &assignment, &u).unwrap(),
                     "ALG derived an equation that fails in a model satisfying E"
@@ -266,15 +272,13 @@ proptest! {
             .collect();
         let mut engine = ImplicationEngine::new(&arena, &equations);
         for &goal in &goals {
-            let reference = word_problem::entails(&arena, &equations, goal, Algorithm::NaiveFixpoint);
+            let reference = naive_entails(&arena, &equations, goal);
             prop_assert_eq!(engine.entails_goal(&arena, goal), reference);
         }
         // The engine's arc count over the final V matches a reference order
         // built over the same V, and its firing counter saw every arc once.
         let goal_terms: Vec<TermId> = goals.iter().flat_map(|g| [g.lhs, g.rhs]).collect();
-        let order = word_problem::DerivedOrder::build(
-            &arena, &equations, &goal_terms, Algorithm::NaiveFixpoint,
-        );
+        let order = DerivedOrder::build(&arena, &equations, &goal_terms);
         prop_assert_eq!(engine.num_arcs(), order.num_arcs());
         prop_assert_eq!(engine.rule_firings(), engine.num_arcs());
     }
@@ -296,7 +300,7 @@ proptest! {
             .collect();
         let reference: Vec<bool> = goals
             .iter()
-            .map(|&g| word_problem::entails(&arena, &equations, g, Algorithm::NaiveFixpoint))
+            .map(|&g| naive_entails(&arena, &equations, g))
             .collect();
         // Batched: one engine, one V extension covering every goal.
         let mut batched = ImplicationEngine::new(&arena, &equations);
@@ -313,10 +317,6 @@ proptest! {
         }
         // Both routes land in the same closure.
         prop_assert_eq!(incremental.num_arcs(), batched.num_arcs());
-        // And the reference batched entry point agrees as well.
-        let module_batched =
-            word_problem::entails_many(&arena, &equations, &goals, Algorithm::Worklist);
-        prop_assert_eq!(module_batched, reference);
     }
 
     #[test]

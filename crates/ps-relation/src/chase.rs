@@ -10,9 +10,9 @@
 //! constants* is a contradiction; otherwise the chase terminates with a
 //! representative weak instance.
 //!
-//! Two engines implement the fixpoint:
+//! Two engines implement the fixpoint, both over a prebuilt tableau:
 //!
-//! * [`chase_tableau`] — the **indexed, worklist-driven engine**: one hash
+//! * [`chase_tableau_with`] — the **indexed, worklist-driven engine**: one hash
 //!   index per FD left-hand side maps lhs class keys to a leader row,
 //!   symbol classes are merged through a [`ps_partition::UnionFind`], and a
 //!   dirty-row worklist revisits only rows whose symbols changed class.
@@ -23,12 +23,17 @@
 //!
 //! Both report their work in [`ChaseOutcome::row_visits`], which the
 //! `ps-bench` operation-counter test uses to prove the indexed engine does
-//! strictly less work.  This is the polynomial-time workhorse behind
-//! Theorems 6, 7 and 12 of the paper (experiment E5).
+//! strictly less work.  Neither consults a symbol table: constants and nulls
+//! are told apart by [`Symbol::is_constant`].
+//!
+//! [`chase_fds_over_with`] is the one database-level entry point: it pads
+//! the tableau with nulls from any [`NullSource`] and runs the indexed
+//! engine.  This is the polynomial-time workhorse behind Theorems 6, 7 and
+//! 12 of the paper (experiment E5).
 
 use std::collections::{HashMap, VecDeque};
 
-use ps_base::{AttrSet, FreshSymbols, Symbol, SymbolTable};
+use ps_base::{AttrSet, FreshSymbols, NullSource, Symbol, SymbolTable};
 use ps_partition::UnionFind;
 
 use crate::{Database, Fd, Relation, RelationScheme, Tableau};
@@ -80,19 +85,12 @@ impl ChaseOutcome {
 
 /// Union–find over symbols in which constants can never be merged with each
 /// other (HashMap-based; used by the naive reference engine).
-struct SymbolClasses<'a> {
+#[derive(Default)]
+struct SymbolClasses {
     parent: HashMap<Symbol, Symbol>,
-    symbols: &'a SymbolTable,
 }
 
-impl<'a> SymbolClasses<'a> {
-    fn new(symbols: &'a SymbolTable) -> Self {
-        SymbolClasses {
-            parent: HashMap::new(),
-            symbols,
-        }
-    }
-
+impl SymbolClasses {
     fn find(&mut self, s: Symbol) -> Symbol {
         let p = *self.parent.get(&s).unwrap_or(&s);
         if p == s {
@@ -111,7 +109,7 @@ impl<'a> SymbolClasses<'a> {
         if ra == rb {
             return Ok(false);
         }
-        match (self.symbols.is_constant(ra), self.symbols.is_constant(rb)) {
+        match (ra.is_constant(), rb.is_constant()) {
             (true, true) => Err(()),
             (true, false) => {
                 self.parent.insert(rb, ra);
@@ -146,9 +144,8 @@ fn active_fd_columns(tableau: &Tableau, fds: &[Fd]) -> Vec<(Vec<usize>, Vec<usiz
 /// Chases `tableau` with `fds` by full rescans: every pass re-examines
 /// every (FD, row) pair until a pass changes nothing.  Kept as the
 /// reference implementation the indexed engine is pinned against.
-/// `symbols` is used only to distinguish constants from nulls.
-pub fn chase_tableau_naive(tableau: &Tableau, fds: &[Fd], symbols: &SymbolTable) -> ChaseOutcome {
-    let mut classes = SymbolClasses::new(symbols);
+pub fn chase_tableau_naive(tableau: &Tableau, fds: &[Fd]) -> ChaseOutcome {
+    let mut classes = SymbolClasses::default();
     let mut steps = 0usize;
     let mut rounds = 0usize;
     let mut row_visits = 0usize;
@@ -214,11 +211,11 @@ pub fn chase_tableau_naive(tableau: &Tableau, fds: &[Fd], symbols: &SymbolTable)
 /// and a key scratch buffer.  On macro workloads (10⁵–10⁶ tuples chased per
 /// batch, or one chase per query in a long-lived session) that allocation
 /// churn is a measurable share of the chase's wall-clock, so callers that
-/// chase repeatedly hold one `ChaseScratch` and pass it to the `*_with`
-/// entry points; each run clears — but keeps the capacity of — every
-/// buffer.  The buffer-reuse path is pinned to the fresh-allocation path by
-/// the `columnar_agreement` proptests and measured in the `BENCH_*.json`
-/// trajectory (`chase_scratch_reuse` workload).
+/// chase repeatedly hold one `ChaseScratch` and pass it to every run; each
+/// run clears — but keeps the capacity of — every buffer.  The buffer-reuse
+/// path is pinned to the fresh-allocation path by the `columnar_agreement`
+/// proptests and measured in the `BENCH_*.json` trajectory
+/// (`chase_scratch_reuse` workload).
 #[derive(Debug, Default)]
 pub struct ChaseScratch {
     /// Dense local interning of the tableau's distinct symbols.
@@ -297,14 +294,13 @@ fn merge_classes(
     moved: &mut Vec<u32>,
     a: u32,
     b: u32,
-    symbols: &SymbolTable,
 ) -> Merge {
     let ra = uf.find(a as usize);
     let rb = uf.find(b as usize);
     if ra == rb {
         return Merge::Same;
     }
-    if symbols.is_constant(rep[ra]) && symbols.is_constant(rep[rb]) {
+    if rep[ra].is_constant() && rep[rb].is_constant() {
         // Distinct roots with constant representatives ⇒ distinct
         // constants (equal constants intern to the same symbol).
         return Merge::Clash;
@@ -331,20 +327,13 @@ fn merge_classes(
 }
 
 /// Chases `tableau` with `fds` using the indexed, worklist-driven engine
-/// (see the module docs), allocating fresh working storage.  Callers that
-/// chase repeatedly should hold a [`ChaseScratch`] and use
-/// [`chase_tableau_with`] instead.
-pub fn chase_tableau(tableau: &Tableau, fds: &[Fd], symbols: &SymbolTable) -> ChaseOutcome {
-    chase_tableau_with(tableau, fds, symbols, &mut ChaseScratch::default())
-}
-
-/// [`chase_tableau`] with caller-provided reusable buffers: the lhs-key
-/// indexes, dirty-row queue, interning tables and key scratch live in
-/// `scratch` and are cleared — not reallocated — between runs.
+/// (see the module docs).  The lhs-key indexes, dirty-row queue, interning
+/// tables and key scratch live in `scratch` and are cleared — not
+/// reallocated — between runs; pass `&mut ChaseScratch::default()` for a
+/// one-off chase.
 pub fn chase_tableau_with(
     tableau: &Tableau,
     fds: &[Fd],
-    symbols: &SymbolTable,
     scratch: &mut ChaseScratch,
 ) -> ChaseOutcome {
     let rows = tableau.rows();
@@ -423,7 +412,6 @@ pub fn chase_tableau_with(
                     &mut scratch.moved,
                     a,
                     b,
-                    symbols,
                 ) {
                     Merge::Same => {}
                     Merge::Clash => {
@@ -462,75 +450,35 @@ pub fn chase_tableau_with(
     }
 }
 
-/// Chases the padded tableau of `db` with `fds` over the union of the
-/// database's attributes (Honeyman's test), using the indexed engine.
-pub fn chase_fds(db: &Database, fds: &[Fd], symbols: &mut SymbolTable) -> ChaseOutcome {
-    chase_fds_with(db, fds, symbols, &mut ChaseScratch::default())
-}
-
-/// [`chase_fds`] with caller-provided reusable buffers (see
-/// [`ChaseScratch`]).
-pub fn chase_fds_with(
-    db: &Database,
-    fds: &[Fd],
-    symbols: &mut SymbolTable,
-    scratch: &mut ChaseScratch,
-) -> ChaseOutcome {
-    let tableau = Tableau::from_database(db, symbols);
-    chase_tableau_with(&tableau, fds, symbols, scratch)
-}
-
-/// [`chase_fds`] on the full-rescan reference engine.
-pub fn chase_fds_naive(db: &Database, fds: &[Fd], symbols: &mut SymbolTable) -> ChaseOutcome {
-    let tableau = Tableau::from_database(db, symbols);
-    chase_tableau_naive(&tableau, fds, symbols)
-}
-
-/// Chases the padded tableau of `db` over an explicit attribute universe
-/// (which may strictly contain the database's own attributes, as happens in
-/// the Section 6.2 pipeline where constraints introduce new attributes).
-pub fn chase_fds_over(
-    db: &Database,
-    attrs: &AttrSet,
-    fds: &[Fd],
-    symbols: &mut SymbolTable,
-) -> ChaseOutcome {
-    chase_fds_over_with(db, attrs, fds, symbols, &mut ChaseScratch::default())
-}
-
-/// [`chase_fds_over`] with caller-provided reusable buffers (see
-/// [`ChaseScratch`]).
+/// Chases the padded tableau of `db` over the attribute universe `attrs`
+/// (which contains the database's own attributes and may contain more, as
+/// happens in the Section 6.2 pipeline where constraints introduce new
+/// attributes), using the indexed engine with the caller's reusable
+/// buffers.  Padding nulls come from `nulls`; see [`Tableau::from_database`].
 pub fn chase_fds_over_with(
     db: &Database,
     attrs: &AttrSet,
     fds: &[Fd],
-    symbols: &mut SymbolTable,
+    nulls: &mut impl NullSource,
     scratch: &mut ChaseScratch,
 ) -> ChaseOutcome {
-    let tableau = Tableau::from_database_over(db, attrs, symbols);
-    chase_tableau_with(&tableau, fds, symbols, scratch)
+    let tableau = Tableau::from_database(db, attrs, nulls);
+    chase_tableau_with(&tableau, fds, scratch)
 }
 
-/// [`chase_fds_over_with`] against a *frozen* symbol table: padding nulls
-/// are minted from the caller's detached [`FreshSymbols`] source instead of
-/// mutating the table, so many threads can chase independent databases
-/// against one shared `&SymbolTable`.
-///
-/// The chase itself only consults the table through
-/// [`SymbolTable::is_constant`], a pure tag-bit test, so verdict, step
-/// count and `row_visits` are identical to [`chase_fds_over_with`] — only
-/// the nulls' numeric identities may differ, which
-/// [`canonical_chase_rows`] erases.
+/// [`chase_fds_over_with`] with a detached [`FreshSymbols`] source; the
+/// table is not consulted.  Kept only for the call shape of the
+/// repository's `perfbench` harness — new code calls
+/// [`chase_fds_over_with`] directly.
 pub fn chase_fds_over_frozen(
     db: &Database,
     attrs: &AttrSet,
     fds: &[Fd],
-    symbols: &SymbolTable,
+    _symbols: &SymbolTable,
     fresh: &mut FreshSymbols,
     scratch: &mut ChaseScratch,
 ) -> ChaseOutcome {
-    let tableau = Tableau::from_database_frozen(db, attrs, fresh);
-    chase_tableau_with(&tableau, fds, symbols, scratch)
+    chase_fds_over_with(db, attrs, fds, fresh, scratch)
 }
 
 /// Renames fresh nulls to their first-occurrence index so chased rows can
@@ -542,7 +490,7 @@ pub fn canonical_chase_rows(rows: &[Vec<Symbol>], symbols: &SymbolTable) -> Vec<
         .map(|row| {
             row.iter()
                 .map(|&s| {
-                    if symbols.is_constant(s) {
+                    if s.is_constant() {
                         symbols.render(s)
                     } else {
                         let next = format!("null{}", naming.len());
@@ -573,15 +521,16 @@ mod tests {
         }
     }
 
-    /// Both engines must agree: same verdict, same chased rows up to null
-    /// renaming (the FD chase is confluent).  No relation between their
-    /// `row_visits` is asserted here — the worklist engine wins on
-    /// propagation-heavy workloads but can lose on tiny ones, where
+    /// Chases one tableau of `db` with both engines, which must agree: same
+    /// verdict, same chased rows up to null renaming (the FD chase is
+    /// confluent).  Returns the indexed engine's outcome.  No relation
+    /// between their `row_visits` is asserted here — the worklist engine
+    /// wins on propagation-heavy workloads but can lose on tiny ones, where
     /// re-queues outnumber the naive engine's few global rounds.
-    fn assert_engines_agree(db: &Database, fds: &[Fd], symbols: &mut SymbolTable) -> ChaseOutcome {
-        let tableau = Tableau::from_database(db, symbols);
-        let indexed = chase_tableau(&tableau, fds, symbols);
-        let naive = chase_tableau_naive(&tableau, fds, symbols);
+    fn chase(db: &Database, fds: &[Fd], symbols: &mut SymbolTable) -> ChaseOutcome {
+        let tableau = Tableau::from_database(db, &db.all_attributes(), symbols);
+        let indexed = chase_tableau_with(&tableau, fds, &mut ChaseScratch::default());
+        let naive = chase_tableau_naive(&tableau, fds);
         assert_eq!(indexed.consistent, naive.consistent);
         match (&indexed.rows, &naive.rows) {
             (Some(a), Some(b)) => {
@@ -621,7 +570,7 @@ mod tests {
         let b = f.universe.lookup("B").unwrap();
         let c = f.universe.lookup("C").unwrap();
         let fds = vec![fd(&[b], &[c])];
-        let outcome = chase_fds(&db, &fds, &mut f.symbols);
+        let outcome = chase(&db, &fds, &mut f.symbols);
         assert!(outcome.consistent);
         let w = outcome.weak_instance("W", &db.all_attributes()).unwrap();
         assert_eq!(w.len(), 3);
@@ -631,8 +580,7 @@ mod tests {
         // into the rows coming from R1.
         let c_domain = w.active_domain(c).unwrap();
         assert_eq!(c_domain.len(), 1);
-        assert!(f.symbols.is_constant(c_domain[0]));
-        assert_engines_agree(&db, &fds, &mut f.symbols);
+        assert!(c_domain[0].is_constant());
     }
 
     #[test]
@@ -651,11 +599,10 @@ mod tests {
             .build();
         let a = f.universe.lookup("A").unwrap();
         let b = f.universe.lookup("B").unwrap();
-        let outcome = chase_fds(&db, &[fd(&[a], &[b])], &mut f.symbols);
+        let outcome = chase(&db, &[fd(&[a], &[b])], &mut f.symbols);
         assert!(!outcome.consistent);
         assert!(outcome.rows.is_none());
         assert!(outcome.weak_instance("W", &db.all_attributes()).is_none());
-        assert_engines_agree(&db, &[fd(&[a], &[b])], &mut f.symbols);
     }
 
     #[test]
@@ -682,7 +629,7 @@ mod tests {
             .build();
         let a = f.universe.lookup("A").unwrap();
         let c = f.universe.lookup("C").unwrap();
-        let outcome = chase_fds(&db, &[fd(&[a], &[c])], &mut f.symbols);
+        let outcome = chase(&db, &[fd(&[a], &[c])], &mut f.symbols);
         assert!(!outcome.consistent);
     }
 
@@ -722,7 +669,7 @@ mod tests {
         let b = f.universe.lookup("B").unwrap();
         let c = f.universe.lookup("C").unwrap();
         let fds = vec![fd(&[a], &[b]), fd(&[b], &[c]), fd(&[a], &[c])];
-        let outcome = chase_fds(&db, &fds, &mut f.symbols);
+        let outcome = chase(&db, &fds, &mut f.symbols);
         assert!(!outcome.consistent);
         // Without the contradicting R3 tuple it is consistent.
         let db2 = DatabaseBuilder::new()
@@ -743,11 +690,10 @@ mod tests {
             )
             .unwrap()
             .build();
-        let outcome2 = chase_fds(&db2, &fds, &mut f.symbols);
+        let outcome2 = chase(&db2, &fds, &mut f.symbols);
         assert!(outcome2.consistent);
         let w = outcome2.weak_instance("W", &db2.all_attributes()).unwrap();
         assert!(w.satisfies_all_fds(&fds));
-        assert_engines_agree(&db2, &fds, &mut f.symbols);
     }
 
     #[test]
@@ -763,7 +709,7 @@ mod tests {
             )
             .unwrap()
             .build();
-        let outcome = chase_fds(&db, &[], &mut f.symbols);
+        let outcome = chase(&db, &[], &mut f.symbols);
         assert!(outcome.consistent);
         assert_eq!(outcome.steps, 0);
         assert_eq!(outcome.row_visits, 0);
@@ -780,7 +726,13 @@ mod tests {
         let a = f.universe.lookup("A").unwrap();
         let mut attrs = db.all_attributes();
         attrs.insert(b);
-        let outcome = chase_fds_over(&db, &attrs, &[fd(&[a], &[b])], &mut f.symbols);
+        let outcome = chase_fds_over_with(
+            &db,
+            &attrs,
+            &[fd(&[a], &[b])],
+            &mut f.symbols,
+            &mut ChaseScratch::default(),
+        );
         assert!(outcome.consistent);
         let w = outcome.weak_instance("W", &attrs).unwrap();
         assert_eq!(w.scheme().arity(), 2);
@@ -825,8 +777,9 @@ mod tests {
             })
             .collect();
         fds.reverse();
-        let indexed = assert_engines_agree(&db, &fds, &mut f.symbols);
-        let naive = chase_fds_naive(&db, &fds, &mut f.symbols);
+        let indexed = chase(&db, &fds, &mut f.symbols);
+        let tableau = Tableau::from_database(&db, &db.all_attributes(), &mut f.symbols);
+        let naive = chase_tableau_naive(&tableau, &fds);
         assert!(indexed.consistent && naive.consistent);
         assert!(
             indexed.row_visits < naive.row_visits,

@@ -14,12 +14,13 @@
 
 use ps_base::{Attribute, Symbol, SymbolTable};
 
-use crate::{chase, Database, Fd, Relation, RelationScheme};
+use crate::{chase, ChaseScratch, Database, Fd, Relation, RelationScheme};
 
 /// Whether `db` is consistent with `fds` under the weak instance assumption
 /// (Honeyman's polynomial test).
 pub fn weak_instance_consistent(db: &Database, fds: &[Fd], symbols: &mut SymbolTable) -> bool {
-    chase::chase_fds(db, fds, symbols).consistent
+    let attrs = db.all_attributes();
+    chase::chase_fds_over_with(db, &attrs, fds, symbols, &mut ChaseScratch::default()).consistent
 }
 
 /// Statistics returned by the CAD solver alongside its verdict.

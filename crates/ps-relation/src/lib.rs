@@ -24,9 +24,11 @@
 //! * [`algebra`] — the relational-algebra operations the paper's conclusion
 //!   points out remain available under partition semantics.
 //! * [`Tableau`], [`chase`] — the weak-instance machinery: build a tableau
-//!   from a database, chase it with FDs (indexed worklist engine, with the
-//!   full-rescan loop kept as [`chase_fds_naive`]), detect inconsistency,
-//!   extract a representative weak instance.
+//!   from a database with nulls from any [`ps_base::NullSource`], chase it
+//!   with FDs ([`chase_tableau_with`], the indexed worklist engine, with the
+//!   full-rescan loop kept as the reference [`chase_tableau_naive`]; or
+//!   both steps at once with [`chase_fds_over_with`]), detect
+//!   inconsistency, extract a representative weak instance.
 //! * [`consistency`] — consistency of a database with a set of FDs under the
 //!   weak instance assumption (polynomial, Section 6.2) and under the
 //!   complete-atomic-data assumption (NP-complete, Section 6.1; exact
@@ -49,9 +51,8 @@ mod tableau;
 mod tuple;
 
 pub use chase::{
-    canonical_chase_rows, chase_fds, chase_fds_naive, chase_fds_over, chase_fds_over_frozen,
-    chase_fds_over_with, chase_fds_with, chase_tableau, chase_tableau_naive, chase_tableau_with,
-    ChaseOutcome, ChaseScratch,
+    canonical_chase_rows, chase_fds_over_frozen, chase_fds_over_with, chase_tableau_naive,
+    chase_tableau_with, ChaseOutcome, ChaseScratch,
 };
 pub use consistency::{cad_consistent, weak_instance_consistent, CadOutcome, CadSearchStats};
 pub use database::{Database, DatabaseBuilder};

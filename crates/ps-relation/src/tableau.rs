@@ -7,7 +7,7 @@
 //! null.  The chase ([`crate::chase`]) then equates symbols as dictated by
 //! the FDs.
 
-use ps_base::{AttrSet, Attribute, FreshSymbols, Symbol, SymbolTable};
+use ps_base::{AttrSet, Attribute, NullSource, Symbol};
 
 use crate::Database;
 
@@ -19,32 +19,15 @@ pub struct Tableau {
 }
 
 impl Tableau {
-    /// Builds the tableau of `db` over the union of all its attributes,
-    /// padding missing columns with fresh nulls drawn from `symbols`.
-    pub fn from_database(db: &Database, symbols: &mut SymbolTable) -> Self {
-        Self::from_database_over(db, &db.all_attributes(), symbols)
-    }
-
-    /// Builds the tableau of `db` over an explicit attribute set `attrs`
-    /// (which must contain every attribute used by `db`); useful when the
-    /// constraint set mentions attributes the database does not.
-    pub fn from_database_over(db: &Database, attrs: &AttrSet, symbols: &mut SymbolTable) -> Self {
-        Self::build(db, attrs, || symbols.fresh())
-    }
-
-    /// Like [`Tableau::from_database_over`], but pads with nulls minted from
-    /// a detached [`FreshSymbols`] source instead of mutating the table.
+    /// Builds the tableau of `db` over the attribute set `attrs`, which
+    /// must contain every attribute used by `db` and may contain more (the
+    /// Section 6.2 pipeline adds the attributes its constraints mention).
+    /// Every column a tuple lacks holds a fresh null drawn from `nulls`.
     ///
-    /// This is the entry point used when chasing against a frozen
-    /// (`&`-shared) symbol table, e.g. one snapshot queried by many worker
-    /// threads, each holding its own source.  Null *identity* never affects
-    /// chase verdicts — only within-tableau distinctness matters, which a
-    /// single source guarantees.
-    pub fn from_database_frozen(db: &Database, attrs: &AttrSet, fresh: &mut FreshSymbols) -> Self {
-        Self::build(db, attrs, || fresh.fresh())
-    }
-
-    fn build(db: &Database, attrs: &AttrSet, mut fresh: impl FnMut() -> Symbol) -> Self {
+    /// The source decides only the nulls' identities, which never affect a
+    /// chase verdict: a session passes its own [`ps_base::SymbolTable`],
+    /// a snapshot worker a detached [`ps_base::FreshSymbols`].
+    pub fn from_database(db: &Database, attrs: &AttrSet, nulls: &mut impl NullSource) -> Self {
         let mut rows = Vec::with_capacity(db.total_tuples());
         for relation in db.relations() {
             // Resolve each tableau column to the relation's column (or a
@@ -58,7 +41,7 @@ impl Tableau {
                     .iter()
                     .map(|pos| match pos {
                         Some(pos) => row.value_at(*pos),
-                        None => fresh(),
+                        None => nulls.fresh(),
                     })
                     .collect();
                 rows.push(padded);
@@ -114,7 +97,7 @@ impl Tableau {
 mod tests {
     use super::*;
     use crate::database::DatabaseBuilder;
-    use ps_base::Universe;
+    use ps_base::{SymbolTable, Universe};
 
     fn two_relation_db() -> (Universe, SymbolTable, Database) {
         let mut u = Universe::new();
@@ -137,7 +120,7 @@ mod tests {
     #[test]
     fn tableau_has_one_row_per_tuple_and_pads_with_nulls() {
         let (u, mut s, db) = two_relation_db();
-        let tableau = Tableau::from_database(&db, &mut s);
+        let tableau = Tableau::from_database(&db, &db.all_attributes(), &mut s);
         assert_eq!(tableau.num_rows(), 3);
         assert_eq!(tableau.attrs().len(), 3);
         assert!(!tableau.is_empty());
@@ -146,21 +129,21 @@ mod tests {
         // First row comes from R1: constant under A, fresh null under C.
         let a_val = tableau.get(0, a).unwrap();
         let c_val = tableau.get(0, c).unwrap();
-        assert!(s.is_constant(a_val));
-        assert!(s.is_fresh(c_val));
+        assert!(a_val.is_constant());
+        assert!(c_val.is_null());
         // Third row comes from R2: null under A, constant under C.
-        assert!(s.is_fresh(tableau.get(2, a).unwrap()));
-        assert!(s.is_constant(tableau.get(2, c).unwrap()));
+        assert!(tableau.get(2, a).unwrap().is_null());
+        assert!(tableau.get(2, c).unwrap().is_constant());
     }
 
     #[test]
     fn nulls_are_distinct_across_cells() {
         let (_, mut s, db) = two_relation_db();
-        let tableau = Tableau::from_database(&db, &mut s);
+        let tableau = Tableau::from_database(&db, &db.all_attributes(), &mut s);
         let mut nulls = Vec::new();
         for row in tableau.rows() {
             for &sym in row {
-                if s.is_fresh(sym) {
+                if sym.is_null() {
                     nulls.push(sym);
                 }
             }
@@ -171,44 +154,36 @@ mod tests {
     }
 
     #[test]
-    fn from_database_over_can_add_extra_attributes() {
+    fn from_database_can_add_extra_attributes() {
         let (mut u, mut s, db) = two_relation_db();
         let d = u.attr("D");
         let mut attrs = db.all_attributes();
         attrs.insert(d);
-        let tableau = Tableau::from_database_over(&db, &attrs, &mut s);
+        let tableau = Tableau::from_database(&db, &attrs, &mut s);
         assert_eq!(tableau.attrs().len(), 4);
-        assert!(s.is_fresh(tableau.get(0, d).unwrap()));
+        assert!(tableau.get(0, d).unwrap().is_null());
     }
 
     #[test]
-    fn frozen_construction_matches_mutable_up_to_null_renaming() {
+    fn detached_source_pads_like_the_table() {
         let (_, mut s, db) = two_relation_db();
         let attrs = db.all_attributes();
-        let frozen = {
+        let detached = {
             let mut source = s.fresh_source();
-            Tableau::from_database_frozen(&db, &attrs, &mut source)
+            Tableau::from_database(&db, &attrs, &mut source)
         };
-        let mutable = Tableau::from_database_over(&db, &attrs, &mut s);
-        // Same shape, same constants, nulls in the same cells.
-        assert_eq!(frozen.num_rows(), mutable.num_rows());
-        for (fr, mr) in frozen.rows().iter().zip(mutable.rows()) {
-            for (&fv, &mv) in fr.iter().zip(mr) {
-                assert_eq!(s.is_constant(fv), s.is_constant(mv));
-                if s.is_constant(fv) {
-                    assert_eq!(fv, mv);
-                }
-            }
-        }
-        // In fact both start minting at the same cursor, so they agree
-        // symbol-for-symbol here.
-        assert_eq!(frozen.rows(), mutable.rows());
+        let minted_before = s.num_fresh();
+        let owned = Tableau::from_database(&db, &attrs, &mut s);
+        // Both start minting at the same cursor, so they agree
+        // symbol-for-symbol; only the table itself advanced.
+        assert_eq!(detached.rows(), owned.rows());
+        assert_eq!(s.num_fresh(), minted_before + 3);
     }
 
     #[test]
     fn position_and_get_handle_missing_attributes() {
         let (mut u, mut s, db) = two_relation_db();
-        let tableau = Tableau::from_database(&db, &mut s);
+        let tableau = Tableau::from_database(&db, &db.all_attributes(), &mut s);
         let z = u.attr("Z");
         assert_eq!(tableau.position(z), None);
         assert_eq!(tableau.get(0, z), None);

@@ -4,7 +4,7 @@
 //! The references deliberately re-implement the pre-columnar semantics:
 //! rows as materialized `Vec<Symbol>` lists with `Vec + HashSet` dedup,
 //! quadratic double-loop FD checks, the triple-loop MVD check, and the
-//! full-rescan chase ([`ps_relation::chase_fds_naive`]).  Every public bulk
+//! full-rescan chase ([`ps_relation::chase_tableau_naive`]).  Every public bulk
 //! operation of the columnar [`Relation`] must agree with them on random
 //! inputs, and the attribute closure's linear Beeri–Bernstein counter
 //! algorithm must agree with the naïve fixpoint loop.
@@ -17,8 +17,8 @@ use rand::{Rng, SeedableRng};
 
 use ps_base::{AttrSet, Attribute, Symbol, SymbolTable, Universe};
 use ps_relation::{
-    canonical_chase_rows, chase_fds, chase_fds_naive, chase_fds_with, fd_closure, ChaseScratch,
-    Database, Fd, Mvd, Relation, RelationScheme,
+    canonical_chase_rows, chase_tableau_naive, chase_tableau_with, fd_closure, ChaseScratch,
+    Database, Fd, Mvd, Relation, RelationScheme, Tableau,
 };
 
 /// A random relation over `arity` attributes with `rows` candidate rows
@@ -307,14 +307,16 @@ proptest! {
             })
             .collect();
 
-        let mut s1 = symbols.clone();
-        let indexed = chase_fds(&db, &fds, &mut s1);
-        let mut s2 = symbols.clone();
-        let naive = chase_fds_naive(&db, &fds, &mut s2);
+        let tableau = Tableau::from_database(&db, &db.all_attributes(), &mut symbols);
+        let indexed = chase_tableau_with(&tableau, &fds, &mut ChaseScratch::default());
+        let naive = chase_tableau_naive(&tableau, &fds);
         prop_assert_eq!(indexed.consistent, naive.consistent);
         match (&indexed.rows, &naive.rows) {
             (Some(a), Some(b)) => {
-                prop_assert_eq!(canonical_chase_rows(a, &s1), canonical_chase_rows(b, &s2));
+                prop_assert_eq!(
+                    canonical_chase_rows(a, &symbols),
+                    canonical_chase_rows(b, &symbols)
+                );
                 prop_assert_eq!(indexed.steps, naive.steps);
             }
             (None, None) => {}
@@ -368,19 +370,15 @@ proptest! {
                 })
                 .collect();
 
-            let mut s1 = symbols.clone();
-            let reused = chase_fds_with(&db, &fds, &mut s1, &mut scratch);
-            let mut s2 = symbols.clone();
-            let fresh = chase_fds(&db, &fds, &mut s2);
+            let tableau = Tableau::from_database(&db, &db.all_attributes(), &mut symbols);
+            let reused = chase_tableau_with(&tableau, &fds, &mut scratch);
+            let fresh = chase_tableau_with(&tableau, &fds, &mut ChaseScratch::default());
             prop_assert_eq!(reused.consistent, fresh.consistent);
             prop_assert_eq!(reused.steps, fresh.steps);
             prop_assert_eq!(reused.rounds, fresh.rounds);
             prop_assert_eq!(reused.row_visits, fresh.row_visits);
             match (&reused.rows, &fresh.rows) {
-                (Some(a), Some(b)) => prop_assert_eq!(
-                    canonical_chase_rows(a, &s1),
-                    canonical_chase_rows(b, &s2)
-                ),
+                (Some(a), Some(b)) => prop_assert_eq!(a, b),
                 (None, None) => {}
                 _ => prop_assert!(false, "verdicts agree but rows differ in presence"),
             }

@@ -36,8 +36,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ps_base::{FreshSymbols, SymbolTable, Universe};
-use ps_core::consistency::{consistent_with_closed_frozen, ClosedConstraints};
-use ps_core::weak_bridge::{witness_from_consistency_frozen, SatisfiabilityWitness};
+use ps_core::consistency::{consistent_with_closed, ClosedConstraints};
+use ps_core::weak_bridge::{witness_from_consistency, SatisfiabilityWitness};
 use ps_lattice::{Equation, ImplicationEngine, TermArena};
 use ps_relation::{ChaseScratch, Database, Relation};
 
@@ -64,9 +64,10 @@ const _: () = {
 ///   [`ImplicationEngine::entails_frozen`] path (a goal term outside the
 ///   frozen vocabulary `V` surfaces as [`Error::OutsideVocabulary`] instead
 ///   of silently extending `V`);
-/// * the closed constraint system of Section 6.2, chased against via the
-///   frozen pipeline (`consistent_with_closed_frozen`), with padding nulls
-///   minted from per-worker [`FreshSymbols`] sources;
+/// * the closed constraint system of Section 6.2, chased against through
+///   the session's own pipeline (`consistent_with_closed`), with padding
+///   nulls minted from per-worker [`FreshSymbols`] sources instead of the
+///   shared table;
 /// * copies of the session's `Universe` / `SymbolTable` / `TermArena` at
 ///   freeze time, so parsing results and databases built against the
 ///   session before the freeze resolve identically.
@@ -162,8 +163,7 @@ impl SetSnapshot {
         fresh: &mut FreshSymbols,
         scratch: &mut ChaseScratch,
     ) -> (ConsistencyAnswer, u64) {
-        let outcome =
-            consistent_with_closed_frozen(db, &self.closed, &self.symbols, fresh, scratch);
+        let outcome = consistent_with_closed(db, &self.closed, fresh, scratch);
         let row_visits = outcome.chase.row_visits as u64;
         let answer = ConsistencyAnswer {
             consistent: outcome.consistent,
@@ -185,10 +185,9 @@ impl SetSnapshot {
         fresh: &mut FreshSymbols,
         scratch: &mut ChaseScratch,
     ) -> Result<(SatisfiabilityWitness, u64)> {
-        let outcome =
-            consistent_with_closed_frozen(db, &self.closed, &self.symbols, fresh, scratch);
+        let outcome = consistent_with_closed(db, &self.closed, fresh, scratch);
         let row_visits = outcome.chase.row_visits as u64;
-        let witness = witness_from_consistency_frozen(outcome, fresh)?;
+        let witness = witness_from_consistency(outcome, fresh)?;
         Ok((witness, row_visits))
     }
 }

@@ -752,7 +752,6 @@ impl Session {
             &self.sets[idx].pds,
             goal,
             max_generators,
-            ps_lattice::Algorithm::Worklist,
         ))
     }
 
@@ -786,7 +785,7 @@ impl Session {
                     .closed
                     .as_ref()
                     .expect("closure just ensured");
-                let outcome = ps_core::consistency::consistent_with_closed_scratch(
+                let outcome = ps_core::consistency::consistent_with_closed(
                     db,
                     closed,
                     &mut self.symbols,
@@ -849,7 +848,7 @@ impl Session {
             .closed
             .as_ref()
             .expect("closure just ensured");
-        let outcome = ps_core::consistency::consistent_with_closed_scratch(
+        let outcome = ps_core::consistency::consistent_with_closed(
             db,
             closed,
             &mut self.symbols,

@@ -12,7 +12,6 @@ use std::path::Path;
 
 /// Leaf names `pub use`d by `partition_semantics::prelude`.
 const EXPECTED_PRELUDE: &[&str] = &[
-    "Algorithm",
     "AttrSet",
     "Attribute",
     "ConsistencyAnswer",

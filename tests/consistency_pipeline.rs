@@ -35,7 +35,6 @@ fn fpd_only_sets_agree_with_the_honeyman_chase() {
             &mut world.arena,
             &mut world.universe,
             &mut world.symbols,
-            Algorithm::Worklist,
         )
         .unwrap();
         let direct = weak_instance_consistent(&db, &fds, &mut world.symbols);
@@ -67,7 +66,6 @@ fn adding_sum_dependencies_never_destroys_consistency() {
             &mut world.arena,
             &mut world.universe,
             &mut world.symbols,
-            Algorithm::Worklist,
         )
         .unwrap();
 
@@ -90,7 +88,6 @@ fn adding_sum_dependencies_never_destroys_consistency() {
             &mut world.arena,
             &mut world.universe,
             &mut world.symbols,
-            Algorithm::Worklist,
         )
         .unwrap();
 
@@ -136,18 +133,18 @@ fn normalization_is_conservative_over_the_original_attributes() {
         .collect();
     let before: Vec<bool> = goal_eqs
         .iter()
-        .map(|&g| pd_implies(&world.arena, &original, g, Algorithm::Worklist))
+        .map(|&g| pd_implies(&world.arena, &original, g))
         .collect();
 
     let normalized = normalize_pds(&original, &mut world.arena, &mut world.universe);
     let after: Vec<bool> = goal_eqs
         .iter()
-        .map(|&g| pd_implies(&world.arena, &normalized.equations, g, Algorithm::Worklist))
+        .map(|&g| pd_implies(&world.arena, &normalized.equations, g))
         .collect();
     assert_eq!(before, after, "normalization changed the implied PDs");
 
     // The closure step only adds consequences that were already implied.
-    let closed = close_constraints(&normalized, &mut world.arena, Algorithm::Worklist);
+    let closed = close_constraints(&normalized, &mut world.arena);
     for fd in &closed.fds {
         for rhs_attr in fd.rhs.iter() {
             let lhs_term = world.arena.meet_of_attrs(&fd.lhs);
@@ -155,12 +152,7 @@ fn normalization_is_conservative_over_the_original_attributes() {
             let meet = world.arena.meet(lhs_term, rhs_term);
             let goal = Equation::new(lhs_term, meet);
             assert!(
-                pd_implies(
-                    &world.arena,
-                    &normalized.equations,
-                    goal,
-                    Algorithm::Worklist
-                ),
+                pd_implies(&world.arena, &normalized.equations, goal),
                 "closure added a non-consequence {}",
                 fd.render(&world.universe)
             );
@@ -190,7 +182,6 @@ fn pipeline_agrees_with_cad_when_cad_is_consistent() {
             &mut world.arena,
             &mut world.universe,
             &mut world.symbols,
-            Algorithm::Worklist,
         )
         .unwrap();
         if cad.consistent {
@@ -228,7 +219,6 @@ fn theorem7_route_and_pipeline_route_agree() {
             &mut world.arena,
             &mut world.universe,
             &mut world.symbols,
-            Algorithm::Worklist,
         )
         .unwrap();
         assert_eq!(witness.satisfiable, pipeline.consistent, "seed {seed}");
@@ -258,7 +248,6 @@ fn repair_is_idempotent_once_converged() {
         &mut world.arena,
         &mut world.universe,
         &mut world.symbols,
-        Algorithm::Worklist,
     )
     .unwrap();
     assert!(outcome.consistent);

@@ -82,7 +82,6 @@ fn figure1_database_is_consistent_with_e_by_every_route() {
         &mut fig.arena,
         &mut fig.universe,
         &mut fig.symbols,
-        Algorithm::Worklist,
     )
     .unwrap();
     assert!(outcome.consistent);

@@ -1,7 +1,8 @@
 //! Experiments E1–E3: property-based cross-validation of the implication
 //! machinery.
 //!
-//! * E1 — PD implication (Theorems 8, 9): the two ALG strategies agree, are
+//! * E1 — PD implication (Theorems 8, 9): ALG's production engine and its
+//!   naive-fixpoint reference (`DerivedOrder`) agree, are
 //!   sound with respect to concrete partition interpretations, and are
 //!   complete for goals checkable on small finite lattices.
 //! * E2 — FD implication (Section 5.3): attribute closure, the lattice word
@@ -15,7 +16,7 @@ use common::World;
 use partition_semantics::core::fd_bridge::{fd_implies_via_lattice, fd_implies_via_semigroup};
 use partition_semantics::core::implication::{is_identity, pd_implies};
 use partition_semantics::core::lattice_of::InterpretationLattice;
-use partition_semantics::lattice::free_order;
+use partition_semantics::lattice::{free_order, DerivedOrder};
 use partition_semantics::prelude::*;
 use partition_semantics::relation::fd_closure;
 use proptest::prelude::*;
@@ -26,6 +27,7 @@ use rand::SeedableRng;
 // E1 — PD implication.
 // ---------------------------------------------------------------------------
 
+/// The engine behind `pd_implies` against the naive fixpoint.
 #[test]
 fn alg_strategies_agree_on_random_instances() {
     for seed in 0..60u64 {
@@ -35,9 +37,9 @@ fn alg_strategies_agree_on_random_instances() {
             .map(|i| common::random_pd(&mut world.arena, &attrs, 4, seed * 17 + i))
             .collect();
         let goal = common::random_pd(&mut world.arena, &attrs, 4, seed * 17 + 99);
-        let naive = pd_implies(&world.arena, &e, goal, Algorithm::NaiveFixpoint);
-        let worklist = pd_implies(&world.arena, &e, goal, Algorithm::Worklist);
-        assert_eq!(naive, worklist, "seed {seed}");
+        let naive = DerivedOrder::build(&world.arena, &e, &[goal.lhs, goal.rhs]).entails(goal);
+        let engine = pd_implies(&world.arena, &e, goal);
+        assert_eq!(naive, Some(engine), "seed {seed}");
     }
 }
 
@@ -74,7 +76,7 @@ fn implication_is_sound_for_concrete_interpretations() {
             goals.push(Equation::new(lhs, rhs));
         }
         for goal in goals {
-            if pd_implies(&world.arena, &e, goal, Algorithm::Worklist) {
+            if pd_implies(&world.arena, &e, goal) {
                 checked += 1;
                 assert!(
                     interpretation.satisfies_pd(&world.arena, goal).unwrap(),
@@ -127,11 +129,11 @@ proptest! {
             .map(|i| common::random_pd(&mut world.arena, &attrs, 3, seed * 7 + i))
             .collect();
         for &premise in &e {
-            prop_assert!(pd_implies(&world.arena, &e, premise, Algorithm::Worklist));
+            prop_assert!(pd_implies(&world.arena, &e, premise));
         }
         let goal = common::random_pd(&mut world.arena, &attrs, 3, seed * 7 + 50);
-        let small = pd_implies(&world.arena, &e[..2], goal, Algorithm::Worklist);
-        let large = pd_implies(&world.arena, &e, goal, Algorithm::Worklist);
+        let small = pd_implies(&world.arena, &e[..2], goal);
+        let large = pd_implies(&world.arena, &e, goal);
         prop_assert!(!small || large, "implication must be monotone in E");
     }
 
@@ -150,8 +152,8 @@ proptest! {
         let ym = world.arena.meet(y, z);
         let xj = world.arena.join(x, z);
         let yj = world.arena.join(y, z);
-        prop_assert!(pd_implies(&world.arena, &e, Equation::new(xm, ym), Algorithm::Worklist));
-        prop_assert!(pd_implies(&world.arena, &e, Equation::new(xj, yj), Algorithm::Worklist));
+        prop_assert!(pd_implies(&world.arena, &e, Equation::new(xm, ym)));
+        prop_assert!(pd_implies(&world.arena, &e, Equation::new(xj, yj)));
     }
 }
 
@@ -168,7 +170,7 @@ fn fd_implication_routes_agree_on_random_sets() {
         let goal = common::random_fds(&attrs, 1, seed ^ 0xFFFF)[0].clone();
         let by_closure = fd_closure::implies(&fds, &goal);
         let by_semigroup = fd_implies_via_semigroup(&fds, &goal);
-        let by_lattice = fd_implies_via_lattice(&fds, &goal, Algorithm::Worklist);
+        let by_lattice = fd_implies_via_lattice(&fds, &goal);
         assert_eq!(by_closure, by_semigroup, "seed {seed}");
         assert_eq!(by_closure, by_lattice, "seed {seed}");
     }
@@ -193,11 +195,7 @@ fn fd_closure_variants_and_armstrong_axioms() {
         let reflexive = Fd::new(x.clone(), AttrSet::singleton(attrs[0]));
         assert!(fd_closure::implies(&fds, &reflexive));
         assert!(fd_implies_via_semigroup(&fds, &reflexive));
-        assert!(fd_implies_via_lattice(
-            &fds,
-            &reflexive,
-            Algorithm::Worklist
-        ));
+        assert!(fd_implies_via_lattice(&fds, &reflexive));
     }
 }
 
@@ -251,7 +249,7 @@ fn identity_recognition_agrees_with_alg_on_the_empty_theory() {
         let pd = common::random_pd(&mut world.arena, &attrs, 5, seed);
         assert_eq!(
             is_identity(&world.arena, pd),
-            pd_implies(&world.arena, &[], pd, Algorithm::Worklist),
+            pd_implies(&world.arena, &[], pd),
             "seed {seed}: {}",
             pd.display(&world.arena, &world.universe)
         );
@@ -336,17 +334,10 @@ fn non_implications_yield_verified_finite_countermodels() {
             .map(|i| common::random_pd(&mut world.arena, &attrs, 2, seed * 13 + i))
             .collect();
         let goal = common::random_pd(&mut world.arena, &attrs, 3, seed * 13 + 77);
-        let entailed = pd_implies(&world.arena, &e, goal, Algorithm::Worklist);
+        let entailed = pd_implies(&world.arena, &e, goal);
         // Cap the construction at 8 generators (2^8 candidate meets) to keep
         // the test fast; larger instances simply return None.
-        let model = finite_countermodel(
-            &mut world.arena,
-            &world.universe,
-            &e,
-            goal,
-            8,
-            Algorithm::Worklist,
-        );
+        let model = finite_countermodel(&mut world.arena, &world.universe, &e, goal, 8);
         match (entailed, model) {
             (true, Some(_)) => panic!("seed {seed}: countermodel returned for an entailed goal"),
             (true, None) => {}

@@ -17,9 +17,22 @@
 //!   `remove_pd` move the live handle on and force it to re-saturate.
 
 use partition_semantics::prelude::*;
+use partition_semantics::relation::canonical_chase_rows;
 use partition_semantics::session::Session;
 use proptest::prelude::*;
 use ps_bench::{fanout_consistency_workload, random_word_problem_workload};
+
+/// A consistency witness's rows with nulls renamed to first-occurrence
+/// order, so witnesses minted from different null sources compare equal
+/// exactly when they agree up to null renaming.
+fn canonical_witness(
+    answer: &ConsistencyAnswer,
+    symbols: &SymbolTable,
+) -> Option<Vec<Vec<String>>> {
+    let witness = answer.witness.as_ref()?;
+    let rows: Vec<Vec<Symbol>> = witness.iter().map(|t| t.values().collect()).collect();
+    Some(canonical_chase_rows(&rows, symbols))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -54,7 +67,8 @@ proptest! {
 
     /// Consistency and weak-instance fan-out: chase verdicts, witnesses and
     /// summed chase counters match the sequential warm loop at every pool
-    /// width (per-worker null sources must not change any verdict).
+    /// width (per-worker null sources must not change any verdict), and
+    /// each consistent witness is the session's up to null renaming.
     #[test]
     fn prop_parallel_consistency_agrees_with_sequential(seed in 0u64..5_000) {
         let w = fanout_consistency_workload(3, 5, 10, seed);
@@ -68,6 +82,7 @@ proptest! {
             .unwrap();
         session.take_counters();
         let mut verdicts = Vec::new();
+        let mut witnesses = Vec::new();
         let mut satisfiable = Vec::new();
         let mut sequential = Counters::default();
         for db in &w.databases {
@@ -75,6 +90,7 @@ proptest! {
                 .consistent(set, db, ConsistencyMode::Polynomial)
                 .unwrap();
             verdicts.push(outcome.value.consistent);
+            witnesses.push(canonical_witness(&outcome.value, session.symbols()));
             sequential += outcome.counters;
             satisfiable.push(session.weak_instance(set, db).unwrap().value.satisfiable);
         }
@@ -86,13 +102,20 @@ proptest! {
             let outcome = pool.consistent_many_par(&snapshot, &w.databases).unwrap();
             let par: Vec<bool> = outcome.value.iter().map(|a| a.consistent).collect();
             prop_assert_eq!(&par, &verdicts, "threads={}", threads);
+            let par_witnesses: Vec<_> = outcome
+                .value
+                .iter()
+                .map(|a| canonical_witness(a, snapshot.symbols()))
+                .collect();
+            prop_assert_eq!(&par_witnesses, &witnesses, "threads={}", threads);
+            prop_assert!(witnesses.iter().any(Option::is_some), "even databases are consistent");
             prop_assert_eq!(outcome.counters.row_visits, sequential.row_visits);
             prop_assert_eq!(outcome.counters.engine_hits, sequential.engine_hits);
             prop_assert_eq!(outcome.counters.rule_firings, 0);
             prop_assert_eq!(outcome.counters.epoch, snapshot.epoch());
 
-            let witnesses = pool.weak_instance_many_par(&snapshot, &w.databases).unwrap();
-            let sat: Vec<bool> = witnesses.value.iter().map(|s| s.satisfiable).collect();
+            let weak = pool.weak_instance_many_par(&snapshot, &w.databases).unwrap();
+            let sat: Vec<bool> = weak.value.iter().map(|s| s.satisfiable).collect();
             prop_assert_eq!(&sat, &satisfiable, "threads={}", threads);
         }
     }

@@ -22,7 +22,7 @@ fn quickstart_path_works_end_to_end() {
 
     // PD implication (Theorems 8 and 9): E ⊨ A ≤ C.
     let goal = parse_equation("A + C = C", &mut universe, &mut arena).unwrap();
-    assert!(pd_implies(&arena, &e, goal, Algorithm::Worklist));
+    assert!(pd_implies(&arena, &e, goal));
 
     // A concrete relation satisfying both dependencies.
     let mut symbols = SymbolTable::new();
@@ -40,8 +40,9 @@ fn quickstart_path_works_end_to_end() {
     assert!(relation_satisfies_all_pds(r, &arena, &e).unwrap());
 }
 
-/// Same pipeline, exercised through both ALG variants and a goal that must
-/// *not* be implied, so the smoke test can fail in either direction.
+/// Same pipeline, exercised through the one-shot and the cached ALG entry
+/// points and a goal that must *not* be implied, so the smoke test can fail
+/// in either direction.
 #[test]
 fn quickstart_path_rejects_what_it_should() {
     let mut universe = Universe::new();
@@ -51,10 +52,11 @@ fn quickstart_path_rejects_what_it_should() {
     // E says A ≤ B; it does not say B ≤ A.
     let implied = parse_equation("A*B = A", &mut universe, &mut arena).unwrap();
     let not_implied = parse_equation("B*A = B", &mut universe, &mut arena).unwrap();
-    for algorithm in [Algorithm::NaiveFixpoint, Algorithm::Worklist] {
-        assert!(pd_implies(&arena, &e, implied, algorithm));
-        assert!(!pd_implies(&arena, &e, not_implied, algorithm));
-    }
+    assert!(pd_implies(&arena, &e, implied));
+    assert!(!pd_implies(&arena, &e, not_implied));
+    let mut engine = ImplicationEngine::new(&arena, &e);
+    assert!(engine.entails_goal(&arena, implied));
+    assert!(!engine.entails_goal(&arena, not_implied));
 
     // A relation where A does not determine B violates the FPD.
     let mut symbols = SymbolTable::new();

@@ -54,7 +54,7 @@ fn algebra_operations_compose_on_partition_satisfying_relations() {
         fpd_dept_mgr.as_meet_equation(&mut world.arena),
     ];
     let goal = fpd_emp_mgr.as_meet_equation(&mut world.arena);
-    assert!(pd_implies(&world.arena, &e, goal, Algorithm::Worklist));
+    assert!(pd_implies(&world.arena, &e, goal));
     assert!(relation_satisfies_all_pds(&joined, &world.arena, &e).unwrap());
     assert!(relation_satisfies_pd(&joined, &world.arena, goal).unwrap());
     // …and the projection still satisfies the implied FPD.

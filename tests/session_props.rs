@@ -25,7 +25,7 @@
 
 use partition_semantics::core::weak_bridge::satisfiable_with_pds;
 use partition_semantics::graph::components_union_find;
-use partition_semantics::lattice::free_order;
+use partition_semantics::lattice::{free_order, DerivedOrder};
 use partition_semantics::prelude::*;
 use partition_semantics::session::Session;
 use proptest::prelude::*;
@@ -70,17 +70,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Theorems 8/9: `Session::implies_many` (cached engine) agrees with
-    /// the free `pd_implies` reference on every goal of a random
-    /// word-problem workload, and the single-goal form agrees with the
-    /// batched form.
+    /// the free `pd_implies` on every goal of a random word-problem
+    /// workload — and both with the naive-fixpoint reference
+    /// `DerivedOrder` — and the single-goal form agrees with the batched
+    /// form.
     #[test]
     fn prop_session_implication_matches_pd_implies(seed in 0u64..10_000) {
         let w = random_word_problem_workload(5, 4, 4, 6, 3, seed);
         let expected: Vec<bool> = w
             .goals
             .iter()
-            .map(|&g| pd_implies(&w.arena, &w.equations, g, Algorithm::Worklist))
+            .map(|&g| pd_implies(&w.arena, &w.equations, g))
             .collect();
+        for (&g, &verdict) in w.goals.iter().zip(&expected) {
+            let naive = DerivedOrder::build(&w.arena, &w.equations, &[g.lhs, g.rhs]);
+            prop_assert_eq!(naive.entails(g), Some(verdict));
+        }
 
         let mut session = Session::from_parts(w.universe, SymbolTable::new(), w.arena);
         let set = session.register(&w.equations).unwrap();
@@ -109,13 +114,9 @@ proptest! {
         let mut w = consistency_workload(relations, rows, seed);
         let clashed = with_fd_clash(&w.database, &mut w.universe, &mut w.symbols);
         let reference_ok = consistent_with_pds(
-            &w.database, &w.pds, &mut w.arena, &mut w.universe, &mut w.symbols,
-            Algorithm::Worklist,
-        ).unwrap();
+            &w.database, &w.pds, &mut w.arena, &mut w.universe, &mut w.symbols).unwrap();
         let reference_bad = consistent_with_pds(
-            &clashed, &w.pds, &mut w.arena, &mut w.universe, &mut w.symbols,
-            Algorithm::Worklist,
-        ).unwrap();
+            &clashed, &w.pds, &mut w.arena, &mut w.universe, &mut w.symbols).unwrap();
 
         let mut session = Session::from_parts(w.universe, w.symbols, w.arena);
         let set = session.register(&w.pds).unwrap();
@@ -353,5 +354,51 @@ fn warm_session_beats_two_cold_sessions_by_rule_firings() {
             warm_mutated.counters.rule_firings,
             cold_mutated.counters.rule_firings
         );
+    }
+}
+
+/// The session's chase and Lemma 12.1 repair mint their nulls from the
+/// session's own symbol table, so the next `symbols_mut().fresh()` — what
+/// the `quickstart` and `fleet_registry` examples feed into
+/// `repair_sum_violations` — is distinct from every null of a witness the
+/// session already returned.  A session that minted from a detached source
+/// without advancing its table would hand the same nulls out twice.
+#[test]
+fn session_witness_nulls_stay_fresh() {
+    let mut session = Session::new();
+    let set = session.register_texts(&["C = A+B", "A = A*D"]).unwrap();
+    let db = session
+        .database()
+        .relation(
+            "R",
+            &["A", "B", "C"],
+            &[&["a1", "b1", "c"], &["a2", "b2", "c"]],
+        )
+        .unwrap()
+        .relation("S", &["A", "D"], &[&["a1", "d1"]])
+        .unwrap()
+        .build();
+
+    let consistent = session
+        .consistent(set, &db, ConsistencyMode::Polynomial)
+        .unwrap()
+        .value;
+    let chased = consistent.witness.expect("consistent database");
+    let weak = session.weak_instance(set, &db).unwrap().value;
+    let repaired = weak.weak_instance.expect("the repair converges");
+    assert!(
+        repaired.len() > chased.len(),
+        "the repair adds bridging rows"
+    );
+
+    let nulls: std::collections::HashSet<Symbol> = [&chased, &repaired]
+        .iter()
+        .flat_map(|w| w.iter().flat_map(|t| t.values()).collect::<Vec<_>>())
+        .filter(|s| s.is_null())
+        .collect();
+    assert!(!nulls.is_empty());
+    for _ in 0..nulls.len() {
+        let next = session.symbols_mut().fresh();
+        assert!(!nulls.contains(&next), "{next} was already handed out");
     }
 }
