@@ -12,7 +12,10 @@
 //! 3. **Close**: compute all consequences `A ≤ B` between attributes with the
 //!    word-problem algorithm of Section 5 and add them to `F`; drop any
 //!    `C ≤ A + B` whose `A ≤ B` or `B ≤ A` is derivable (then `A + B`
-//!    collapses and the constraint becomes an FPD).
+//!    collapses and the constraint becomes an FPD).  The closed `F` is
+//!    condensed by the union rule to one FD per left-hand side,
+//!    `A → {B : A ≤_E B}` merged with the normalized and collapsed-sum FDs
+//!    on the same lhs — [`close_constraints_with`].
 //! 4. **Chase**: by Lemma 12.1, the database is consistent with `E` iff it is
 //!    consistent with the FD set `F` alone, which Honeyman's chase decides in
 //!    polynomial time — [`consistent_with_pds`] runs all four steps, and
@@ -28,7 +31,7 @@
 //! [`ps_base::FreshSymbols`].  There is one pipeline for both; the source
 //! only decides the nulls' identities, never a verdict or a counter.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use ps_base::{AttrSet, Attribute, NullSource, Symbol, SymbolTable, Universe};
 use ps_lattice::{Equation, TermArena, TermNode};
@@ -85,10 +88,12 @@ pub struct NormalizedConstraints {
     pub source_pds: Vec<Equation>,
 }
 
-fn push_fd(fds: &mut Vec<Fd>, lhs: AttrSet, rhs: AttrSet) {
+/// Appends the FD `lhs → rhs` to `out.fds` unless it is trivial or already
+/// present; `seen` mirrors `out.fds` so the duplicate test is a hash probe.
+fn push_fd(out: &mut NormalizedConstraints, seen: &mut HashSet<Fd>, lhs: AttrSet, rhs: AttrSet) {
     let fd = Fd::new(lhs, rhs);
-    if !fd.is_trivial() && !fds.contains(&fd) {
-        fds.push(fd);
+    if !fd.is_trivial() && seen.insert(fd.clone()) {
+        out.fds.push(fd);
     }
 }
 
@@ -124,6 +129,7 @@ pub fn normalize_pds(
         ..NormalizedConstraints::default()
     };
     let mut attr_of: HashMap<ps_lattice::TermId, Attribute> = HashMap::new();
+    let mut seen: HashSet<Fd> = HashSet::new();
 
     // Recursively assign an attribute to a term, emitting the definitional
     // constraints for compound nodes.
@@ -133,6 +139,7 @@ pub fn normalize_pds(
         universe: &mut Universe,
         attr_of: &mut HashMap<ps_lattice::TermId, Attribute>,
         out: &mut NormalizedConstraints,
+        seen: &mut HashSet<Fd>,
     ) -> Attribute {
         if let Some(&a) = attr_of.get(&term) {
             return a;
@@ -141,14 +148,14 @@ pub fn normalize_pds(
         let attr = match node {
             TermNode::Atom(a) => a,
             TermNode::Meet(l, r) => {
-                let la = attr_of_term(l, arena, universe, attr_of, out);
-                let ra = attr_of_term(r, arena, universe, attr_of, out);
+                let la = attr_of_term(l, arena, universe, attr_of, out, seen);
+                let ra = attr_of_term(r, arena, universe, attr_of, out, seen);
                 let fresh = universe.attr(&format!("_t{}", term.index()));
                 out.definitions.push((fresh, term));
                 // fresh = la * ra  ⇒  FDs fresh → {la, ra} and {la, ra} → fresh.
                 let both: AttrSet = vec![la, ra].into();
-                push_fd(&mut out.fds, AttrSet::singleton(fresh), both.clone());
-                push_fd(&mut out.fds, both.clone(), AttrSet::singleton(fresh));
+                push_fd(out, seen, AttrSet::singleton(fresh), both.clone());
+                push_fd(out, seen, both, AttrSet::singleton(fresh));
                 // Record the binary equation fresh = la * ra for the closure.
                 let lhs = arena.atom(fresh);
                 let la_t = arena.atom(la);
@@ -158,22 +165,14 @@ pub fn normalize_pds(
                 fresh
             }
             TermNode::Join(l, r) => {
-                let la = attr_of_term(l, arena, universe, attr_of, out);
-                let ra = attr_of_term(r, arena, universe, attr_of, out);
+                let la = attr_of_term(l, arena, universe, attr_of, out, seen);
+                let ra = attr_of_term(r, arena, universe, attr_of, out, seen);
                 let fresh = universe.attr(&format!("_t{}", term.index()));
                 out.definitions.push((fresh, term));
                 // fresh = la + ra  ⇒  FDs la → fresh, ra → fresh plus the
                 // residual constraint fresh ≤ la + ra.
-                push_fd(
-                    &mut out.fds,
-                    AttrSet::singleton(la),
-                    AttrSet::singleton(fresh),
-                );
-                push_fd(
-                    &mut out.fds,
-                    AttrSet::singleton(ra),
-                    AttrSet::singleton(fresh),
-                );
+                push_fd(out, seen, AttrSet::singleton(la), AttrSet::singleton(fresh));
+                push_fd(out, seen, AttrSet::singleton(ra), AttrSet::singleton(fresh));
                 out.sums.push(SumConstraint {
                     target: fresh,
                     left: la,
@@ -193,19 +192,12 @@ pub fn normalize_pds(
     }
 
     for pd in pds {
-        let lhs = attr_of_term(pd.lhs, arena, universe, &mut attr_of, &mut out);
-        let rhs = attr_of_term(pd.rhs, arena, universe, &mut attr_of, &mut out);
+        let lhs = attr_of_term(pd.lhs, arena, universe, &mut attr_of, &mut out, &mut seen);
+        let rhs = attr_of_term(pd.rhs, arena, universe, &mut attr_of, &mut out, &mut seen);
         if lhs != rhs {
-            push_fd(
-                &mut out.fds,
-                AttrSet::singleton(lhs),
-                AttrSet::singleton(rhs),
-            );
-            push_fd(
-                &mut out.fds,
-                AttrSet::singleton(rhs),
-                AttrSet::singleton(lhs),
-            );
+            let (x, y) = (AttrSet::singleton(lhs), AttrSet::singleton(rhs));
+            push_fd(&mut out, &mut seen, x.clone(), y.clone());
+            push_fd(&mut out, &mut seen, y, x);
             let l = arena.atom(lhs);
             let r = arena.atom(rhs);
             out.equations.push(Equation::new(l, r));
@@ -278,11 +270,11 @@ impl ClosedConstraints {
 /// Computes `E⁺` from a normalized constraint set: adds every derivable
 /// `A ≤ B` (as the FD `A → B`) to `F`, and eliminates each sum constraint
 /// `C ≤ A + B` for which `A ≤ B` or `B ≤ A` is derivable (step 3 of the
-/// pipeline).
+/// pipeline).  The resulting FD set holds exactly one FD per left-hand side
+/// (see [`close_constraints_with`]).
 ///
 /// One [`ps_lattice::ImplicationEngine`] is built per normalized constraint
-/// set and queried for every consequence; the per-pair lookups below hit a
-/// hash set, not a rebuilt derived order.  Debug builds cross-check the
+/// set and queried for every consequence.  Debug builds cross-check the
 /// engine's closure against the naive-fixpoint reference
 /// [`ps_lattice::DerivedOrder`].
 pub fn close_constraints(
@@ -310,41 +302,73 @@ pub fn close_constraints(
 /// `normalized.equations`.  Long-lived callers (the session layer) keep the
 /// engine cached per constraint set, so repeated closures pay no
 /// re-saturation and the engine's `rule_firings` counter stays observable.
+///
+/// The closed FD set is *condensed*: by Armstrong's union rule, FDs sharing
+/// a left-hand side `X` are equivalent to the single FD `X → ⋃ Y`, so the
+/// normalized FDs, the derived `A → {B : A ≤_E B}` and the collapsed-sum
+/// FDs `C → B` are merged into one FD per left-hand side, emitted in
+/// ascending lhs order with the trivial right-hand attributes (`Y ∩ X`)
+/// dropped.  The chase then examines each row once per distinct lhs
+/// instead of once per derived pair.
 pub fn close_constraints_with(
     engine: &mut ps_lattice::ImplicationEngine,
     normalized: &NormalizedConstraints,
     arena: &mut TermArena,
 ) -> ClosedConstraints {
-    let attributes: Vec<Attribute> = normalized.attributes.iter().collect();
-    let consequences = crate::implication::atom_order_closure_with(engine, arena, &attributes);
-    let leq = |a: Attribute, b: Attribute| consequences.contains(&(a, b));
+    let atoms: Vec<_> = normalized
+        .attributes
+        .iter()
+        .map(|a| arena.atom(a))
+        .collect();
+    engine.add_goal_terms(arena, &atoms);
+    let mut pairs: Vec<(Attribute, Attribute)> =
+        crate::implication::attribute_pairs(arena, engine.atom_consequences(arena)).collect();
+    pairs.sort_unstable();
 
-    let mut fds = normalized.fds.clone();
-    let mut ordered: Vec<(Attribute, Attribute)> = consequences.iter().copied().collect();
-    ordered.sort_unstable();
-    for (a, b) in ordered {
-        push_fd(&mut fds, AttrSet::singleton(a), AttrSet::singleton(b));
+    // A → {B : A ≤_E B}, one group per A, in one pass over the sorted pairs.
+    let successors: BTreeMap<Attribute, AttrSet> = pairs
+        .chunk_by(|x, y| x.0 == y.0)
+        .map(|chunk| (chunk[0].0, chunk.iter().map(|&(_, b)| b).collect()))
+        .collect();
+    let leq = |a: Attribute, b: Attribute| successors.get(&a).is_some_and(|s| s.contains(b));
+
+    let mut groups: BTreeMap<AttrSet, AttrSet> = BTreeMap::new();
+    let mut add = |lhs: AttrSet, rhs: &AttrSet| {
+        let slot = groups.entry(lhs).or_default();
+        *slot = slot.union(rhs);
+    };
+    for fd in &normalized.fds {
+        add(fd.lhs.clone(), &fd.rhs);
+    }
+    for (&a, succ) in &successors {
+        add(AttrSet::singleton(a), succ);
     }
 
     let mut sums = Vec::new();
     for &sum in &normalized.sums {
-        if leq(sum.left, sum.right) {
-            // A ≤ B collapses A + B to B, so the constraint is C ≤ B.
-            push_fd(
-                &mut fds,
-                AttrSet::singleton(sum.target),
-                AttrSet::singleton(sum.right),
-            );
+        // A ≤ B collapses A + B to B, so C ≤ A + B becomes C ≤ B (and
+        // symmetrically for B ≤ A).
+        let collapsed = if leq(sum.left, sum.right) {
+            sum.right
         } else if leq(sum.right, sum.left) {
-            push_fd(
-                &mut fds,
-                AttrSet::singleton(sum.target),
-                AttrSet::singleton(sum.left),
-            );
+            sum.left
         } else {
             sums.push(sum);
-        }
+            continue;
+        };
+        add(
+            AttrSet::singleton(sum.target),
+            &AttrSet::singleton(collapsed),
+        );
     }
+
+    let fds = groups
+        .into_iter()
+        .filter_map(|(lhs, rhs)| {
+            let rhs = rhs.difference(&lhs);
+            (!rhs.is_empty()).then(|| Fd::new(lhs, rhs))
+        })
+        .collect();
 
     ClosedConstraints {
         fds,
@@ -495,14 +519,19 @@ pub fn repair_sum_violations(
     max_rounds: usize,
 ) -> (Relation, bool) {
     let mut current = weak_instance.clone();
+    // `(A⁺, B⁺)` per sum, computed the first time that sum is violated.
+    let mut closures: Vec<Option<(AttrSet, AttrSet)>> = vec![None; sums.len()];
     for _ in 0..max_rounds {
         match first_sum_violation(&current, sums) {
             None => return (current, true),
-            Some((constraint, t1, t2)) => {
-                let a_plus =
-                    fd_closure::attribute_closure(fds, &AttrSet::singleton(constraint.left));
-                let b_plus =
-                    fd_closure::attribute_closure(fds, &AttrSet::singleton(constraint.right));
+            Some((idx, t1, t2)) => {
+                let constraint = sums[idx];
+                let (a_plus, b_plus) = closures[idx].get_or_insert_with(|| {
+                    (
+                        fd_closure::attribute_closure(fds, &AttrSet::singleton(constraint.left)),
+                        fd_closure::attribute_closure(fds, &AttrSet::singleton(constraint.right)),
+                    )
+                });
                 let values: Vec<Symbol> = {
                     // Zero-copy views; both borrows end before the insert.
                     let row1 = current.row(t1);
@@ -532,16 +561,17 @@ pub fn repair_sum_violations(
     (current, converged)
 }
 
-/// Finds one violated sum constraint together with a witnessing pair of tuple
-/// indices (equal `target` value, different chain classes).  Constraints
-/// over attributes outside the relation's scheme are skipped as vacuous.
+/// Finds one violated sum constraint (by its index in `sums`) together
+/// with a witnessing pair of tuple indices (equal `target` value, different
+/// chain classes).  Constraints over attributes outside the relation's
+/// scheme are skipped as vacuous.
 fn first_sum_violation(
     relation: &Relation,
     sums: &[SumConstraint],
-) -> Option<(SumConstraint, usize, usize)> {
+) -> Option<(usize, usize, usize)> {
     let scheme = relation.scheme();
     let n = relation.len();
-    for &constraint in sums {
+    for (sum_idx, &constraint) in sums.iter().enumerate() {
         if !scheme.contains(constraint.target)
             || !scheme.contains(constraint.left)
             || !scheme.contains(constraint.right)
@@ -580,7 +610,7 @@ fn first_sum_violation(
                 }
                 Some(&other) => {
                     if uf.find(other) != uf.find(idx) {
-                        return Some((constraint, other, idx));
+                        return Some((sum_idx, other, idx));
                     }
                 }
             }

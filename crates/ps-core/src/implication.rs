@@ -98,20 +98,22 @@ pub(crate) fn atom_pairs(
     arena: &TermArena,
     consequences: Vec<(TermId, TermId)>,
 ) -> HashSet<(Attribute, Attribute)> {
+    attribute_pairs(arena, consequences).collect()
+}
+
+/// Maps `(atom term, atom term)` pairs to their attributes, in the order
+/// given.
+pub(crate) fn attribute_pairs(
+    arena: &TermArena,
+    consequences: Vec<(TermId, TermId)>,
+) -> impl Iterator<Item = (Attribute, Attribute)> + '_ {
+    let attribute = |t: TermId| match arena.node(t) {
+        TermNode::Atom(a) => a,
+        _ => unreachable!("atom_consequences returns atoms"),
+    };
     consequences
         .into_iter()
-        .map(|(p, q)| {
-            let lhs = match arena.node(p) {
-                TermNode::Atom(a) => a,
-                _ => unreachable!("atom_consequences returns atoms"),
-            };
-            let rhs = match arena.node(q) {
-                TermNode::Atom(a) => a,
-                _ => unreachable!("atom_consequences returns atoms"),
-            };
-            (lhs, rhs)
-        })
-        .collect()
+        .map(move |(p, q)| (attribute(p), attribute(q)))
 }
 
 #[cfg(test)]

@@ -12,19 +12,26 @@
 //!
 //! Two engines implement the fixpoint, both over a prebuilt tableau:
 //!
-//! * [`chase_tableau_with`] — the **indexed, worklist-driven engine**: one hash
-//!   index per FD left-hand side maps lhs class keys to a leader row,
-//!   symbol classes are merged through a [`ps_partition::UnionFind`], and a
-//!   dirty-row worklist revisits only rows whose symbols changed class.
-//!   Every row is examined `O(1 + changes)` times per FD instead of once
-//!   per global round.
+//! * [`chase_tableau_with`] — the **indexed, worklist-driven engine**: one
+//!   leader index per FD maps a row's lhs class key to the leader row first
+//!   seen with it, symbol classes are merged through a
+//!   [`ps_partition::UnionFind`], and a dirty-row worklist revisits only
+//!   rows whose symbols changed class.  An FD whose lhs is a single tableau
+//!   column keys a dense `u32` slot array by the column's class root; a
+//!   multi-column lhs keys a hash map by the vector of roots.  Every row is
+//!   examined `O(1 + changes)` times per FD instead of once per global
+//!   round.
 //! * [`chase_tableau_naive`] — the full-rescan reference: repeat passes
 //!   over every (FD, row) pair until a pass changes nothing.
 //!
 //! Both report their work in [`ChaseOutcome::row_visits`], which the
 //! `ps-bench` operation-counter test uses to prove the indexed engine does
-//! strictly less work.  Neither consults a symbol table: constants and nulls
-//! are told apart by [`Symbol::is_constant`].
+//! strictly less work.  Visits scale with the number of FDs, so the engines
+//! take the FD set as given and never regroup it: the Theorem 12 pipeline
+//! hands them a closed system already condensed to one FD per left-hand
+//! side (`ps_core::consistency::close_constraints_with`).  Neither consults
+//! a symbol table: constants and nulls are told apart by
+//! [`Symbol::is_constant`].
 //!
 //! [`chase_fds_over_with`] is the one database-level entry point: it pads
 //! the tableau with nulls from any [`NullSource`] and runs the indexed
@@ -49,7 +56,10 @@ pub struct ChaseOutcome {
     /// engine, which has no global rounds).
     pub rounds: usize,
     /// Number of (row, FD) examinations performed — the work measure the
-    /// operation-counter tests compare across engines.
+    /// operation-counter tests compare across engines.  A visit is one
+    /// examination of one row against one FD of the set as given; for a
+    /// closed Theorem 12 system, whose FDs are grouped one per left-hand
+    /// side, that is one (row, grouped FD) examination.
     pub row_visits: usize,
     /// If consistent, the chased tableau rows with every symbol replaced by
     /// its representative.
@@ -207,8 +217,9 @@ pub fn chase_tableau_naive(tableau: &Tableau, fds: &[Fd]) -> ChaseOutcome {
 /// Reusable working storage for the indexed chase engine.
 ///
 /// One [`chase_tableau_with`] run allocates a local symbol-interning table,
-/// per-class row lists, one lhs-key hash index per FD, the dirty-row queue
-/// and a key scratch buffer.  On macro workloads (10⁵–10⁶ tuples chased per
+/// per-class row lists, one dense leader-slot array per single-column FD,
+/// one lhs-key hash index per multi-column FD, the dirty-row queue and a
+/// key scratch buffer.  On macro workloads (10⁵–10⁶ tuples chased per
 /// batch, or one chase per query in a long-lived session) that allocation
 /// churn is a measurable share of the chase's wall-clock, so callers that
 /// chase repeatedly hold one `ChaseScratch` and pass it to every run; each
@@ -227,8 +238,13 @@ pub struct ChaseScratch {
     rows_of: Vec<Vec<u32>>,
     /// Per-row dense symbol ids (pooled like `rows_of`).
     cells: Vec<Vec<u32>>,
-    /// One lhs-key index per FD, mapping the class roots of a row's lhs
-    /// columns to the leader row first seen with that key.
+    /// The leader slots of the FDs whose active lhs is a single column:
+    /// FD `k`'s slots are `slots[k·n .. (k+1)·n]` for `n` interned symbols,
+    /// and slot `root` holds the leader row first seen with lhs class
+    /// `root` (or [`NO_ROW`]).
+    slots: Vec<u32>,
+    /// One lhs-key index per multi-column FD, mapping the class roots of a
+    /// row's lhs columns to the leader row first seen with that key.
     indexes: Vec<HashMap<Vec<u32>, u32>>,
     /// Dirty-row worklist and its membership mask.
     queue: VecDeque<u32>,
@@ -245,8 +261,9 @@ impl ChaseScratch {
         ChaseScratch::default()
     }
 
-    /// Clears every buffer for a fresh run, keeping capacities.
-    fn reset(&mut self, num_rows: usize, num_fds: usize) {
+    /// Clears every buffer for a fresh run, keeping capacities.  The dense
+    /// slots are sized later, once the symbol count is known.
+    fn reset(&mut self, num_rows: usize, num_hashed: usize) {
         self.local.clear();
         self.rep.clear();
         for list in &mut self.rows_of {
@@ -261,7 +278,7 @@ impl ChaseScratch {
         for index in &mut self.indexes {
             index.clear();
         }
-        self.indexes.resize_with(num_fds, HashMap::new);
+        self.indexes.resize_with(num_hashed, HashMap::new);
         self.queue.clear();
         self.queued.clear();
         self.queued.resize(num_rows, true);
@@ -326,8 +343,22 @@ fn merge_classes(
     Merge::Merged
 }
 
+/// Marks an empty dense leader slot.
+const NO_ROW: u32 = u32::MAX;
+
+/// Where one FD of the indexed engine looks up a row's leader.
+#[derive(Clone, Copy)]
+enum LeaderIndex {
+    /// Single-column lhs: the dense slots starting at this offset of
+    /// [`ChaseScratch::slots`], indexed by the lhs class root.
+    Dense(usize),
+    /// Multi-column lhs: this entry of [`ChaseScratch::indexes`], keyed by
+    /// the lhs class roots.
+    Hashed(usize),
+}
+
 /// Chases `tableau` with `fds` using the indexed, worklist-driven engine
-/// (see the module docs).  The lhs-key indexes, dirty-row queue, interning
+/// (see the module docs).  The leader indexes, dirty-row queue, interning
 /// tables and key scratch live in `scratch` and are cleared — not
 /// reallocated — between runs; pass `&mut ChaseScratch::default()` for a
 /// one-off chase.
@@ -339,7 +370,20 @@ pub fn chase_tableau_with(
     let rows = tableau.rows();
     let num_rows = rows.len();
     let fd_columns = active_fd_columns(tableau, fds);
-    scratch.reset(num_rows, fd_columns.len());
+    let (mut dense, mut hashed) = (0, 0);
+    let leader_index: Vec<LeaderIndex> = fd_columns
+        .iter()
+        .map(|(lhs_cols, _)| {
+            if lhs_cols.len() == 1 {
+                dense += 1;
+                LeaderIndex::Dense(dense - 1)
+            } else {
+                hashed += 1;
+                LeaderIndex::Hashed(hashed - 1)
+            }
+        })
+        .collect();
+    scratch.reset(num_rows, hashed);
 
     // Dense local interning of every distinct symbol in the tableau.
     for (row_idx, row) in rows.iter().enumerate() {
@@ -370,7 +414,10 @@ pub fn chase_tableau_with(
         }
     }
 
-    let mut uf = UnionFind::new(scratch.rep.len());
+    let num_symbols = scratch.rep.len();
+    scratch.slots.clear();
+    scratch.slots.resize(dense * num_symbols, NO_ROW);
+    let mut uf = UnionFind::new(num_symbols);
     scratch.queue.extend(0..num_rows as u32);
 
     let mut steps = 0usize;
@@ -378,26 +425,38 @@ pub fn chase_tableau_with(
 
     while let Some(row) = scratch.queue.pop_front() {
         scratch.queued[row as usize] = false;
-        for (fd_idx, (lhs_cols, rhs_cols)) in fd_columns.iter().enumerate() {
+        for ((lhs_cols, rhs_cols), &index) in fd_columns.iter().zip(&leader_index) {
             row_visits += 1;
-            scratch.key_buf.clear();
-            for &c in lhs_cols {
-                scratch
-                    .key_buf
-                    .push(uf.find(scratch.cells[row as usize][c] as usize) as u32);
-            }
-            // Look up by slice; the key is cloned into the map only on the
-            // first sighting, so the per-(row, FD) visit allocates nothing
-            // once the index is warm.
-            let leader = match scratch.indexes[fd_idx]
-                .get(scratch.key_buf.as_slice())
-                .copied()
-            {
-                None => {
-                    scratch.indexes[fd_idx].insert(scratch.key_buf.clone(), row);
-                    continue;
+            let cells = &scratch.cells[row as usize];
+            let leader = match index {
+                // A slot under a root that has since lost a merge is never
+                // read again (`find` only returns roots), so merges leave
+                // stale slots behind instead of clearing them.
+                LeaderIndex::Dense(k) => {
+                    let root = uf.find(cells[lhs_cols[0]] as usize);
+                    let slot = &mut scratch.slots[k * num_symbols + root];
+                    if *slot == NO_ROW {
+                        *slot = row;
+                        continue;
+                    }
+                    *slot
                 }
-                Some(leader) => leader,
+                LeaderIndex::Hashed(h) => {
+                    scratch.key_buf.clear();
+                    for &c in lhs_cols {
+                        scratch.key_buf.push(uf.find(cells[c] as usize) as u32);
+                    }
+                    // Look up by slice; the key is cloned into the map only
+                    // on the first sighting, so the per-(row, FD) visit
+                    // allocates nothing once the index is warm.
+                    match scratch.indexes[h].get(scratch.key_buf.as_slice()) {
+                        None => {
+                            scratch.indexes[h].insert(scratch.key_buf.clone(), row);
+                            continue;
+                        }
+                        Some(&leader) => leader,
+                    }
+                }
             };
             if leader == row {
                 continue;
@@ -736,6 +795,61 @@ mod tests {
         assert!(outcome.consistent);
         let w = outcome.weak_instance("W", &attrs).unwrap();
         assert_eq!(w.scheme().arity(), 2);
+    }
+
+    #[test]
+    fn dense_slots_survive_merges_beside_hashed_keys() {
+        let mut f = fixture();
+        // Tableau over X, A, B, C, D (A null in both rows):
+        //   row 0 = (x, n0, b1, c, _ ),  row 1 = (x, n2, _, c, d1).
+        // Row 1 first claims the dense A → B slot under its own root n2;
+        // X → A then merges n2 into n0, leaving that slot stale, and
+        // re-queues row 1, whose next A → B visit meets row 0 under n0
+        // (equating B with b1) while the two-column AC → D key now hits
+        // row 0 in the hash index (equating D with d1).
+        let db = DatabaseBuilder::new()
+            .relation(
+                &mut f.universe,
+                &mut f.symbols,
+                "R1",
+                &["X", "B", "C"],
+                &[&["x", "b1", "c"]],
+            )
+            .unwrap()
+            .relation(
+                &mut f.universe,
+                &mut f.symbols,
+                "R2",
+                &["X", "C", "D"],
+                &[&["x", "c", "d1"]],
+            )
+            .unwrap()
+            .relation(&mut f.universe, &mut f.symbols, "RA", &["A"], &[])
+            .unwrap()
+            .build();
+        let [x, a, b, c, d] = ["X", "A", "B", "C", "D"].map(|n| f.universe.attr(n));
+        let fds = vec![fd(&[a], &[b]), fd(&[x], &[a]), fd(&[a, c], &[d])];
+        let outcome = chase(&db, &fds, &mut f.symbols);
+        assert!(outcome.consistent);
+        let rows = outcome.rows.as_ref().unwrap();
+        let tableau = Tableau::from_database(&db, &db.all_attributes(), &mut f.symbols);
+        let (pa, pb, pd) = (
+            tableau.position(a).unwrap(),
+            tableau.position(b).unwrap(),
+            tableau.position(d).unwrap(),
+        );
+        assert_eq!(rows[0][pa], rows[1][pa]);
+        assert_eq!(f.symbols.render(rows[1][pb]), "b1");
+        assert_eq!(f.symbols.render(rows[0][pd]), "d1");
+        // The A → B slots still hold both leaders, one under a root that
+        // lost the merge; only the two-column FD used a hash index.
+        let mut scratch = ChaseScratch::default();
+        chase_tableau_with(&tableau, &fds, &mut scratch);
+        let n = scratch.rep.len();
+        let leaders = scratch.slots[..n].iter().filter(|&&s| s != NO_ROW).count();
+        assert_eq!(leaders, 2);
+        assert_eq!(scratch.slots.len(), 2 * n);
+        assert_eq!(scratch.indexes.len(), 1);
     }
 
     #[test]

@@ -282,7 +282,8 @@ pub enum Payload {
     Consistent {
         /// The verdict.
         consistent: bool,
-        /// FDs in the closed system the chase ran with.
+        /// FDs in the closed system the chase ran with (one per
+        /// left-hand side).
         fds: u64,
         /// Surviving sum constraints.
         sums: u64,

@@ -8,9 +8,15 @@ use partition_semantics::core::consistency::{
     close_constraints, consistent_with_pds, normalize_pds, relation_satisfies_sum_constraints,
     repair_sum_violations,
 };
+use partition_semantics::core::implication::atom_order_closure;
 use partition_semantics::core::{fds_of_fpds, fpds_of_fds, weak_bridge};
 use partition_semantics::prelude::*;
 use partition_semantics::relation::consistency::weak_instance_consistent;
+use partition_semantics::relation::{
+    canonical_chase_rows, chase_tableau_naive, chase_tableau_with, fd_closure, ChaseScratch,
+    Tableau,
+};
+use proptest::prelude::*;
 
 #[test]
 fn fpd_only_sets_agree_with_the_honeyman_chase() {
@@ -268,4 +274,59 @@ fn repair_is_idempotent_once_converged() {
         repaired.len(),
         "no further tuples are added once converged"
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The closed system is condensed to one FD per left-hand side without
+    /// changing its meaning: it is FD-equivalent to the ungrouped system
+    /// (the normalized FDs plus one singleton FD per derived `A ≤_E B`),
+    /// and the indexed chase with the grouped FDs agrees with the naive
+    /// reference chase with the ungrouped ones.
+    #[test]
+    fn prop_grouped_closure_matches_the_ungrouped_system(
+        seed in 0u64..10_000,
+        num_pds in 1usize..5,
+        relations in 1usize..4,
+        rows in 1usize..5,
+    ) {
+        let mut world = World::new();
+        let attrs = world.attrs(5);
+        let pds: Vec<Equation> = (0..num_pds as u64)
+            .map(|i| common::random_pd(&mut world.arena, &attrs, 3, seed * 31 + i))
+            .collect();
+        let db = common::random_database(&mut world, &attrs, relations, rows, 2, seed ^ 0x9E37);
+        let normalized = normalize_pds(&pds, &mut world.arena, &mut world.universe);
+        let closed = close_constraints(&normalized, &mut world.arena);
+
+        let mut lhs: Vec<&AttrSet> = closed.fds.iter().map(|f| &f.lhs).collect();
+        lhs.sort();
+        lhs.dedup();
+        prop_assert_eq!(lhs.len(), closed.fds.len(), "one FD per left-hand side");
+
+        let universe: Vec<Attribute> = normalized.attributes.iter().collect();
+        let mut pairs: Vec<(Attribute, Attribute)> =
+            atom_order_closure(&mut world.arena, &normalized.equations, &universe)
+                .into_iter()
+                .collect();
+        pairs.sort_unstable();
+        let mut ungrouped = normalized.fds.clone();
+        ungrouped.extend(pairs.iter().map(|&(a, b)| fd(&[a], &[b])));
+        prop_assert!(fd_closure::implies_all(&ungrouped, &closed.fds));
+        prop_assert!(fd_closure::implies_all(&closed.fds, &ungrouped));
+
+        let mut chase_attrs = db.all_attributes();
+        for a in closed.attributes.iter() {
+            chase_attrs.insert(a);
+        }
+        let tableau = Tableau::from_database(&db, &chase_attrs, &mut world.symbols);
+        let grouped = chase_tableau_with(&tableau, &closed.fds, &mut ChaseScratch::default());
+        let reference = chase_tableau_naive(&tableau, &ungrouped);
+        prop_assert_eq!(grouped.consistent, reference.consistent);
+        prop_assert_eq!(
+            grouped.rows.map(|r| canonical_chase_rows(&r, &world.symbols)),
+            reference.rows.map(|r| canonical_chase_rows(&r, &world.symbols))
+        );
+    }
 }
