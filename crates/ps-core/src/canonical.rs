@@ -11,40 +11,52 @@
 //!   This is the notion of PD satisfaction *by a relation* used everywhere
 //!   in the expressiveness results of Section 4.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use ps_base::{Symbol, SymbolTable};
 use ps_lattice::{Equation, TermArena};
-use ps_partition::Element;
+use ps_partition::{Element, Partition};
 use ps_relation::{Relation, RelationScheme, Tuple};
 
-use crate::{PartitionInterpretation, Result};
+use crate::{AttributeInterpretation, PartitionInterpretation, Result};
 
 /// Builds the canonical interpretation `I(r)` of a relation (Definition 5).
 ///
 /// The population of every attribute is `{0, …, |r|−1}` (one element per
 /// tuple, in the relation's iteration order), so `I(r)` always satisfies the
 /// EAP assumption.
+///
+/// Each attribute costs one pass over its column: rows are grouped by
+/// symbol with [`Partition::from_keys`], which labels blocks by first
+/// occurrence over the ascending population, so block `b` is the block of
+/// the `b`-th distinct symbol read down the column and that symbol names
+/// it.  No per-block vectors are built.
 pub fn canonical_interpretation(relation: &Relation) -> Result<PartitionInterpretation> {
     let mut interpretation = PartitionInterpretation::new();
-    let scheme = relation.scheme();
-    for attribute in scheme.attrs().iter() {
-        let mut by_symbol: HashMap<Symbol, Vec<u32>> = HashMap::new();
-        for (idx, tuple) in relation.iter().enumerate() {
-            let symbol = tuple.get(attribute)?;
-            by_symbol.entry(symbol).or_default().push(idx as u32);
+    if relation.is_empty() {
+        // An empty relation yields an interpretation with no attributes
+        // rather than empty populations (Definition 1 forbids the latter).
+        return Ok(interpretation);
+    }
+    for (pos, attribute) in relation.scheme().attrs().iter().enumerate() {
+        let column = relation.column(pos);
+        let atomic = Partition::from_keys(
+            column
+                .iter()
+                .enumerate()
+                .map(|(row, &symbol)| (Element::new(row as u32), symbol)),
+        );
+        let mut block_names = Vec::with_capacity(atomic.num_blocks());
+        for (&symbol, &label) in column.iter().zip(atomic.labels()) {
+            if label as usize == block_names.len() {
+                block_names.push((symbol, block_names.len()));
+            }
         }
-        let named_blocks: Vec<(Symbol, Vec<u32>)> = {
-            let mut pairs: Vec<_> = by_symbol.into_iter().collect();
-            pairs.sort_by_key(|(s, _)| *s);
-            pairs
-        };
-        if named_blocks.is_empty() {
-            // An empty relation yields an interpretation with no attributes
-            // rather than empty populations (Definition 1 forbids the latter).
-            continue;
-        }
-        interpretation.set_named_blocks(attribute, named_blocks)?;
+        let naming: BTreeMap<Symbol, usize> = block_names.into_iter().collect();
+        interpretation.set(
+            attribute,
+            AttributeInterpretation::new(attribute, atomic, naming)?,
+        );
     }
     Ok(interpretation)
 }

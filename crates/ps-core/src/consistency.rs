@@ -24,14 +24,45 @@
 //! Lemma 12.1's constructive argument (adding bridging tuples to repair
 //! violated sum constraints) is implemented by [`repair_sum_violations`], so
 //! the tests can exhibit an explicit weak instance satisfying the *whole* of
-//! `E⁺`, not just `F`.
+//! `E⁺`, not just `F`.  A sum `C ≤ A + B` is violated by two rows with equal
+//! `C` entries in different *chain classes* (rows linked by shared `A` or
+//! `B` entries); the bridge for rows `t₁`, `t₂` copies `t₁` on `A⁺`, `t₂` on
+//! `B⁺` and is fresh elsewhere.
+//!
+//! * **Incremental index.**  The repair builds one index per applicable sum,
+//!   once per call: a union-find over rows, the first row holding each `A`
+//!   and each `B` value (the leaders rows are unioned through), the first
+//!   row of each `C` group, and the rows that were outside their group's
+//!   class when added ("suspects", ascending).  A bridge only appends a
+//!   row; each index unions it with the leaders of its `A` and `B` values
+//!   and marks it suspect if needed, O(arity + sums) per bridge.  `A⁺` and
+//!   `B⁺` are computed once per sum, the first time it is violated.
+//! * **Same rows as the reference.**  Each round picks the violation that
+//!   [`repair_sum_violations_naive`]'s full rescan would: the lowest-indexed
+//!   sum with a violation, and in it the lowest row whose class differs from
+//!   its `C` group's first row.  Classes only merge, so a row that is
+//!   satisfied stays satisfied; suspects are dropped lazily from the front.
+//!   The bridging rows, their order and their nulls are byte-identical.
+//! * **Budget.**  Take the *defect* of a sum: over its `C` groups, the
+//!   number of chain classes meeting the group, minus one.  It is at most
+//!   `rows − 1`.  A bridge for that sum lies in the class of `t₁` and of
+//!   `t₂`, so it merges two classes meeting the same group and, since
+//!   classes only merge, opens no new defect: its `C` entry is either
+//!   `t₁`'s group or fresh.  So one sum needs at most `rows − 1` bridges.
+//!   The same holds per sum when no sum's `A⁺ ∪ B⁺` reaches another sum's
+//!   attributes, because another sum's bridge is then fresh on them: a new
+//!   singleton class in a new group.  Hence the witness path
+//!   ([`crate::weak_bridge::witness_from_consistency`]) allows
+//!   `max(64, rows × sums)` bridges.  When sums feed each other the bound
+//!   is not proved and the number is a budget; running out of it is
+//!   reported, never hidden.
 //!
 //! The chase and the repair mint their nulls from a [`NullSource`]: the
 //! session passes its own [`SymbolTable`], a snapshot worker a detached
 //! [`ps_base::FreshSymbols`].  There is one pipeline for both; the source
 //! only decides the nulls' identities, never a verdict or a counter.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use ps_base::{AttrSet, Attribute, NullSource, Symbol, SymbolTable, Universe};
 use ps_lattice::{Equation, TermArena, TermNode};
@@ -506,11 +537,16 @@ pub fn relation_satisfies_sum_constraints(relation: &Relation, sums: &[SumConstr
 /// The constructive half of Lemma 12.1: starting from a weak instance
 /// satisfying the FD set `F`, repeatedly repair violations of the sum
 /// constraints by inserting bridging tuples (`t[A⁺] = t₁[A⁺]`,
-/// `t[B⁺] = t₂[B⁺]`, fresh elsewhere).  The paper iterates this ω times; in
-/// practice a handful of rounds suffices for finite inputs, so the loop is
-/// bounded by `max_rounds` and the second component of the return value
-/// reports whether a fixpoint (all constraints satisfied) was reached.  The
-/// bridging tuples' fresh entries are minted from `nulls`.
+/// `t[B⁺] = t₂[B⁺]`, fresh elsewhere).  The paper iterates this ω times; here
+/// at most `max_rounds` bridges are inserted, and the second component of
+/// the return value reports whether a fixpoint (all constraints satisfied)
+/// was reached.  The bridging tuples' fresh entries are minted from `nulls`.
+///
+/// One chain index per applicable sum is built once and kept current as
+/// bridges are appended, so a round costs O(arity + sums) amortized instead
+/// of a rescan of the relation (see the module doc).  Every round picks the
+/// same violation as [`repair_sum_violations_naive`], so the bridging rows,
+/// their order and their nulls are identical to the reference's.
 pub fn repair_sum_violations(
     weak_instance: &Relation,
     fds: &[Fd],
@@ -519,46 +555,186 @@ pub fn repair_sum_violations(
     max_rounds: usize,
 ) -> (Relation, bool) {
     let mut current = weak_instance.clone();
-    // `(A⁺, B⁺)` per sum, computed the first time that sum is violated.
+    let mut indexes: Vec<(usize, SumIndex)> = sums
+        .iter()
+        .enumerate()
+        .filter_map(|(idx, &sum)| Some((idx, SumIndex::build(&current, sum)?)))
+        .collect();
     let mut closures: Vec<Option<(AttrSet, AttrSet)>> = vec![None; sums.len()];
     for _ in 0..max_rounds {
-        match first_sum_violation(&current, sums) {
-            None => return (current, true),
-            Some((idx, t1, t2)) => {
-                let constraint = sums[idx];
-                let (a_plus, b_plus) = closures[idx].get_or_insert_with(|| {
-                    (
-                        fd_closure::attribute_closure(fds, &AttrSet::singleton(constraint.left)),
-                        fd_closure::attribute_closure(fds, &AttrSet::singleton(constraint.right)),
-                    )
-                });
-                let values: Vec<Symbol> = {
-                    // Zero-copy views; both borrows end before the insert.
-                    let row1 = current.row(t1);
-                    let row2 = current.row(t2);
-                    current
-                        .scheme()
-                        .attrs()
-                        .iter()
-                        .map(|attr| {
-                            if a_plus.contains(attr) {
-                                row1.get(attr).expect("attr in scheme")
-                            } else if b_plus.contains(attr) {
-                                row2.get(attr).expect("attr in scheme")
-                            } else {
-                                nulls.fresh()
-                            }
-                        })
-                        .collect()
-                };
-                current
-                    .insert_values(&values)
-                    .expect("bridging row matches the scheme");
+        let Some((idx, t1, t2)) = indexes
+            .iter_mut()
+            .find_map(|(idx, index)| index.next_violation().map(|(t1, t2)| (*idx, t1, t2)))
+        else {
+            return (current, true);
+        };
+        let (a_plus, b_plus) = sum_closures(&mut closures, fds, sums, idx);
+        let values = bridge_values(&current, t1, t2, a_plus, b_plus, nulls);
+        if current
+            .insert_values(&values)
+            .expect("bridging row matches the scheme")
+        {
+            let row = current.len() - 1;
+            for (_, index) in &mut indexes {
+                index.push_row(row, &values);
             }
         }
     }
     let converged = relation_satisfies_sum_constraints(&current, sums);
     (current, converged)
+}
+
+/// The pinned reference for [`repair_sum_violations`]: the same loop, but
+/// every round rescans the whole relation for the first violation.
+pub fn repair_sum_violations_naive(
+    weak_instance: &Relation,
+    fds: &[Fd],
+    sums: &[SumConstraint],
+    nulls: &mut impl NullSource,
+    max_rounds: usize,
+) -> (Relation, bool) {
+    let mut current = weak_instance.clone();
+    let mut closures: Vec<Option<(AttrSet, AttrSet)>> = vec![None; sums.len()];
+    for _ in 0..max_rounds {
+        let Some((idx, t1, t2)) = first_sum_violation(&current, sums) else {
+            return (current, true);
+        };
+        let (a_plus, b_plus) = sum_closures(&mut closures, fds, sums, idx);
+        let values = bridge_values(&current, t1, t2, a_plus, b_plus, nulls);
+        current
+            .insert_values(&values)
+            .expect("bridging row matches the scheme");
+    }
+    let converged = relation_satisfies_sum_constraints(&current, sums);
+    (current, converged)
+}
+
+/// `(A⁺, B⁺)` of `sums[idx]` under `fds`, computed the first time that sum
+/// is violated and cached in `closures`.
+fn sum_closures<'c>(
+    closures: &'c mut [Option<(AttrSet, AttrSet)>],
+    fds: &[Fd],
+    sums: &[SumConstraint],
+    idx: usize,
+) -> (&'c AttrSet, &'c AttrSet) {
+    let sum = sums[idx];
+    let (a_plus, b_plus) = closures[idx].get_or_insert_with(|| {
+        (
+            fd_closure::attribute_closure(fds, &AttrSet::singleton(sum.left)),
+            fd_closure::attribute_closure(fds, &AttrSet::singleton(sum.right)),
+        )
+    });
+    (a_plus, b_plus)
+}
+
+/// The bridging row for rows `t1` and `t2`, in scheme column order: `t1` on
+/// `A⁺`, `t2` on `B⁺ ∖ A⁺`, a fresh null from `nulls` everywhere else.
+fn bridge_values(
+    relation: &Relation,
+    t1: usize,
+    t2: usize,
+    a_plus: &AttrSet,
+    b_plus: &AttrSet,
+    nulls: &mut impl NullSource,
+) -> Vec<Symbol> {
+    let (row1, row2) = (relation.row(t1), relation.row(t2));
+    relation
+        .scheme()
+        .attrs()
+        .iter()
+        .enumerate()
+        .map(|(pos, attr)| {
+            if a_plus.contains(attr) {
+                row1.value_at(pos)
+            } else if b_plus.contains(attr) {
+                row2.value_at(pos)
+            } else {
+                nulls.fresh()
+            }
+        })
+        .collect()
+}
+
+/// The chain classes of one sum `C ≤ A + B` over a relation that only grows:
+/// rows sharing an `A` or a `B` value are unioned through the first row
+/// holding that value, and each row is checked against the first row of its
+/// `C` group once, when it is added.  Classes only merge, so a row in its
+/// group's class stays there; the rows that were not are kept in ascending
+/// order and dropped lazily once their class catches up.
+struct SumIndex {
+    /// Scheme positions of `A`, `B` and `C`.
+    left: usize,
+    right: usize,
+    target: usize,
+    classes: UnionFind,
+    by_left: HashMap<Symbol, usize>,
+    by_right: HashMap<Symbol, usize>,
+    first_with_target: HashMap<Symbol, usize>,
+    /// `(row, first row of its C group)` for every row that was outside its
+    /// group's class when added, ascending by row (rows are only appended).
+    suspects: VecDeque<(usize, usize)>,
+}
+
+impl SumIndex {
+    /// The index of `sum` over `relation`, or `None` when the constraint
+    /// mentions an attribute outside the scheme (it is then vacuous).
+    fn build(relation: &Relation, sum: SumConstraint) -> Option<Self> {
+        let scheme = relation.scheme();
+        let mut index = SumIndex {
+            left: scheme.position(sum.left)?,
+            right: scheme.position(sum.right)?,
+            target: scheme.position(sum.target)?,
+            classes: UnionFind::new(0),
+            by_left: HashMap::new(),
+            by_right: HashMap::new(),
+            first_with_target: HashMap::new(),
+            suspects: VecDeque::new(),
+        };
+        let (left, right, target) = (
+            relation.column(index.left),
+            relation.column(index.right),
+            relation.column(index.target),
+        );
+        for row in 0..relation.len() {
+            index.add(row, left[row], right[row], target[row]);
+        }
+        Some(index)
+    }
+
+    /// Adds the row just appended at index `row`, given in scheme order.
+    fn push_row(&mut self, row: usize, values: &[Symbol]) {
+        self.add(
+            row,
+            values[self.left],
+            values[self.right],
+            values[self.target],
+        );
+    }
+
+    fn add(&mut self, row: usize, a: Symbol, b: Symbol, c: Symbol) {
+        let pushed = self.classes.push();
+        debug_assert_eq!(pushed, row, "rows are added in order");
+        for (map, value) in [(&mut self.by_left, a), (&mut self.by_right, b)] {
+            let leader = *map.entry(value).or_insert(row);
+            self.classes.union(leader, row);
+        }
+        let first = *self.first_with_target.entry(c).or_insert(row);
+        if self.classes.find(first) != self.classes.find(row) {
+            self.suspects.push_back((row, first));
+        }
+    }
+
+    /// The lowest row outside its `C` group's class, with the group's first
+    /// row: `(first, row)`, the pair the reference scan reports.
+    fn next_violation(&mut self) -> Option<(usize, usize)> {
+        while let Some(&(row, first)) = self.suspects.front() {
+            if self.classes.find(first) != self.classes.find(row) {
+                return Some((first, row));
+            }
+            self.suspects.pop_front();
+        }
+        None
+    }
 }
 
 /// Finds one violated sum constraint (by its index in `sums`) together

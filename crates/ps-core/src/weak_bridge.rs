@@ -62,6 +62,7 @@ pub fn satisfiable_with_fpds(
         satisfiable: true,
         weak_instance: Some(weak_instance),
         interpretation: Some(interpretation),
+        repair: RepairStatus::default(),
     })
 }
 
@@ -75,10 +76,11 @@ pub fn satisfiable_with_fpds(
 ///
 /// The `satisfiable` verdict comes from the chase alone (Lemma 12.1:
 /// consistency is governed by the FD part `F`; sum constraints are always
-/// repairable).  The paper's repair may need ω iterations, so the bounded
-/// repair run here can stop short of a fixpoint — in that rare case the
-/// verdict stands but no witnesses are returned, rather than handing out a
-/// weak instance (and `I(w)`) that still violates a sum constraint.
+/// repairable).  The paper's repair may need ω iterations, so the repair run
+/// here has a bridge budget (see [`witness_from_consistency`]).  If the
+/// budget runs out first, the verdict stands, no witnesses are returned
+/// rather than a weak instance (and `I(w)`) that still violates a sum
+/// constraint, and [`SatisfiabilityWitness::repair`] says so.
 pub fn satisfiable_with_pds(
     db: &Database,
     pds: &[Equation],
@@ -91,11 +93,17 @@ pub fn satisfiable_with_pds(
 }
 
 /// The witness-construction tail of [`satisfiable_with_pds`]: upgrades a
-/// [`ConsistencyOutcome`] into the Theorem 7 decision + witness forms (sum
-/// repair bounded at 64 rounds, then `I(w)`).  Shared by the free function
-/// above, by the session layer and by its snapshots, which produce the
-/// outcome from a cached closed constraint system.  The repair mints its
-/// fresh entries from `nulls`.
+/// [`ConsistencyOutcome`] into the Theorem 7 decision + witness forms (the
+/// Lemma 12.1 sum repair, then `I(w)`).  Shared by the free function above,
+/// by the session layer and by its snapshots, which produce the outcome from
+/// a cached closed constraint system.  The repair mints its fresh entries
+/// from `nulls`.
+///
+/// The repair may insert `max(64, rows × sums)` bridging rows, `rows` being
+/// the chased weak instance's.  That covers every input whose sums do not
+/// feed each other (the argument is in the [`crate::consistency`] module
+/// doc); otherwise it is a budget, and running out of it shows up as
+/// `repair.converged == false` with no witnesses.
 pub fn witness_from_consistency(
     outcome: ConsistencyOutcome,
     nulls: &mut impl NullSource,
@@ -106,13 +114,19 @@ pub fn witness_from_consistency(
     let chased = outcome
         .weak_instance
         .expect("consistent chase produces rows");
+    let budget = (chased.len() * outcome.sums.len()).max(64);
     let (weak_instance, converged) =
-        repair_sum_violations(&chased, &outcome.fds, &outcome.sums, nulls, 64);
+        repair_sum_violations(&chased, &outcome.fds, &outcome.sums, nulls, budget);
+    let repair = RepairStatus {
+        converged,
+        bridges: weak_instance.len() - chased.len(),
+    };
     if !converged {
         return Ok(SatisfiabilityWitness {
             satisfiable: true,
             weak_instance: None,
             interpretation: None,
+            repair,
         });
     }
     let interpretation = interpretation_from_weak_instance(&weak_instance)?;
@@ -120,10 +134,15 @@ pub fn witness_from_consistency(
         satisfiable: true,
         weak_instance: Some(weak_instance),
         interpretation: Some(interpretation),
+        repair,
     })
 }
 
 /// The result of a satisfiability test, carrying the constructed witnesses.
+///
+/// `satisfiable` with no `weak_instance` happens only when the Lemma 12.1
+/// repair stopped short of its fixpoint, and then `repair.converged` is
+/// `false`.
 #[derive(Debug, Clone)]
 pub struct SatisfiabilityWitness {
     /// Whether a satisfying interpretation (equivalently weak instance)
@@ -133,6 +152,27 @@ pub struct SatisfiabilityWitness {
     pub weak_instance: Option<Relation>,
     /// The interpretation `I(w)` constructed from the weak instance.
     pub interpretation: Option<PartitionInterpretation>,
+    /// How the Lemma 12.1 repair behind `weak_instance` ended.
+    pub repair: RepairStatus,
+}
+
+/// How the Lemma 12.1 sum repair of a witness ended.  The default — a
+/// fixpoint after no bridges — is what a test that runs no repair reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RepairStatus {
+    /// Whether every sum constraint holds after the repair.
+    pub converged: bool,
+    /// Bridging rows the repair inserted.
+    pub bridges: usize,
+}
+
+impl Default for RepairStatus {
+    fn default() -> Self {
+        RepairStatus {
+            converged: true,
+            bridges: 0,
+        }
+    }
 }
 
 impl SatisfiabilityWitness {
@@ -141,6 +181,7 @@ impl SatisfiabilityWitness {
             satisfiable: false,
             weak_instance: None,
             interpretation: None,
+            repair: RepairStatus::default(),
         }
     }
 }

@@ -22,6 +22,8 @@ pub const NAIVE_PAIRS: &[(&str, &str)] = &[
     ("chase_tableau_with", "chase_tableau_naive"),
     // ps-relation: linear Beeri–Bernstein counter closure vs. naive loop.
     ("attribute_closure", "attribute_closure_naive"),
+    // ps-core: incremental Lemma 12.1 repair vs. per-round rescan.
+    ("repair_sum_violations", "repair_sum_violations_naive"),
     // ps-lattice: word-parallel BitMatrix delta kernels vs. per-bit loops.
     ("or_row_into_delta", "or_row_into_delta_per_bit"),
     ("or_and_rows_into_delta", "or_and_rows_into_delta_per_bit"),

@@ -300,7 +300,8 @@ impl Partition {
     ///
     /// This is how the naming functions `f_A` of Definition 1 induce the
     /// atomic partition `π_A`: elements mapped to the same symbol share a
-    /// block.
+    /// block.  Pairs given in strictly ascending element order are labelled
+    /// in one pass, with no sort.
     ///
     /// # Panics
     /// Panics if the same element is paired with two different keys (that
@@ -322,12 +323,23 @@ impl Partition {
         K: std::hash::Hash + Eq,
         I: IntoIterator<Item = (Element, K)>,
     {
-        let mut raw_of_key: HashMap<K, u32> = HashMap::new();
-        let mut raw_pairs = Vec::new();
+        let pairs = pairs.into_iter();
+        let mut raw_of_key: HashMap<K, u32> = HashMap::with_capacity(pairs.size_hint().0);
+        let mut raw_pairs = Vec::with_capacity(pairs.size_hint().0);
         for (e, k) in pairs {
             let next = raw_of_key.len() as u32;
             let raw = *raw_of_key.entry(k).or_insert(next);
             raw_pairs.push((e, raw));
+        }
+        // Keys met in ascending element order are numbered by first
+        // appearance over the population: the raw labels are canonical.
+        if raw_pairs.windows(2).all(|w| w[0].0 < w[1].0) {
+            let (items, labels) = raw_pairs.into_iter().unzip();
+            return Partition::from_parts(
+                Population::from_sorted_vec(items),
+                labels,
+                raw_of_key.len() as u32,
+            );
         }
         Self::from_raw_labeled(raw_pairs)
             .expect("grouping by key cannot produce overlapping blocks")

@@ -26,6 +26,15 @@ impl UnionFind {
         }
     }
 
+    /// Appends a new singleton set `{len}` and returns its element.
+    pub fn push(&mut self) -> usize {
+        let x = self.parent.len();
+        self.parent.push(x as u32);
+        self.rank.push(0);
+        self.num_sets += 1;
+        x
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.parent.len()
@@ -164,6 +173,17 @@ mod tests {
         }
         assert_eq!(uf.num_sets(), 1);
         assert!(uf.same_set(0, n - 1));
+    }
+
+    #[test]
+    fn push_appends_a_singleton() {
+        let mut uf = UnionFind::new(2);
+        uf.union(0, 1);
+        assert_eq!(uf.push(), 2);
+        assert_eq!((uf.len(), uf.num_sets()), (3, 2));
+        assert!(!uf.same_set(0, 2));
+        assert!(uf.union(2, 1));
+        assert!(uf.same_set(0, 2));
     }
 
     #[test]

@@ -825,9 +825,9 @@ impl Session {
     ///
     /// When satisfiable, the answer carries a weak instance upgraded by the
     /// Lemma 12.1 sum-constraint repair and the interpretation `I(w)` built
-    /// from it (both `None` in the rare case the bounded repair stops short
-    /// of a fixpoint, mirroring
-    /// [`ps_core::weak_bridge::satisfiable_with_pds`]).
+    /// from it.  Both are `None` only when the repair runs out of its bridge
+    /// budget before its fixpoint, and then `repair.converged` is `false`
+    /// (see [`ps_core::weak_bridge::witness_from_consistency`]).
     pub fn weak_instance(
         &mut self,
         set: ConstraintSetId,

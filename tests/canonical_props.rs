@@ -7,9 +7,12 @@ mod common;
 use common::World;
 use partition_semantics::core::canonical::{canonical_relation, tuple_elements};
 use partition_semantics::core::weak_bridge::weak_instance_from_interpretation;
+use partition_semantics::core::AttributeInterpretation;
 use partition_semantics::prelude::*;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, HashMap};
 
 /// `R(I(r)) = r` for every relation `r` — stated right after Definition 6.
 #[test]
@@ -166,5 +169,107 @@ proptest! {
             .unwrap();
         let on_projection = relation_satisfies_pd(&projected, &world.arena, pd).unwrap();
         prop_assert_eq!(full, on_projection);
+    }
+}
+
+/// Definition 5 read literally: for each attribute, group the tuple indices
+/// by symbol and name each group by its symbol.  The empty relation has the
+/// empty interpretation.
+fn canonical_interpretation_by_blocks(relation: &Relation) -> PartitionInterpretation {
+    let mut interpretation = PartitionInterpretation::new();
+    if relation.is_empty() {
+        return interpretation;
+    }
+    for attribute in relation.scheme().attrs().iter() {
+        let mut blocks: BTreeMap<Symbol, Vec<u32>> = BTreeMap::new();
+        for (idx, tuple) in relation.iter().enumerate() {
+            blocks
+                .entry(tuple.get(attribute).unwrap())
+                .or_default()
+                .push(idx as u32);
+        }
+        let named =
+            AttributeInterpretation::from_named_blocks(attribute, blocks.into_iter().collect())
+                .unwrap();
+        interpretation.set(attribute, named);
+    }
+    interpretation
+}
+
+/// A relation of `rows` tuples over `arity` columns, each column drawn in
+/// one of three shapes: all rows equal, all rows distinct, or values from a
+/// domain of two or three symbols.
+fn shaped_relation(world: &mut World, arity: usize, rows: usize, seed: u64) -> Relation {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let attrs = world.attrs(arity);
+    let scheme = RelationScheme::new("R", attrs.clone());
+    let shapes: Vec<usize> = (0..arity).map(|_| rng.gen_range(0..3usize)).collect();
+    let mut relation = Relation::new(scheme.clone());
+    for row in 0..rows {
+        let mut values = vec![Symbol::from_index(0); arity];
+        for (col, &attr) in attrs.iter().enumerate() {
+            let v = match shapes[col] {
+                0 => 0,
+                1 => row,
+                _ => rng.gen_range(0..2 + col % 2),
+            };
+            values[scheme.position(attr).unwrap()] = world.symbols.symbol(&format!("c{col}_v{v}"));
+        }
+        relation.insert_values(&values).unwrap();
+    }
+    relation
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The one-pass, column-wise `I(r)` equals the block-by-block reference,
+    /// on empty, one-column, all-distinct and all-equal columns alike.
+    #[test]
+    fn prop_column_wise_canonical_interpretation_matches_the_block_reference(
+        seed in 0u64..100_000,
+        arity in 1usize..5,
+        rows in 0usize..10,
+    ) {
+        let mut world = World::new();
+        let relation = shaped_relation(&mut world, arity, rows, seed);
+        let expected = canonical_interpretation_by_blocks(&relation);
+        prop_assert_eq!(canonical_interpretation(&relation).unwrap(), expected);
+    }
+}
+
+/// The corner shapes of the property above, named: the empty relation, one
+/// column, an all-distinct column and an all-equal column.
+#[test]
+fn column_wise_canonical_interpretation_corner_cases() {
+    let mut world = World::new();
+    let empty = shaped_relation(&mut world, 2, 0, 1);
+    assert!(canonical_interpretation(&empty).unwrap().is_empty());
+    for seed in 0..30u64 {
+        for (arity, rows) in [(1, 1), (1, 7), (3, 9)] {
+            let relation = shaped_relation(&mut world, arity, rows, seed);
+            assert_eq!(
+                canonical_interpretation(&relation).unwrap(),
+                canonical_interpretation_by_blocks(&relation),
+                "seed {seed}, arity {arity}, rows {rows}"
+            );
+        }
+    }
+    let a = world.universe.attr("A");
+    let scheme = RelationScheme::new("D", AttrSet::singleton(a));
+    let (mut distinct, mut equal) = (Relation::new(scheme.clone()), Relation::new(scheme));
+    for i in 0..6 {
+        distinct
+            .insert_values(&[world.symbols.symbol(&format!("d{i}"))])
+            .unwrap();
+    }
+    equal.insert_values(&[world.symbols.symbol("e")]).unwrap();
+    for (relation, blocks) in [(&distinct, 6), (&equal, 1)] {
+        let interpretation = canonical_interpretation(relation).unwrap();
+        assert_eq!(interpretation, canonical_interpretation_by_blocks(relation));
+        assert_eq!(
+            interpretation.require(a).unwrap().atomic().num_blocks(),
+            blocks
+        );
     }
 }

@@ -276,6 +276,97 @@ fn repair_is_idempotent_once_converged() {
     );
 }
 
+/// `C = A + B` over one relation of 80 rows `(a_i, b_i, c)`: every row is
+/// its own chain class inside the single `c` group, so the Lemma 12.1 repair
+/// needs 79 bridges.  The witness budget follows the input (here 80 rows ×
+/// 1 sum), so both the session and the snapshot path return a witness that
+/// satisfies the sum, and report the 79 bridges.
+#[test]
+fn a_repair_longer_than_64_bridges_still_yields_a_witness() {
+    let mut session = Session::new();
+    let set = session.register_texts(&["C = A+B"]).unwrap();
+    let names: Vec<[String; 3]> = (0..80)
+        .map(|i| [format!("a{i}"), format!("b{i}"), "c".to_owned()])
+        .collect();
+    let rows: Vec<Vec<&str>> = names
+        .iter()
+        .map(|row| row.iter().map(String::as_str).collect())
+        .collect();
+    let rows: Vec<&[&str]> = rows.iter().map(Vec::as_slice).collect();
+    let db = session
+        .database()
+        .relation("R", &["A", "B", "C"], &rows)
+        .unwrap()
+        .build();
+    let sum = session.equation("C = A+B").unwrap();
+
+    let answer = session.weak_instance(set, &db).unwrap().value;
+    let snapshot = session.snapshot(set).unwrap();
+    let (frozen, _) = snapshot
+        .weak_instance(
+            &db,
+            &mut session.symbols().fresh_source(),
+            &mut ChaseScratch::default(),
+        )
+        .unwrap();
+    for witness in [answer, frozen] {
+        assert!(witness.satisfiable);
+        assert!(witness.repair.converged);
+        assert_eq!(witness.repair.bridges, 79);
+        let weak = witness
+            .weak_instance
+            .expect("a converged repair has a witness");
+        assert_eq!(weak.len(), 80 + 79);
+        assert!(db.has_weak_instance(&weak));
+        assert!(relation_satisfies_pd(&weak, session.arena(), sum).unwrap());
+        assert!(witness
+            .interpretation
+            .expect("I(w) comes with the weak instance")
+            .satisfies_database(&db)
+            .unwrap());
+    }
+}
+
+/// A witness is missing beside `satisfiable: true` only when the repair
+/// reports that it did not converge: checked over random databases and PD
+/// sets, through the free function and the session.
+#[test]
+fn a_missing_witness_always_comes_with_a_non_converged_repair() {
+    for seed in 0..40u64 {
+        let mut world = World::new();
+        let attrs = world.attrs(4);
+        let db = common::random_database(&mut world, &attrs, 2, 4, 2, seed);
+        let pds: Vec<Equation> = (0..2)
+            .map(|i| common::random_pd(&mut world.arena, &attrs, 3, seed * 7 + i))
+            .collect();
+        let witness = weak_bridge::satisfiable_with_pds(
+            &db,
+            &pds,
+            &mut world.arena,
+            &mut world.universe,
+            &mut world.symbols,
+        )
+        .unwrap();
+        assert_eq!(
+            witness.weak_instance.is_some(),
+            witness.satisfiable && witness.repair.converged,
+            "seed {seed}"
+        );
+        assert_eq!(
+            witness.interpretation.is_some(),
+            witness.weak_instance.is_some(),
+            "seed {seed}"
+        );
+        if let Some(weak) = &witness.weak_instance {
+            assert!(db.has_weak_instance(weak), "seed {seed}");
+            assert!(
+                relation_satisfies_all_pds(weak, &world.arena, &pds).unwrap(),
+                "seed {seed}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
