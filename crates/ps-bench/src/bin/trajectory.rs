@@ -12,6 +12,9 @@
 //! counters stay exact): the mode for diffing a committed baseline against
 //! a run on different hardware, where wall-clock is meaningless noise.
 //!
+//! `compare` also prints every gated counter that fell as an informational
+//! `improved:` line; those never change its exit code.
+//!
 //! Exit codes: `0` on success, `1` on regressions / invalid reports /
 //! usage errors — so CI can gate directly on `compare` and `check`.
 
@@ -148,6 +151,10 @@ fn compare(args: &[String]) -> ExitCode {
         }
         Ok((base, cur)) => {
             let regressions = TrajectoryReport::compare(&base, &cur, tolerance);
+            // Informational only: a counter drop never changes the verdict.
+            for line in TrajectoryReport::improvements(&base, &cur) {
+                eprintln!("improved: {line}");
+            }
             if regressions.is_empty() {
                 let wall = if tolerance.is_finite() {
                     format!("wall tolerance {:.0}%", tolerance * 100.0)

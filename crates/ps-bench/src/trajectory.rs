@@ -347,24 +347,7 @@ impl TrajectoryReport {
                 regressions.push(format!("workload {:?} disappeared", base.name));
                 continue;
             };
-            let counter_pairs = [
-                (
-                    "rule_firings",
-                    base.counters.rule_firings,
-                    cur.counters.rule_firings,
-                ),
-                (
-                    "row_visits",
-                    base.counters.row_visits,
-                    cur.counters.row_visits,
-                ),
-                (
-                    "engine_misses",
-                    base.counters.engine_misses,
-                    cur.counters.engine_misses,
-                ),
-            ];
-            for (counter, was, now) in counter_pairs {
+            for (counter, was, now) in counter_pairs(base, cur) {
                 if now > was {
                     regressions.push(format!(
                         "workload {:?}: counter {counter} regressed {was} -> {now}",
@@ -388,6 +371,52 @@ impl TrajectoryReport {
         }
         regressions
     }
+
+    /// Lists the gated counters that fell from `baseline` to `current`,
+    /// one informational line each (workloads joined by name, as in
+    /// [`TrajectoryReport::compare`]; incomparable reports list none).
+    pub fn improvements(baseline: &TrajectoryReport, current: &TrajectoryReport) -> Vec<String> {
+        if baseline.smoke != current.smoke || baseline.seed != current.seed {
+            return Vec::new();
+        }
+        let mut improved = Vec::new();
+        for base in &baseline.workloads {
+            let Some(cur) = current.workloads.iter().find(|w| w.name == base.name) else {
+                continue;
+            };
+            for (counter, was, now) in counter_pairs(base, cur) {
+                if now < was {
+                    improved.push(format!(
+                        "workload {:?}: counter {counter} improved {was} -> {now}",
+                        base.name
+                    ));
+                }
+            }
+        }
+        improved
+    }
+}
+
+/// The strategy-independent counters the comparator gates on, as
+/// `(name, baseline value, current value)`.
+fn counter_pairs(base: &WorkloadRecord, cur: &WorkloadRecord) -> [(&'static str, u64, u64); 3] {
+    [
+        (
+            "rule_firings",
+            base.counters.rule_firings,
+            cur.counters.rule_firings,
+        ),
+        (
+            "row_visits",
+            base.counters.row_visits,
+            cur.counters.row_visits,
+        ),
+        (
+            "engine_misses",
+            base.counters.engine_misses,
+            cur.counters.engine_misses,
+        ),
+    ]
 }
 
 /// Verifies the comparator end-to-end on embedded synthetic reports: a
@@ -433,6 +462,12 @@ pub fn self_check() -> Result<(), String> {
     let worse_wall = TrajectoryReport::compare(&baseline, &report(2_000_000, 500), 0.4);
     if worse_wall.is_empty() {
         return Err("injected wall-clock regression was not flagged".to_owned());
+    }
+    let better = report(1_000_000, 499);
+    if !TrajectoryReport::compare(&baseline, &better, 0.4).is_empty()
+        || TrajectoryReport::improvements(&baseline, &better).len() != 1
+    {
+        return Err("injected counter drop was not listed as one improvement".to_owned());
     }
     let round_trip = TrajectoryReport::from_text(&baseline.to_text())
         .map_err(|e| format!("synthetic report failed to round-trip: {e}"))?;
@@ -1433,6 +1468,32 @@ mod tests {
     }
 
     #[test]
+    fn counter_drops_are_listed_as_improvements_not_regressions() {
+        let counters = |row_visits| Counters {
+            rule_firings: 7,
+            row_visits,
+            ..Counters::default()
+        };
+        let report = |row_visits| TrajectoryReport {
+            schema_version: SCHEMA_VERSION,
+            bench_id: BENCH_ID.to_owned(),
+            toolchain: "t".into(),
+            commit: "c".into(),
+            smoke: true,
+            seed: 0,
+            workloads: vec![record("w", "consistency", 1, 1, counters(row_visits))],
+        };
+        let (before, after) = (report(1_317), report(929));
+        assert!(TrajectoryReport::compare(&before, &after, 0.4).is_empty());
+        assert_eq!(
+            TrajectoryReport::improvements(&before, &after),
+            vec!["workload \"w\": counter row_visits improved 1317 -> 929".to_owned()]
+        );
+        assert!(TrajectoryReport::improvements(&after, &before).is_empty());
+        assert_eq!(TrajectoryReport::compare(&after, &before, 0.4).len(), 1);
+    }
+
+    #[test]
     fn compare_flags_missing_and_incomparable() {
         let mut a = TrajectoryReport {
             schema_version: SCHEMA_VERSION,
@@ -1449,6 +1510,7 @@ mod tests {
         b = a.clone();
         b.smoke = false;
         assert_eq!(TrajectoryReport::compare(&a, &b, 0.4).len(), 1);
+        assert!(TrajectoryReport::improvements(&a, &b).is_empty());
         a.workloads[0].procedure = "nonsense".into();
         assert!(a.validate().is_err());
     }

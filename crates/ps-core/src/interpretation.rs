@@ -19,6 +19,8 @@ pub struct AttributeInterpretation {
     /// Symbol → index of the block of `atomic` it names.  By Definition 1
     /// this is a bijection between a set of symbols and the blocks.
     naming: BTreeMap<Symbol, usize>,
+    /// The inverse of `naming`: `names[block]` is the symbol naming it.
+    names: Vec<Symbol>,
 }
 
 impl AttributeInterpretation {
@@ -66,40 +68,47 @@ impl AttributeInterpretation {
         if atomic.is_empty() {
             return Err(CoreError::EmptyPopulation(attribute));
         }
-        let interp = AttributeInterpretation {
+        let names = Self::block_names(attribute, &atomic, &naming)?;
+        Ok(AttributeInterpretation {
             population: atomic.population().clone(),
             atomic,
             naming,
-        };
-        interp.validate(attribute)?;
-        Ok(interp)
+            names,
+        })
     }
 
-    fn validate(&self, attribute: Attribute) -> Result<()> {
-        // Every block must be named by exactly one symbol.
-        let mut named = vec![0usize; self.atomic.num_blocks()];
-        for (&symbol, &block) in &self.naming {
-            if block >= self.atomic.num_blocks() {
+    /// Checks that every block of `atomic` is named by exactly one symbol,
+    /// and returns the names indexed by block.
+    fn block_names(
+        attribute: Attribute,
+        atomic: &Partition,
+        naming: &BTreeMap<Symbol, usize>,
+    ) -> Result<Vec<Symbol>> {
+        let mut names: Vec<Option<Symbol>> = vec![None; atomic.num_blocks()];
+        for (&symbol, &block) in naming {
+            let Some(name) = names.get_mut(block) else {
                 return Err(CoreError::InvalidNaming {
                     attribute,
                     reason: format!("symbol {symbol} names non-existent block {block}"),
                 });
+            };
+            if name.replace(symbol).is_some() {
+                return Err(CoreError::InvalidNaming {
+                    attribute,
+                    reason: format!("block {block} has more than one name"),
+                });
             }
-            named[block] += 1;
         }
-        if let Some(block) = named.iter().position(|&count| count == 0) {
-            return Err(CoreError::InvalidNaming {
-                attribute,
-                reason: format!("block {block} has no name"),
-            });
-        }
-        if let Some(block) = named.iter().position(|&count| count > 1) {
-            return Err(CoreError::InvalidNaming {
-                attribute,
-                reason: format!("block {block} has more than one name"),
-            });
-        }
-        Ok(())
+        names
+            .into_iter()
+            .enumerate()
+            .map(|(block, name)| {
+                name.ok_or_else(|| CoreError::InvalidNaming {
+                    attribute,
+                    reason: format!("block {block} has no name"),
+                })
+            })
+            .collect()
     }
 
     /// The population `p_A`.
@@ -119,10 +128,7 @@ impl AttributeInterpretation {
 
     /// The symbol naming a given block index, if any.
     pub fn symbol_of_block(&self, block: usize) -> Option<Symbol> {
-        self.naming
-            .iter()
-            .find(|(_, &b)| b == block)
-            .map(|(&s, _)| s)
+        self.names.get(block).copied()
     }
 
     /// Iterates over `(symbol, block index)` pairs of the naming function.

@@ -12,17 +12,40 @@
 //!
 //! Two engines implement the fixpoint, both over a prebuilt tableau:
 //!
-//! * [`chase_tableau_with`] — the **indexed, worklist-driven engine**: one
-//!   leader index per FD maps a row's lhs class key to the leader row first
-//!   seen with it, symbol classes are merged through a
-//!   [`ps_partition::UnionFind`], and a dirty-row worklist revisits only
-//!   rows whose symbols changed class.  An FD whose lhs is a single tableau
-//!   column keys a dense `u32` slot array by the column's class root; a
-//!   multi-column lhs keys a hash map by the vector of roots.  Every row is
-//!   examined `O(1 + changes)` times per FD instead of once per global
-//!   round.
+//! * [`chase_tableau_with`] — the **indexed, worklist-driven engine**, on
+//!   flat per-cell state.  One leader index per FD maps a row's lhs class
+//!   key to the leader row first seen with it, and symbol classes are
+//!   merged through a [`ps_partition::UnionFind`].  Each class keeps an
+//!   *occurrence list* of the tableau cells holding its members (the use
+//!   list of congruence closure, Downey–Sethi–Tarjan 1980); a merge walks
+//!   only the losing class's list and splices it onto the winner's in
+//!   O(1).  Each row carries one pending bit per FD: a moved cell `(r, c)`
+//!   marks on row `r` exactly the FDs whose lhs contains column `c`, and
+//!   queues `r`.  A popped row examines only its pending FDs, so a merge
+//!   in a column no lhs contains re-examines nothing.  An FD whose lhs is a
+//!   single tableau column keys a dense `u32` slot array by the column's
+//!   class root; a multi-column lhs keys a hash map by the vector of roots.
 //! * [`chase_tableau_naive`] — the full-rescan reference: repeat passes
 //!   over every (FD, row) pair until a pass changes nothing.
+//!
+//! **Why skipping the other FDs loses nothing.**  A visit's outcome depends
+//! only on the row's lhs class key and on the leader entry under that key,
+//! and classes only ever merge.  So once a (row, FD) pair has been
+//! examined, examining it again under the same key changes nothing: if the
+//! row claimed the key's slot it is still that key's leader (slots are
+//! written only when empty), and if it equated its rhs with the leader's,
+//! those cells stay equal.  The key changes only when one of the row's lhs
+//! cells loses a merge, and then that cell is on the loser's occurrence
+//! list, so the merge marks the pair pending again.  Two rows whose keys
+//! become equal are caught the same way: one of them had an lhs cell on the
+//! losing side.  Every pair starts pending, and a bit is cleared just
+//! before its visit, so at the fixpoint every pair has been examined under
+//! its final key — exactly the full-rescan engine's stopping condition.
+//!
+//! The dense ids are assigned in row-major first-occurrence order.
+//! Constants go through a hash map; padding nulls, which a [`NullSource`]
+//! mints by counting up, are looked up by their offset from the tableau's
+//! least null whenever that window spans at most twice the cell count.
 //!
 //! Both report their work in [`ChaseOutcome::row_visits`], which the
 //! `ps-bench` operation-counter test uses to prove the indexed engine does
@@ -59,7 +82,10 @@ pub struct ChaseOutcome {
     /// operation-counter tests compare across engines.  A visit is one
     /// examination of one row against one FD of the set as given; for a
     /// closed Theorem 12 system, whose FDs are grouped one per left-hand
-    /// side, that is one (row, grouped FD) examination.
+    /// side, that is one (row, grouped FD) examination.  The indexed engine
+    /// examines each pair once, and again only after a merge moved one of
+    /// the row's lhs cells (its pending bit for that FD); the naive engine
+    /// examines every pair on every round.
     pub row_visits: usize,
     /// If consistent, the chased tableau rows with every symbol replaced by
     /// its representative.
@@ -216,32 +242,46 @@ pub fn chase_tableau_naive(tableau: &Tableau, fds: &[Fd]) -> ChaseOutcome {
 
 /// Reusable working storage for the indexed chase engine.
 ///
-/// One [`chase_tableau_with`] run allocates a local symbol-interning table,
-/// per-class row lists, one dense leader-slot array per single-column FD,
-/// one lhs-key hash index per multi-column FD, the dirty-row queue and a
-/// key scratch buffer.  On macro workloads (10⁵–10⁶ tuples chased per
-/// batch, or one chase per query in a long-lived session) that allocation
-/// churn is a measurable share of the chase's wall-clock, so callers that
-/// chase repeatedly hold one `ChaseScratch` and pass it to every run; each
-/// run clears — but keeps the capacity of — every buffer.  The buffer-reuse
-/// path is pinned to the fresh-allocation path by the `columnar_agreement`
-/// proptests and measured in the `BENCH_*.json` trajectory
-/// (`chase_scratch_reuse` workload).
+/// One [`chase_tableau_with`] run needs a local symbol-interning table, the
+/// flat cell array, per-class occurrence lists, per-row pending FD bits, one
+/// dense leader-slot array per single-column FD, one lhs-key hash index per
+/// multi-column FD, the dirty-row queue and a key scratch buffer.  On macro
+/// workloads (10⁵–10⁶ tuples chased per batch, or one chase per query in a
+/// long-lived session) that allocation churn is a measurable share of the
+/// chase's wall-clock, so callers that chase repeatedly hold one
+/// `ChaseScratch` and pass it to every run; each run clears — but keeps the
+/// capacity of — every buffer.  The buffer-reuse path is pinned to the
+/// fresh-allocation path by the `columnar_agreement` proptests and measured
+/// in the `BENCH_*.json` trajectory (`chase_scratch_reuse` workload).
 #[derive(Debug, Default)]
 pub struct ChaseScratch {
-    /// Dense local interning of the tableau's distinct symbols.
+    /// Dense local interning of constants, and of nulls outside `window`.
     local: HashMap<Symbol, u32>,
+    /// Direct interning of nulls: `window[i]` is the dense id of the null
+    /// whose raw index lies `i` above the tableau's least null (or
+    /// [`NONE`]).  Empty when the nulls are too sparse for a window.
+    window: Vec<u32>,
     /// `rep[r]` for a root `r`: the minimum symbol of the class.
     rep: Vec<Symbol>,
-    /// `rows_of[r]` for a root `r`: the rows containing any class member.
-    /// Pooled: entries beyond the current run's symbol count are kept empty.
-    rows_of: Vec<Vec<u32>>,
-    /// Per-row dense symbol ids (pooled like `rows_of`).
-    cells: Vec<Vec<u32>>,
+    /// Dense symbol ids, row-major: cell `(row, col)` is
+    /// `cells[row · width + col]`.
+    cells: Vec<u32>,
+    /// Occurrence lists over cell indices: for a root `r`, `head[r]` and
+    /// `tail[r]` are the first and last cell holding a member of its class;
+    /// `next[cell]` is the cell after `cell` in its list (or [`NONE`]).
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    next: Vec<u32>,
+    /// `lhs_fds[c · words ..][..words]`: the FDs whose lhs contains tableau
+    /// column `c`, one bit per active FD.
+    lhs_fds: Vec<u64>,
+    /// `pending[row · words ..][..words]`: the FDs `row` has yet to
+    /// (re-)examine.
+    pending: Vec<u64>,
     /// The leader slots of the FDs whose active lhs is a single column:
     /// FD `k`'s slots are `slots[k·n .. (k+1)·n]` for `n` interned symbols,
     /// and slot `root` holds the leader row first seen with lhs class
-    /// `root` (or [`NO_ROW`]).
+    /// `root` (or [`NONE`]).
     slots: Vec<u32>,
     /// One lhs-key index per multi-column FD, mapping the class roots of a
     /// row's lhs columns to the leader row first seen with that key.
@@ -251,8 +291,6 @@ pub struct ChaseScratch {
     queued: Vec<bool>,
     /// Scratch for the current row's lhs key (cloned only on index misses).
     key_buf: Vec<u32>,
-    /// Rows dirtied by the most recent class merge.
-    moved: Vec<u32>,
 }
 
 impl ChaseScratch {
@@ -265,16 +303,14 @@ impl ChaseScratch {
     /// slots are sized later, once the symbol count is known.
     fn reset(&mut self, num_rows: usize, num_hashed: usize) {
         self.local.clear();
+        self.window.clear();
         self.rep.clear();
-        for list in &mut self.rows_of {
-            list.clear();
-        }
-        for row in &mut self.cells {
-            row.clear();
-        }
-        if self.cells.len() > num_rows {
-            self.cells.truncate(num_rows);
-        }
+        self.cells.clear();
+        self.head.clear();
+        self.tail.clear();
+        self.next.clear();
+        self.lhs_fds.clear();
+        self.pending.clear();
         for index in &mut self.indexes {
             index.clear();
         }
@@ -283,7 +319,93 @@ impl ChaseScratch {
         self.queued.clear();
         self.queued.resize(num_rows, true);
         self.key_buf.clear();
-        self.moved.clear();
+    }
+
+    /// Interns every cell of `rows` in row-major order: each distinct
+    /// symbol gets the next dense id at its first occurrence, and each cell
+    /// is appended to its symbol's occurrence list.
+    fn intern(&mut self, rows: &[Vec<Symbol>]) {
+        // Padding nulls are minted by counting up, so a tableau's nulls
+        // usually fill a narrow index range: look those up by offset
+        // instead of hashing them.
+        let (least, greatest) = rows
+            .iter()
+            .flatten()
+            .filter(|s| s.is_null())
+            .fold((u32::MAX, 0), |(lo, hi), s| {
+                (lo.min(s.index()), hi.max(s.index()))
+            });
+        let num_cells: usize = rows.iter().map(Vec::len).sum();
+        if least <= greatest && ((greatest - least) as usize) < 2 * num_cells {
+            self.window.resize((greatest - least) as usize + 1, NONE);
+        }
+        for &s in rows.iter().flatten() {
+            let cell = self.cells.len() as u32;
+            let fresh = self.rep.len() as u32;
+            let id = if s.is_null() && !self.window.is_empty() {
+                let entry = &mut self.window[(s.index() - least) as usize];
+                if *entry == NONE {
+                    *entry = fresh;
+                }
+                *entry
+            } else {
+                *self.local.entry(s).or_insert(fresh)
+            };
+            if id == fresh {
+                self.rep.push(s);
+                self.head.push(cell);
+                self.tail.push(cell);
+            } else {
+                let last = std::mem::replace(&mut self.tail[id as usize], cell);
+                self.next[last as usize] = cell;
+            }
+            self.next.push(NONE);
+            self.cells.push(id);
+        }
+    }
+
+    /// Merges the classes of dense ids `a` and `b` in `uf`, maintaining the
+    /// minimum-symbol representative in `rep` (constants sort below fresh
+    /// nulls, so a class with a constant is always represented by it — and
+    /// since merging two constants is a contradiction, each class holds at
+    /// most one).  On a merge, each cell of the losing class marks the FDs
+    /// whose lhs contains its column as pending on its row and queues the
+    /// row; then the loser's occurrence list is spliced onto the winner's
+    /// tail, so lists keep the order winner's cells, then loser's.
+    fn merge(&mut self, uf: &mut UnionFind, width: usize, words: usize, a: u32, b: u32) -> Merge {
+        let ra = uf.find(a as usize);
+        let rb = uf.find(b as usize);
+        if ra == rb {
+            return Merge::Same;
+        }
+        if self.rep[ra].is_constant() && self.rep[rb].is_constant() {
+            // Distinct roots with constant representatives ⇒ distinct
+            // constants (equal constants intern to the same symbol).
+            return Merge::Clash;
+        }
+        uf.union(ra, rb);
+        let winner = uf.find(ra);
+        let loser = if winner == ra { rb } else { ra };
+        self.rep[winner] = self.rep[ra].min(self.rep[rb]);
+        let mut cell = self.head[loser];
+        while cell != NONE {
+            let (row, col) = (cell as usize / width, cell as usize % width);
+            let fds = &self.lhs_fds[col * words..(col + 1) * words];
+            if fds.iter().any(|&bits| bits != 0) {
+                let pending = &mut self.pending[row * words..(row + 1) * words];
+                for (p, &f) in pending.iter_mut().zip(fds) {
+                    *p |= f;
+                }
+                if !self.queued[row] {
+                    self.queued[row] = true;
+                    self.queue.push_back(row as u32);
+                }
+            }
+            cell = self.next[cell as usize];
+        }
+        self.next[self.tail[winner] as usize] = self.head[loser];
+        self.tail[winner] = self.tail[loser];
+        Merge::Merged
     }
 }
 
@@ -291,60 +413,26 @@ impl ChaseScratch {
 enum Merge {
     /// Already the same class.
     Same,
-    /// Classes merged; `ChaseScratch::moved` lists the rows whose key roots
-    /// changed.
+    /// Classes merged; the rows whose lhs keys moved are pending and queued.
     Merged,
     /// Both classes were rooted at distinct constants.
     Clash,
 }
 
-/// Merges the classes of dense ids `a` and `b` in `uf`, maintaining the
-/// minimum-symbol representative in `rep` (constants sort below fresh
-/// nulls, so a class with a constant is always represented by it — and
-/// since merging two constants is a contradiction, each class holds at most
-/// one).  On a merge, the losing class's rows are drained into `moved` (for
-/// re-queueing) and folded into the winner's list.
-fn merge_classes(
-    uf: &mut UnionFind,
-    rep: &mut [Symbol],
-    rows_of: &mut [Vec<u32>],
-    moved: &mut Vec<u32>,
-    a: u32,
-    b: u32,
-) -> Merge {
-    let ra = uf.find(a as usize);
-    let rb = uf.find(b as usize);
-    if ra == rb {
-        return Merge::Same;
-    }
-    if rep[ra].is_constant() && rep[rb].is_constant() {
-        // Distinct roots with constant representatives ⇒ distinct
-        // constants (equal constants intern to the same symbol).
-        return Merge::Clash;
-    }
-    uf.union(ra, rb);
-    let winner = uf.find(ra);
-    let loser = if winner == ra { rb } else { ra };
-    rep[winner] = rep[ra].min(rep[rb]);
-    // Rows touching the losing class now hash to new keys: hand them to
-    // the caller for re-queueing, and fold them into the winner's list.
-    moved.clear();
-    moved.extend_from_slice(&rows_of[loser]);
-    rows_of[loser].clear();
-    let (winner_rows, loser_rows) = if winner < loser {
-        let (head, tail) = rows_of.split_at_mut(loser);
-        (&mut head[winner], &tail[0])
-    } else {
-        let (head, tail) = rows_of.split_at_mut(winner);
-        (&mut tail[0], &head[loser])
-    };
-    debug_assert!(loser_rows.is_empty());
-    winner_rows.extend_from_slice(moved);
-    Merge::Merged
-}
+/// Marks an empty dense leader slot, the end of an occurrence list and a
+/// null the interning window has not seen yet.
+const NONE: u32 = u32::MAX;
 
-/// Marks an empty dense leader slot.
-const NO_ROW: u32 = u32::MAX;
+/// The least FD index `≥ from` whose bit is set in `bits`.
+fn next_pending(bits: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut word = bits.get(w)? & (!0u64 << (from % 64));
+    while word == 0 {
+        w += 1;
+        word = *bits.get(w)?;
+    }
+    Some(w * 64 + word.trailing_zeros() as usize)
+}
 
 /// Where one FD of the indexed engine looks up a row's leader.
 #[derive(Clone, Copy)]
@@ -358,10 +446,10 @@ enum LeaderIndex {
 }
 
 /// Chases `tableau` with `fds` using the indexed, worklist-driven engine
-/// (see the module docs).  The leader indexes, dirty-row queue, interning
-/// tables and key scratch live in `scratch` and are cleared — not
-/// reallocated — between runs; pass `&mut ChaseScratch::default()` for a
-/// one-off chase.
+/// (see the module docs).  The leader indexes, occurrence lists, pending
+/// bits, dirty-row queue, interning tables and key scratch live in
+/// `scratch` and are cleared — not reallocated — between runs; pass
+/// `&mut ChaseScratch::default()` for a one-off chase.
 pub fn chase_tableau_with(
     tableau: &Tableau,
     fds: &[Fd],
@@ -369,7 +457,9 @@ pub fn chase_tableau_with(
 ) -> ChaseOutcome {
     let rows = tableau.rows();
     let num_rows = rows.len();
+    let width = tableau.attrs().len();
     let fd_columns = active_fd_columns(tableau, fds);
+    let words = fd_columns.len().div_ceil(64);
     let (mut dense, mut hashed) = (0, 0);
     let leader_index: Vec<LeaderIndex> = fd_columns
         .iter()
@@ -384,39 +474,26 @@ pub fn chase_tableau_with(
         })
         .collect();
     scratch.reset(num_rows, hashed);
+    scratch.intern(rows);
 
-    // Dense local interning of every distinct symbol in the tableau.
-    for (row_idx, row) in rows.iter().enumerate() {
-        let cells_row = if row_idx < scratch.cells.len() {
-            &mut scratch.cells[row_idx]
-        } else {
-            scratch.cells.push(Vec::with_capacity(row.len()));
-            scratch.cells.last_mut().expect("just pushed")
-        };
-        for &s in row {
-            let id = match scratch.local.entry(s) {
-                std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let id = scratch.rep.len() as u32;
-                    scratch.rep.push(s);
-                    if scratch.rows_of.len() <= id as usize {
-                        scratch.rows_of.push(Vec::new());
-                    }
-                    e.insert(id);
-                    id
-                }
-            };
-            let list = &mut scratch.rows_of[id as usize];
-            if list.last() != Some(&(row_idx as u32)) {
-                list.push(row_idx as u32);
-            }
-            cells_row.push(id);
+    // Which FDs each column feeds, and every FD pending on every row.
+    scratch.lhs_fds.resize(width * words, 0);
+    for (k, (lhs_cols, _)) in fd_columns.iter().enumerate() {
+        for &c in lhs_cols {
+            scratch.lhs_fds[c * words + k / 64] |= 1 << (k % 64);
         }
+    }
+    let all_fds = |w: usize| match fd_columns.len() - 64 * w {
+        n if n >= 64 => !0u64,
+        n => (1u64 << n) - 1,
+    };
+    for _ in 0..num_rows {
+        scratch.pending.extend((0..words).map(all_fds));
     }
 
     let num_symbols = scratch.rep.len();
     scratch.slots.clear();
-    scratch.slots.resize(dense * num_symbols, NO_ROW);
+    scratch.slots.resize(dense * num_symbols, NONE);
     let mut uf = UnionFind::new(num_symbols);
     scratch.queue.extend(0..num_rows as u32);
 
@@ -424,18 +501,25 @@ pub fn chase_tableau_with(
     let mut row_visits = 0usize;
 
     while let Some(row) = scratch.queue.pop_front() {
-        scratch.queued[row as usize] = false;
-        for ((lhs_cols, rhs_cols), &index) in fd_columns.iter().zip(&leader_index) {
+        let r = row as usize;
+        scratch.queued[r] = false;
+        // Visit the pending FDs in ascending order, clearing each bit first:
+        // a merge during the visits sets bits again and re-queues the row.
+        let mut from = 0;
+        while let Some(k) = next_pending(&scratch.pending[r * words..(r + 1) * words], from) {
+            scratch.pending[r * words + k / 64] &= !(1 << (k % 64));
+            from = k + 1;
             row_visits += 1;
-            let cells = &scratch.cells[row as usize];
-            let leader = match index {
+            let (lhs_cols, rhs_cols) = &fd_columns[k];
+            let cells = &scratch.cells[r * width..(r + 1) * width];
+            let leader = match leader_index[k] {
                 // A slot under a root that has since lost a merge is never
                 // read again (`find` only returns roots), so merges leave
                 // stale slots behind instead of clearing them.
-                LeaderIndex::Dense(k) => {
+                LeaderIndex::Dense(d) => {
                     let root = uf.find(cells[lhs_cols[0]] as usize);
-                    let slot = &mut scratch.slots[k * num_symbols + root];
-                    if *slot == NO_ROW {
+                    let slot = &mut scratch.slots[d * num_symbols + root];
+                    if *slot == NONE {
                         *slot = row;
                         continue;
                     }
@@ -462,40 +546,23 @@ pub fn chase_tableau_with(
                 continue;
             }
             for &c in rhs_cols {
-                let a = scratch.cells[leader as usize][c];
-                let b = scratch.cells[row as usize][c];
-                match merge_classes(
-                    &mut uf,
-                    &mut scratch.rep,
-                    &mut scratch.rows_of,
-                    &mut scratch.moved,
-                    a,
-                    b,
-                ) {
+                let a = scratch.cells[leader as usize * width + c];
+                let b = scratch.cells[r * width + c];
+                match scratch.merge(&mut uf, width, words, a, b) {
                     Merge::Same => {}
                     Merge::Clash => {
                         return ChaseOutcome::inconsistent(steps, 1, row_visits);
                     }
-                    Merge::Merged => {
-                        steps += 1;
-                        for &r in &scratch.moved {
-                            if !scratch.queued[r as usize] {
-                                scratch.queued[r as usize] = true;
-                                scratch.queue.push_back(r);
-                            }
-                        }
-                    }
+                    Merge::Merged => steps += 1,
                 }
             }
         }
     }
 
-    let chased = scratch
-        .cells
-        .iter()
-        .take(num_rows)
-        .map(|row| {
-            row.iter()
+    let chased = (0..num_rows)
+        .map(|r| {
+            scratch.cells[r * width..(r + 1) * width]
+                .iter()
                 .map(|&id| scratch.rep[uf.find(id as usize)])
                 .collect()
         })
@@ -846,10 +913,111 @@ mod tests {
         let mut scratch = ChaseScratch::default();
         chase_tableau_with(&tableau, &fds, &mut scratch);
         let n = scratch.rep.len();
-        let leaders = scratch.slots[..n].iter().filter(|&&s| s != NO_ROW).count();
+        let leaders = scratch.slots[..n].iter().filter(|&&s| s != NONE).count();
         assert_eq!(leaders, 2);
         assert_eq!(scratch.slots.len(), 2 * n);
         assert_eq!(scratch.indexes.len(), 1);
+        // Flat cells; the four constants are hashed, the contiguous padding
+        // nulls go through the window.
+        let width = tableau.attrs().len();
+        assert_eq!(scratch.cells.len(), 2 * width);
+        assert_eq!(scratch.local.len(), 4);
+        assert!(!scratch.window.is_empty());
+        // Column A feeds A → B and AC → D, column X feeds X → A.
+        let px = tableau.position(x).unwrap();
+        assert_eq!(scratch.lhs_fds[pa], 0b101);
+        assert_eq!(scratch.lhs_fds[px], 0b010);
+        assert_eq!(scratch.lhs_fds[pb], 0);
+        // X → A merged row 1's null into row 0's: the winner's occurrence
+        // list now runs through both A cells, winner's first, and the
+        // loser's list is its spliced-on suffix.
+        let walk = |id: u32| {
+            let mut out = Vec::new();
+            let mut cell = scratch.head[id as usize];
+            while cell != NONE {
+                out.push(cell as usize);
+                cell = scratch.next[cell as usize];
+            }
+            out
+        };
+        let (a0, a1) = (pa, width + pa);
+        assert_eq!(walk(scratch.cells[a0]), vec![a0, a1]);
+        assert_eq!(walk(scratch.cells[a1]), vec![a1]);
+        // Every pending FD bit was consumed.
+        assert!(scratch.pending.iter().all(|&bits| bits == 0));
+    }
+
+    #[test]
+    fn merges_re_examine_only_the_fds_whose_lhs_moved() {
+        // Tableau over A, B, C: row 0 = (a, b1, _), row 1 = (a, _, c).
+        // Row 1's A → B visit merges its B null into b1.  No lhs contains
+        // B, so nothing is re-queued: two rows × two FDs is all the work
+        // (re-examining every FD of a re-queued row would make it 6).
+        let mut f = fixture();
+        let db = DatabaseBuilder::new()
+            .relation(
+                &mut f.universe,
+                &mut f.symbols,
+                "R1",
+                &["A", "B"],
+                &[&["a", "b1"]],
+            )
+            .unwrap()
+            .relation(
+                &mut f.universe,
+                &mut f.symbols,
+                "R2",
+                &["A", "C"],
+                &[&["a", "c"]],
+            )
+            .unwrap()
+            .build();
+        let [a, b, c] = ["A", "B", "C"].map(|n| f.universe.attr(n));
+        let outcome = chase(&db, &[fd(&[a], &[b]), fd(&[c], &[a])], &mut f.symbols);
+        assert!(outcome.consistent);
+        assert_eq!(outcome.steps, 1);
+        assert_eq!(outcome.row_visits, 4);
+
+        // Tableau over A, B, C, D: row 0 = (a, b1, c1, _), row 1 =
+        // (a, _, _, d), FDs B → C, A → B, D → C.  Row 1's B → C visit
+        // claims its own null's slot; its A → B visit then merges that
+        // null into b1.  Column B feeds only B → C, so row 1 comes back for
+        // that one FD (which equates C with c1, a column no lhs contains):
+        // 3 + 3 + 1 visits, where re-examining whole rows would take 12.
+        let mut f = fixture();
+        let db = DatabaseBuilder::new()
+            .relation(
+                &mut f.universe,
+                &mut f.symbols,
+                "R1",
+                &["A", "B", "C"],
+                &[&["a", "b1", "c1"]],
+            )
+            .unwrap()
+            .relation(
+                &mut f.universe,
+                &mut f.symbols,
+                "R2",
+                &["A", "D"],
+                &[&["a", "d"]],
+            )
+            .unwrap()
+            .build();
+        let [a, b, c, d] = ["A", "B", "C", "D"].map(|n| f.universe.attr(n));
+        let fds = vec![fd(&[b], &[c]), fd(&[a], &[b]), fd(&[d], &[c])];
+        let outcome = chase(&db, &fds, &mut f.symbols);
+        assert!(outcome.consistent);
+        assert_eq!(outcome.steps, 2);
+        assert_eq!(outcome.row_visits, 7);
+
+        // Behind 64 trivial FDs the bit that brings row 1 back lies in the
+        // second pending word: 2 × 67 + 1 visits.
+        let mut padded = vec![fd(&[a], &[a]); 64];
+        padded.extend(fds);
+        let outcome = chase(&db, &padded, &mut f.symbols);
+        assert!(outcome.consistent);
+        assert_eq!(outcome.steps, 2);
+        assert_eq!(outcome.row_visits, 135);
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! jobs enqueued during the drain race get a typed `shutting_down` error.
 //! [`serve_tcp`] then unblocks the acceptor, closes the read half of every
 //! live connection, joins every handler and returns `Ok(())` — so a clean
-//! shutdown is observable as exit code 0.  On stdio, end of input is an
+//! shutdown is observable as exit code 0.  While serving, each accept first
+//! reaps the handlers of departed clients, so their sockets close and the
+//! tracked connection set stays bounded.  On stdio, end of input is an
 //! implicit clean shutdown.
 //!
 //! This file is the one place in the workspace allowed to spawn raw
@@ -281,6 +283,80 @@ pub fn serve_stdio(config: ServeConfig) -> io::Result<()> {
     result.map(|_| ())
 }
 
+/// The handler of one TCP connection; returns `true` when it acknowledged
+/// a server shutdown.
+type Handler = JoinHandle<io::Result<bool>>;
+
+/// The connections one [`serve_tcp`] call is tracking: for each, the read
+/// half shutdown closes and the handler thread it joins.  A handler that
+/// returns reports its serial number on `exited`, and the next
+/// [`Connections::admit`] reaps it — joins the thread and drops the read
+/// half — so a departed client's socket closes and the set stays bounded by
+/// the clients still connected (plus those that left since the last
+/// accept).
+struct Connections {
+    live: Vec<(u64, TcpStream, Handler)>,
+    next_serial: u64,
+    exited_tx: mpsc::Sender<u64>,
+    exited: Receiver<u64>,
+}
+
+impl Connections {
+    fn new() -> Self {
+        let (exited_tx, exited) = mpsc::channel();
+        Connections {
+            live: Vec::new(),
+            next_serial: 0,
+            exited_tx,
+            exited,
+        }
+    }
+
+    /// Reaps every handler that has exited, then spawns `handler` on
+    /// `stream` and tracks the connection.  A stream whose read half cannot
+    /// be cloned is dropped unserved.
+    fn admit<F>(&mut self, stream: TcpStream, handler: F)
+    where
+        F: FnOnce(TcpStream) -> io::Result<bool> + Send + 'static,
+    {
+        self.reap();
+        let Ok(read_half) = stream.try_clone() else {
+            return;
+        };
+        let serial = self.next_serial;
+        self.next_serial += 1;
+        let exited = self.exited_tx.clone();
+        let handle = std::thread::spawn(move || {
+            let result = handler(stream);
+            let _ = exited.send(serial);
+            result
+        });
+        self.live.push((serial, read_half, handle));
+    }
+
+    /// Joins every handler that has reported its exit, closing its socket.
+    fn reap(&mut self) {
+        while let Ok(serial) = self.exited.try_recv() {
+            if let Some(at) = self.live.iter().position(|(s, _, _)| *s == serial) {
+                let (_, _, handle) = self.live.swap_remove(at);
+                let _ = handle.join().expect("connection handler panicked");
+            }
+        }
+    }
+
+    /// Closes the read half of every live connection, so handler loops see
+    /// EOF (their queued sends already resolved as `shutting_down`), then
+    /// joins every handler.
+    fn close_all(self) {
+        for (_, read_half, _) in &self.live {
+            let _ = read_half.shutdown(Shutdown::Read);
+        }
+        for (_, _, handle) in self.live {
+            let _ = handle.join().expect("connection handler panicked");
+        }
+    }
+}
+
 /// Serves newline-delimited JSON over TCP: one handler thread per
 /// connection, all sharing the single writer.  Returns `Ok(())` after a
 /// `shutdown` request has been acknowledged, the queue drained, and every
@@ -294,16 +370,12 @@ pub fn serve_tcp(listener: TcpListener, config: ServeConfig) -> io::Result<()> {
     let writer = std::thread::spawn(move || writer_loop(core, jobs_rx));
 
     let accepting = Arc::new(AtomicBool::new(true));
-    let streams: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-    let handles: Arc<Mutex<Vec<JoinHandle<io::Result<bool>>>>> = Arc::new(Mutex::new(Vec::new()));
-
     let acceptor = {
         let accepting = Arc::clone(&accepting);
-        let streams = Arc::clone(&streams);
-        let handles = Arc::clone(&handles);
         let jobs_tx = jobs_tx.clone();
         let stats = Arc::clone(&stats);
         std::thread::spawn(move || {
+            let mut connections = Connections::new();
             for incoming in listener.incoming() {
                 if !accepting.load(Ordering::Acquire) {
                     break;
@@ -313,21 +385,14 @@ pub fn serve_tcp(listener: TcpListener, config: ServeConfig) -> io::Result<()> {
                 // Nagle on would serialize every exchange behind a
                 // delayed-ACK round trip.
                 let _ = stream.set_nodelay(true);
-                let Ok(read_half) = stream.try_clone() else {
-                    continue;
-                };
-                streams
-                    .lock()
-                    .expect("streams mutex poisoned")
-                    .push(read_half);
                 let jobs_tx = jobs_tx.clone();
                 let stats = Arc::clone(&stats);
-                let handle = std::thread::spawn(move || {
+                connections.admit(stream, move |stream| {
                     let reader = BufReader::new(stream.try_clone()?);
                     serve_connection(reader, stream, &jobs_tx, &stats, executor)
                 });
-                handles.lock().expect("handles mutex poisoned").push(handle);
             }
+            connections
         })
     };
 
@@ -339,17 +404,8 @@ pub fn serve_tcp(listener: TcpListener, config: ServeConfig) -> io::Result<()> {
     // throwaway connection so its blocking accept returns.
     accepting.store(false, Ordering::Release);
     let _ = TcpStream::connect(local_addr);
-    acceptor.join().expect("acceptor thread panicked");
-
-    // Close the read half of every connection so handler loops see EOF
-    // (their queued sends already resolved as `shutting_down`), then join.
-    for stream in streams.lock().expect("streams mutex poisoned").iter() {
-        let _ = stream.shutdown(Shutdown::Read);
-    }
-    let joined = std::mem::take(&mut *handles.lock().expect("handles mutex poisoned"));
-    for handle in joined {
-        let _ = handle.join().expect("connection handler panicked");
-    }
+    let connections = acceptor.join().expect("acceptor thread panicked");
+    connections.close_all();
     drop(jobs_tx);
     Ok(())
 }
@@ -357,6 +413,56 @@ pub fn serve_tcp(listener: TcpListener, config: ServeConfig) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
+    use std::time::Duration;
+
+    /// Connection churn: each client leaves before the next one arrives,
+    /// and that next accept reaps the departed handler.  The tracked set
+    /// never holds more than the newest connection, and every departed
+    /// client sees its socket closed (a read returns EOF).
+    #[test]
+    fn departed_connections_are_reaped_on_the_next_accept() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+        let addr = listener.local_addr().expect("local address");
+        let mut connections = Connections::new();
+        let admit_next = |connections: &mut Connections| {
+            let client = TcpStream::connect(addr).expect("connect");
+            // A regression shows up as a timed-out read, not a hang.
+            client
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .expect("read timeout");
+            let (stream, _) = listener.accept().expect("accept");
+            connections.admit(stream, |stream| {
+                let mut sink = Vec::new();
+                (&stream).read_to_end(&mut sink)?;
+                Ok(false)
+            });
+            client
+        };
+        let mut departed = Vec::new();
+        for _ in 0..8 {
+            let client = admit_next(&mut connections);
+            assert_eq!(connections.live.len(), 1, "departed handlers were reaped");
+            client.shutdown(Shutdown::Write).expect("half-close");
+            // Force the order: wait for the handler's exit notice, then
+            // hand it back for the next accept to reap.
+            let serial = connections.exited.recv().expect("handler exit notice");
+            connections
+                .exited_tx
+                .send(serial)
+                .expect("requeue the notice");
+            departed.push(client);
+        }
+        let last = admit_next(&mut connections);
+        assert_eq!(connections.live.len(), 1);
+        for mut client in departed {
+            let mut buf = [0u8; 1];
+            assert_eq!(client.read(&mut buf).expect("server closed the socket"), 0);
+        }
+        // Shutdown still closes and joins whoever is connected.
+        connections.close_all();
+        drop(last);
+    }
 
     /// Drives `serve_connection` over in-memory buffers — the stdio path
     /// without a process boundary.

@@ -234,7 +234,22 @@ proptest! {
         let mut world = World::new();
         let relation = shaped_relation(&mut world, arity, rows, seed);
         let expected = canonical_interpretation_by_blocks(&relation);
-        prop_assert_eq!(canonical_interpretation(&relation).unwrap(), expected);
+        let actual = canonical_interpretation(&relation).unwrap();
+        prop_assert_eq!(&actual, &expected);
+        // The block-indexed names invert the naming, block for block.
+        for attribute in actual.attributes() {
+            let interp = actual.require(attribute).unwrap();
+            let blocks = interp.atomic().num_blocks();
+            let mut by_naming = vec![None; blocks];
+            for (symbol, block) in interp.naming() {
+                by_naming[block] = Some(symbol);
+            }
+            for (block, name) in by_naming.into_iter().enumerate() {
+                prop_assert!(name.is_some());
+                prop_assert_eq!(interp.symbol_of_block(block), name);
+            }
+            prop_assert_eq!(interp.symbol_of_block(blocks), None);
+        }
     }
 }
 
