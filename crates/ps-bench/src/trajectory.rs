@@ -1407,17 +1407,35 @@ pub fn toolchain_info() -> String {
         .unwrap_or_else(|| "unknown".to_owned())
 }
 
-/// `git rev-parse HEAD` of the working tree, or `"unknown"`.
+/// `git rev-parse HEAD` of the working tree, or `"unknown"`; suffixed
+/// `-dirty` when tracked files differ from HEAD (see `commit_stamp`).
 pub fn commit_info() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+    };
+    match git(&["rev-parse", "HEAD"]) {
+        Some(head) if !head.trim().is_empty() => commit_stamp(
+            head.trim(),
+            git(&["status", "--porcelain", "--untracked-files=no"]).as_deref(),
+        ),
+        _ => "unknown".to_owned(),
+    }
+}
+
+/// The commit stamp of a report produced at `head`, given the output of
+/// `git status --porcelain --untracked-files=no` (`None` if it failed): a
+/// tree whose tracked files differ from HEAD is not HEAD, so it is stamped
+/// `<head>-dirty`.
+fn commit_stamp(head: &str, porcelain: Option<&str>) -> String {
+    match porcelain {
+        Some(status) if !status.trim().is_empty() => format!("{head}-dirty"),
+        _ => head.to_owned(),
+    }
 }
 
 /// Runs the pinned suite — all five decision procedures, the two hot-path
@@ -1491,6 +1509,18 @@ mod tests {
         );
         assert!(TrajectoryReport::improvements(&after, &before).is_empty());
         assert_eq!(TrajectoryReport::compare(&after, &before, 0.4).len(), 1);
+    }
+
+    #[test]
+    fn a_tree_with_tracked_changes_is_stamped_dirty() {
+        assert_eq!(commit_stamp("abc123", Some("")), "abc123");
+        assert_eq!(commit_stamp("abc123", Some("\n")), "abc123");
+        assert_eq!(
+            commit_stamp("abc123", Some(" M BENCH_9_smoke.json\n")),
+            "abc123-dirty"
+        );
+        // Without a status the stamp stays the bare HEAD.
+        assert_eq!(commit_stamp("abc123", None), "abc123");
     }
 
     #[test]

@@ -23,10 +23,28 @@
 //!   marks on row `r` exactly the FDs whose lhs contains column `c`, and
 //!   queues `r`.  A popped row examines only its pending FDs, so a merge
 //!   in a column no lhs contains re-examines nothing.  An FD whose lhs is a
-//!   single tableau column keys a dense `u32` slot array by the column's
-//!   class root; a multi-column lhs keys a hash map by the vector of roots.
+//!   single tableau column keys a dense `u32` leader slot by the column's
+//!   class root — the slots are root-major, `slots[root · dense + d]` for
+//!   the `d`-th such FD — and a multi-column lhs keys a hash map by the
+//!   vector of roots.
 //! * [`chase_tableau_naive`] — the full-rescan reference: repeat passes
 //!   over every (FD, row) pair until a pass changes nothing.
+//!
+//! **Lone cells.**  Most cells of a padded tableau hold a padding null
+//! that occurs in no other cell.  Such a *lone* cell gets no class until a
+//! merge reaches it (congruence closure likewise gives a term no class
+//! structure until it takes part in an equation): no union-find node, no
+//! occurrence-list entry, no leader slots, and a row starts with no FD
+//! pending whose lhs contains one of its lone cells.  A multi-column FD
+//! that becomes pending while another of its lhs cells is still lone is
+//! skipped, and the skip is not a visit.  Equating works on the two rhs
+//! *cells*: two cells with classes merge as above; a lone cell adopts the
+//! other cell's root (joins its occurrence list, may lower its
+//! representative, and is marked); two lone cells form a new class — a
+//! [`UnionFind::push`] plus `dense` empty leader slots — and *both* are
+//! marked, since neither was ever examined under a key.  A lone cell holds
+//! a null, so it never clashes; each of these is one union, so `steps`
+//! counts exactly what it counts without lone cells.
 //!
 //! **Why skipping the other FDs loses nothing.**  A visit's outcome depends
 //! only on the row's lhs class key and on the leader entry under that key,
@@ -38,14 +56,21 @@
 //! cells loses a merge, and then that cell is on the loser's occurrence
 //! list, so the merge marks the pair pending again.  Two rows whose keys
 //! become equal are caught the same way: one of them had an lhs cell on the
-//! losing side.  Every pair starts pending, and a bit is cleared just
-//! before its visit, so at the fixpoint every pair has been examined under
-//! its final key — exactly the full-rescan engine's stopping condition.
+//! losing side.  A pair whose key holds a lone cell is skipped safely: the
+//! lone cell's class is a singleton, so no other row can share a key that
+//! contains it, and the moment the cell gets a class it is marked — both
+//! cells when two lone cells pair up.  Every other pair starts pending, and
+//! a bit is cleared just before its visit, so at the fixpoint every pair
+//! whose key could match another row's has been examined under its final
+//! key — exactly the full-rescan engine's stopping condition.
 //!
 //! The dense ids are assigned in row-major first-occurrence order.
 //! Constants go through a hash map; padding nulls, which a [`NullSource`]
 //! mints by counting up, are looked up by their offset from the tableau's
-//! least null whenever that window spans at most twice the cell count.
+//! least null whenever that window spans at most twice the cell count.  A
+//! counting pass over that window finds the lone cells first; nulls outside
+//! a window are hashed and always get an id.  A lone cell's chased value is
+//! its own symbol.
 //!
 //! Both report their work in [`ChaseOutcome::row_visits`], which the
 //! `ps-bench` operation-counter test uses to prove the indexed engine does
@@ -84,8 +109,9 @@ pub struct ChaseOutcome {
     /// closed Theorem 12 system, whose FDs are grouped one per left-hand
     /// side, that is one (row, grouped FD) examination.  The indexed engine
     /// examines each pair once, and again only after a merge moved one of
-    /// the row's lhs cells (its pending bit for that FD); the naive engine
-    /// examines every pair on every round.
+    /// the row's lhs cells (its pending bit for that FD); a pair it skips
+    /// because the row's lhs holds a lone cell (see the module docs) is not
+    /// a visit.  The naive engine examines every pair on every round.
     pub row_visits: usize,
     /// If consistent, the chased tableau rows with every symbol replaced by
     /// its representative.
@@ -243,12 +269,12 @@ pub fn chase_tableau_naive(tableau: &Tableau, fds: &[Fd]) -> ChaseOutcome {
 /// Reusable working storage for the indexed chase engine.
 ///
 /// One [`chase_tableau_with`] run needs a local symbol-interning table, the
-/// flat cell array, per-class occurrence lists, per-row pending FD bits, one
-/// dense leader-slot array per single-column FD, one lhs-key hash index per
-/// multi-column FD, the dirty-row queue and a key scratch buffer.  On macro
-/// workloads (10⁵–10⁶ tuples chased per batch, or one chase per query in a
-/// long-lived session) that allocation churn is a measurable share of the
-/// chase's wall-clock, so callers that chase repeatedly hold one
+/// flat cell array, per-class occurrence lists, per-row pending FD bits,
+/// the dense leader slots of the single-column FDs, one lhs-key hash index
+/// per multi-column FD, the dirty-row queue and a key scratch buffer.  On
+/// macro workloads (10⁵–10⁶ tuples chased per batch, or one chase per query
+/// in a long-lived session) that allocation churn is a measurable share of
+/// the chase's wall-clock, so callers that chase repeatedly hold one
 /// `ChaseScratch` and pass it to every run; each run clears — but keeps the
 /// capacity of — every buffer.  The buffer-reuse path is pinned to the
 /// fresh-allocation path by the `columnar_agreement` proptests and measured
@@ -257,18 +283,23 @@ pub fn chase_tableau_naive(tableau: &Tableau, fds: &[Fd]) -> ChaseOutcome {
 pub struct ChaseScratch {
     /// Dense local interning of constants, and of nulls outside `window`.
     local: HashMap<Symbol, u32>,
-    /// Direct interning of nulls: `window[i]` is the dense id of the null
-    /// whose raw index lies `i` above the tableau's least null (or
-    /// [`NONE`]).  Empty when the nulls are too sparse for a window.
+    /// Direct interning of nulls: `window[i]` describes the null whose raw
+    /// index lies `i` above the tableau's least null.  A counting pass
+    /// leaves [`NONE`] (absent), [`LONE`] (in exactly one cell, which then
+    /// gets no id) or [`SHARED`] (in several cells); interning replaces
+    /// each `SHARED` by the null's dense id.  Empty when the nulls are too
+    /// sparse for a window.
     window: Vec<u32>,
     /// `rep[r]` for a root `r`: the minimum symbol of the class.
     rep: Vec<Symbol>,
     /// Dense symbol ids, row-major: cell `(row, col)` is
-    /// `cells[row · width + col]`.
+    /// `cells[row · width + col]`, or [`LONE`] for a lone cell — one whose
+    /// null occurs in no other cell and that no merge has reached yet.
     cells: Vec<u32>,
     /// Occurrence lists over cell indices: for a root `r`, `head[r]` and
     /// `tail[r]` are the first and last cell holding a member of its class;
-    /// `next[cell]` is the cell after `cell` in its list (or [`NONE`]).
+    /// `next[cell]` is the cell after `cell` in its list (or [`NONE`]).  A
+    /// lone cell is on no list until a merge gives it a class.
     head: Vec<u32>,
     tail: Vec<u32>,
     next: Vec<u32>,
@@ -276,12 +307,14 @@ pub struct ChaseScratch {
     /// column `c`, one bit per active FD.
     lhs_fds: Vec<u64>,
     /// `pending[row · words ..][..words]`: the FDs `row` has yet to
-    /// (re-)examine.
+    /// (re-)examine.  A row starts with every FD pending except those whose
+    /// lhs contains one of its lone cells.
     pending: Vec<u64>,
-    /// The leader slots of the FDs whose active lhs is a single column:
-    /// FD `k`'s slots are `slots[k·n .. (k+1)·n]` for `n` interned symbols,
-    /// and slot `root` holds the leader row first seen with lhs class
-    /// `root` (or [`NONE`]).
+    /// The leader slots of the FDs whose active lhs is a single column,
+    /// root-major: with `dense` such FDs, the slot of the `d`-th one under
+    /// class root `r` is `slots[r · dense + d]`, holding the leader row
+    /// first seen with lhs class `r` (or [`NONE`]).  A class created by
+    /// pairing two lone cells appends its `dense` empty slots.
     slots: Vec<u32>,
     /// One lhs-key index per multi-column FD, mapping the class roots of a
     /// row's lhs columns to the leader row first seen with that key.
@@ -317,17 +350,18 @@ impl ChaseScratch {
         self.indexes.resize_with(num_hashed, HashMap::new);
         self.queue.clear();
         self.queued.clear();
-        self.queued.resize(num_rows, true);
+        self.queued.resize(num_rows, false);
         self.key_buf.clear();
     }
 
     /// Interns every cell of `rows` in row-major order: each distinct
     /// symbol gets the next dense id at its first occurrence, and each cell
-    /// is appended to its symbol's occurrence list.
+    /// is appended to its symbol's occurrence list — except a window null
+    /// that occurs in one cell only, whose cell is left [`LONE`].
     fn intern(&mut self, rows: &[Vec<Symbol>]) {
         // Padding nulls are minted by counting up, so a tableau's nulls
         // usually fill a narrow index range: look those up by offset
-        // instead of hashing them.
+        // instead of hashing them, after counting each one's cells.
         let (least, greatest) = rows
             .iter()
             .flatten()
@@ -338,14 +372,24 @@ impl ChaseScratch {
         let num_cells: usize = rows.iter().map(Vec::len).sum();
         if least <= greatest && ((greatest - least) as usize) < 2 * num_cells {
             self.window.resize((greatest - least) as usize + 1, NONE);
+            for s in rows.iter().flatten().filter(|s| s.is_null()) {
+                let entry = &mut self.window[(s.index() - least) as usize];
+                *entry = if *entry == NONE { LONE } else { SHARED };
+            }
         }
         for &s in rows.iter().flatten() {
             let cell = self.cells.len() as u32;
             let fresh = self.rep.len() as u32;
             let id = if s.is_null() && !self.window.is_empty() {
                 let entry = &mut self.window[(s.index() - least) as usize];
-                if *entry == NONE {
-                    *entry = fresh;
+                match *entry {
+                    LONE => {
+                        self.next.push(NONE);
+                        self.cells.push(LONE);
+                        continue;
+                    }
+                    SHARED => *entry = fresh,
+                    _ => {}
                 }
                 *entry
             } else {
@@ -364,14 +408,76 @@ impl ChaseScratch {
         }
     }
 
+    /// Marks on `cell`'s row the FDs whose lhs contains its column, and
+    /// queues the row if that marked anything: the cell's class key moved.
+    fn mark(&mut self, width: usize, words: usize, cell: u32) {
+        let (row, col) = (cell as usize / width, cell as usize % width);
+        let fds = &self.lhs_fds[col * words..(col + 1) * words];
+        if fds.iter().any(|&bits| bits != 0) {
+            let pending = &mut self.pending[row * words..(row + 1) * words];
+            for (p, &f) in pending.iter_mut().zip(fds) {
+                *p |= f;
+            }
+            if !self.queued[row] {
+                self.queued[row] = true;
+                self.queue.push_back(row as u32);
+            }
+        }
+    }
+
+    /// Equates tableau cells `a` and `b` (flat indices), either of which
+    /// may be lone; `rows` supplies a lone cell's symbol.  Two cells with
+    /// classes merge as in [`ChaseScratch::merge`].  A lone cell adopts the
+    /// other cell's class: it joins the root's occurrence list, may lower
+    /// its representative, and is marked.  Two lone cells form a new class
+    /// (a [`UnionFind::push`] plus `dense` empty leader slots) whose list
+    /// is `a` then `b`, and both are marked, since neither was ever
+    /// examined under a key.  A lone cell holds a null, so only two classes
+    /// can clash; each outcome but `Same` is one union.
+    fn merge_cells(
+        &mut self,
+        uf: &mut UnionFind,
+        rows: &[Vec<Symbol>],
+        (width, words, dense): (usize, usize, usize),
+        a: u32,
+        b: u32,
+    ) -> Merge {
+        let symbol = |cell: u32| rows[cell as usize / width][cell as usize % width];
+        let (ia, ib) = (self.cells[a as usize], self.cells[b as usize]);
+        if ia != LONE && ib != LONE {
+            return self.merge(uf, width, words, ia, ib);
+        }
+        if ia == LONE && ib == LONE {
+            let id = uf.push() as u32;
+            self.rep.push(symbol(a).min(symbol(b)));
+            self.head.push(a);
+            self.tail.push(b);
+            self.next[a as usize] = b;
+            self.cells[a as usize] = id;
+            self.cells[b as usize] = id;
+            self.slots.resize(self.slots.len() + dense, NONE);
+            self.mark(width, words, a);
+            self.mark(width, words, b);
+            return Merge::Merged;
+        }
+        let (lone, class) = if ia == LONE { (a, ib) } else { (b, ia) };
+        let root = uf.find(class as usize);
+        self.rep[root] = self.rep[root].min(symbol(lone));
+        let last = std::mem::replace(&mut self.tail[root], lone);
+        self.next[last as usize] = lone;
+        self.cells[lone as usize] = root as u32;
+        self.mark(width, words, lone);
+        Merge::Merged
+    }
+
     /// Merges the classes of dense ids `a` and `b` in `uf`, maintaining the
     /// minimum-symbol representative in `rep` (constants sort below fresh
     /// nulls, so a class with a constant is always represented by it — and
     /// since merging two constants is a contradiction, each class holds at
-    /// most one).  On a merge, each cell of the losing class marks the FDs
-    /// whose lhs contains its column as pending on its row and queues the
-    /// row; then the loser's occurrence list is spliced onto the winner's
-    /// tail, so lists keep the order winner's cells, then loser's.
+    /// most one).  On a merge, each cell of the losing class is marked (see
+    /// [`ChaseScratch::mark`]); then the loser's occurrence list is spliced
+    /// onto the winner's tail, so lists keep the order winner's cells, then
+    /// loser's.
     fn merge(&mut self, uf: &mut UnionFind, width: usize, words: usize, a: u32, b: u32) -> Merge {
         let ra = uf.find(a as usize);
         let rb = uf.find(b as usize);
@@ -389,18 +495,7 @@ impl ChaseScratch {
         self.rep[winner] = self.rep[ra].min(self.rep[rb]);
         let mut cell = self.head[loser];
         while cell != NONE {
-            let (row, col) = (cell as usize / width, cell as usize % width);
-            let fds = &self.lhs_fds[col * words..(col + 1) * words];
-            if fds.iter().any(|&bits| bits != 0) {
-                let pending = &mut self.pending[row * words..(row + 1) * words];
-                for (p, &f) in pending.iter_mut().zip(fds) {
-                    *p |= f;
-                }
-                if !self.queued[row] {
-                    self.queued[row] = true;
-                    self.queue.push_back(row as u32);
-                }
-            }
+            self.mark(width, words, cell);
             cell = self.next[cell as usize];
         }
         self.next[self.tail[winner] as usize] = self.head[loser];
@@ -420,8 +515,16 @@ enum Merge {
 }
 
 /// Marks an empty dense leader slot, the end of an occurrence list and a
-/// null the interning window has not seen yet.
+/// null the interning window has not seen.
 const NONE: u32 = u32::MAX;
+
+/// Marks a lone cell in [`ChaseScratch::cells`], and a null counted once in
+/// [`ChaseScratch::window`].
+const LONE: u32 = u32::MAX - 1;
+
+/// Marks a null counted in several cells, not yet given an id, in
+/// [`ChaseScratch::window`].
+const SHARED: u32 = u32::MAX - 2;
 
 /// The least FD index `≥ from` whose bit is set in `bits`.
 fn next_pending(bits: &[u64], from: usize) -> Option<usize> {
@@ -437,8 +540,8 @@ fn next_pending(bits: &[u64], from: usize) -> Option<usize> {
 /// Where one FD of the indexed engine looks up a row's leader.
 #[derive(Clone, Copy)]
 enum LeaderIndex {
-    /// Single-column lhs: the dense slots starting at this offset of
-    /// [`ChaseScratch::slots`], indexed by the lhs class root.
+    /// Single-column lhs: the `d`-th slot of each root's run of
+    /// [`ChaseScratch::slots`].
     Dense(usize),
     /// Multi-column lhs: this entry of [`ChaseScratch::indexes`], keyed by
     /// the lhs class roots.
@@ -476,7 +579,8 @@ pub fn chase_tableau_with(
     scratch.reset(num_rows, hashed);
     scratch.intern(rows);
 
-    // Which FDs each column feeds, and every FD pending on every row.
+    // Which FDs each column feeds; every FD pending on every row except
+    // those keyed on one of the row's lone cells.
     scratch.lhs_fds.resize(width * words, 0);
     for (k, (lhs_cols, _)) in fd_columns.iter().enumerate() {
         for &c in lhs_cols {
@@ -487,15 +591,28 @@ pub fn chase_tableau_with(
         n if n >= 64 => !0u64,
         n => (1u64 << n) - 1,
     };
-    for _ in 0..num_rows {
+    for r in 0..num_rows {
         scratch.pending.extend((0..words).map(all_fds));
+        for c in 0..width {
+            if scratch.cells[r * width + c] == LONE {
+                for w in 0..words {
+                    scratch.pending[r * words + w] &= !scratch.lhs_fds[c * words + w];
+                }
+            }
+        }
+        if scratch.pending[r * words..(r + 1) * words]
+            .iter()
+            .any(|&bits| bits != 0)
+        {
+            scratch.queued[r] = true;
+            scratch.queue.push_back(r as u32);
+        }
     }
 
     let num_symbols = scratch.rep.len();
     scratch.slots.clear();
     scratch.slots.resize(dense * num_symbols, NONE);
     let mut uf = UnionFind::new(num_symbols);
-    scratch.queue.extend(0..num_rows as u32);
 
     let mut steps = 0usize;
     let mut row_visits = 0usize;
@@ -509,16 +626,19 @@ pub fn chase_tableau_with(
         while let Some(k) = next_pending(&scratch.pending[r * words..(r + 1) * words], from) {
             scratch.pending[r * words + k / 64] &= !(1 << (k % 64));
             from = k + 1;
-            row_visits += 1;
             let (lhs_cols, rhs_cols) = &fd_columns[k];
             let cells = &scratch.cells[r * width..(r + 1) * width];
             let leader = match leader_index[k] {
                 // A slot under a root that has since lost a merge is never
                 // read again (`find` only returns roots), so merges leave
-                // stale slots behind instead of clearing them.
+                // stale slots behind instead of clearing them.  A lone lhs
+                // cell never has this FD pending: its bit is set only once
+                // a merge gives the cell a class.
                 LeaderIndex::Dense(d) => {
+                    row_visits += 1;
+                    debug_assert_ne!(cells[lhs_cols[0]], LONE);
                     let root = uf.find(cells[lhs_cols[0]] as usize);
-                    let slot = &mut scratch.slots[d * num_symbols + root];
+                    let slot = &mut scratch.slots[root * dense + d];
                     if *slot == NONE {
                         *slot = row;
                         continue;
@@ -526,6 +646,13 @@ pub fn chase_tableau_with(
                     *slot
                 }
                 LeaderIndex::Hashed(h) => {
+                    // A key holding a lone cell matches no other row's, and
+                    // the pair comes back once that cell gets a class: skip
+                    // it without counting a visit.
+                    if lhs_cols.iter().any(|&c| cells[c] == LONE) {
+                        continue;
+                    }
+                    row_visits += 1;
                     scratch.key_buf.clear();
                     for &c in lhs_cols {
                         scratch.key_buf.push(uf.find(cells[c] as usize) as u32);
@@ -546,9 +673,9 @@ pub fn chase_tableau_with(
                 continue;
             }
             for &c in rhs_cols {
-                let a = scratch.cells[leader as usize * width + c];
-                let b = scratch.cells[r * width + c];
-                match scratch.merge(&mut uf, width, words, a, b) {
+                let a = (leader as usize * width + c) as u32;
+                let b = (r * width + c) as u32;
+                match scratch.merge_cells(&mut uf, rows, (width, words, dense), a, b) {
                     Merge::Same => {}
                     Merge::Clash => {
                         return ChaseOutcome::inconsistent(steps, 1, row_visits);
@@ -559,11 +686,17 @@ pub fn chase_tableau_with(
         }
     }
 
-    let chased = (0..num_rows)
-        .map(|r| {
-            scratch.cells[r * width..(r + 1) * width]
-                .iter()
-                .map(|&id| scratch.rep[uf.find(id as usize)])
+    let chased = rows
+        .iter()
+        .enumerate()
+        .map(|(r, row)| {
+            let ids = &scratch.cells[r * width..(r + 1) * width];
+            row.iter()
+                .zip(ids)
+                .map(|(&s, &id)| match id {
+                    LONE => s,
+                    id => scratch.rep[uf.find(id as usize)],
+                })
                 .collect()
         })
         .collect();
@@ -647,16 +780,21 @@ mod tests {
         }
     }
 
-    /// Chases one tableau of `db` with both engines, which must agree: same
-    /// verdict, same chased rows up to null renaming (the FD chase is
-    /// confluent).  Returns the indexed engine's outcome.  No relation
-    /// between their `row_visits` is asserted here — the worklist engine
-    /// wins on propagation-heavy workloads but can lose on tiny ones, where
-    /// re-queues outnumber the naive engine's few global rounds.
+    /// Chases one tableau of `db` with both engines (see [`chase_rows`]).
     fn chase(db: &Database, fds: &[Fd], symbols: &mut SymbolTable) -> ChaseOutcome {
         let tableau = Tableau::from_database(db, &db.all_attributes(), symbols);
-        let indexed = chase_tableau_with(&tableau, fds, &mut ChaseScratch::default());
-        let naive = chase_tableau_naive(&tableau, fds);
+        chase_rows(&tableau, fds, symbols)
+    }
+
+    /// Chases `tableau` with both engines, which must agree: same verdict,
+    /// same chased rows up to null renaming (the FD chase is confluent).
+    /// Returns the indexed engine's outcome.  No relation between their
+    /// `row_visits` is asserted here — the worklist engine wins on
+    /// propagation-heavy workloads but can lose on tiny ones, where
+    /// re-queues outnumber the naive engine's few global rounds.
+    fn chase_rows(tableau: &Tableau, fds: &[Fd], symbols: &SymbolTable) -> ChaseOutcome {
+        let indexed = chase_tableau_with(tableau, fds, &mut ChaseScratch::default());
+        let naive = chase_tableau_naive(tableau, fds);
         assert_eq!(indexed.consistent, naive.consistent);
         match (&indexed.rows, &naive.rows) {
             (Some(a), Some(b)) => {
@@ -867,92 +1005,142 @@ mod tests {
     #[test]
     fn dense_slots_survive_merges_beside_hashed_keys() {
         let mut f = fixture();
-        // Tableau over X, A, B, C, D (A null in both rows):
-        //   row 0 = (x, n0, b1, c, _ ),  row 1 = (x, n2, _, c, d1).
+        // Tableau over X, A, B, C, D, where `_` is a lone null:
+        //   row 0 = (x, n0, b1, c, _ ),  row 1 = (x, n2, _, c, d1),
+        //   row 2 = (y, n2, _,  _, _ ),  row 3 = (z, n0, _, _, _ ).
+        // Rows 2 and 3 make both A nulls occur twice, so they get classes.
         // Row 1 first claims the dense A → B slot under its own root n2;
         // X → A then merges n2 into n0, leaving that slot stale, and
-        // re-queues row 1, whose next A → B visit meets row 0 under n0
-        // (equating B with b1) while the two-column AC → D key now hits
-        // row 0 in the hash index (equating D with d1).
-        let db = DatabaseBuilder::new()
-            .relation(
-                &mut f.universe,
-                &mut f.symbols,
-                "R1",
-                &["X", "B", "C"],
-                &[&["x", "b1", "c"]],
-            )
-            .unwrap()
-            .relation(
-                &mut f.universe,
-                &mut f.symbols,
-                "R2",
-                &["X", "C", "D"],
-                &[&["x", "c", "d1"]],
-            )
-            .unwrap()
-            .relation(&mut f.universe, &mut f.symbols, "RA", &["A"], &[])
-            .unwrap()
-            .build();
+        // re-queues rows 1 and 2, whose next A → B visits meet row 0 under
+        // n0 (equating B with b1), while the two-column AC → D key of row 1
+        // now hits row 0 in the hash index (equating D with d1).  Rows 2 and
+        // 3 never examine AC → D: their C cells stay lone.
         let [x, a, b, c, d] = ["X", "A", "B", "C", "D"].map(|n| f.universe.attr(n));
+        let attrs: AttrSet = [x, a, b, c, d].into_iter().collect();
+        let [sx, b1, sc, d1, sy, sz] =
+            ["x", "b1", "c", "d1", "y", "z"].map(|n| f.symbols.symbol(n));
+        let (n0, n2) = (f.symbols.fresh(), f.symbols.fresh());
+        let mut lone = || f.symbols.fresh();
+        let rows = vec![
+            vec![sx, n0, b1, sc, lone()],
+            vec![sx, n2, lone(), sc, d1],
+            vec![sy, n2, lone(), lone(), lone()],
+            vec![sz, n0, lone(), lone(), lone()],
+        ];
+        let tableau = Tableau::from_rows(attrs, rows);
         let fds = vec![fd(&[a], &[b]), fd(&[x], &[a]), fd(&[a, c], &[d])];
-        let outcome = chase(&db, &fds, &mut f.symbols);
+        let outcome = chase_rows(&tableau, &fds, &f.symbols);
         assert!(outcome.consistent);
+        // 3 + 3 first visits on rows 0 and 1, 2 + 2 on rows 2 and 3 (their
+        // AC → D is skipped), and A → B again on row 1 (its AC → D bit, set
+        // by the merge, was consumed by the visit that followed it).
+        assert_eq!((outcome.steps, outcome.row_visits), (5, 11));
         let rows = outcome.rows.as_ref().unwrap();
-        let tableau = Tableau::from_database(&db, &db.all_attributes(), &mut f.symbols);
-        let (pa, pb, pd) = (
-            tableau.position(a).unwrap(),
-            tableau.position(b).unwrap(),
-            tableau.position(d).unwrap(),
-        );
+        let [px, pa, pb, pc, pd] = [x, a, b, c, d].map(|attr| tableau.position(attr).unwrap());
         assert_eq!(rows[0][pa], rows[1][pa]);
         assert_eq!(f.symbols.render(rows[1][pb]), "b1");
         assert_eq!(f.symbols.render(rows[0][pd]), "d1");
-        // The A → B slots still hold both leaders, one under a root that
-        // lost the merge; only the two-column FD used a hash index.
+        // A lone cell no merge reached keeps its own symbol.
+        assert_eq!(rows[2][pc], tableau.rows()[2][pc]);
+        // The A → B slots (the first of each root's two) still hold both
+        // leaders, one under a root that lost the merge; only the
+        // two-column FD used a hash index.
         let mut scratch = ChaseScratch::default();
         chase_tableau_with(&tableau, &fds, &mut scratch);
         let n = scratch.rep.len();
-        let leaders = scratch.slots[..n].iter().filter(|&&s| s != NONE).count();
+        let leaders = (0..n).filter(|&r| scratch.slots[2 * r] != NONE).count();
         assert_eq!(leaders, 2);
         assert_eq!(scratch.slots.len(), 2 * n);
         assert_eq!(scratch.indexes.len(), 1);
-        // Flat cells; the four constants are hashed, the contiguous padding
-        // nulls go through the window.
+        // Flat cells; the six constants are hashed, the contiguous nulls go
+        // through the window, and only the two shared nulls got ids.
         let width = tableau.attrs().len();
-        assert_eq!(scratch.cells.len(), 2 * width);
-        assert_eq!(scratch.local.len(), 4);
+        assert_eq!(scratch.cells.len(), 4 * width);
+        assert_eq!(scratch.local.len(), 6);
         assert!(!scratch.window.is_empty());
+        assert_eq!(n, 8);
+        assert_eq!(scratch.cells[2 * width + pc], LONE);
         // Column A feeds A → B and AC → D, column X feeds X → A.
-        let px = tableau.position(x).unwrap();
         assert_eq!(scratch.lhs_fds[pa], 0b101);
         assert_eq!(scratch.lhs_fds[px], 0b010);
         assert_eq!(scratch.lhs_fds[pb], 0);
         // X → A merged row 1's null into row 0's: the winner's occurrence
-        // list now runs through both A cells, winner's first, and the
-        // loser's list is its spliced-on suffix.
-        let walk = |id: u32| {
+        // list now runs through all four A cells, winner's first, and the
+        // loser's list is its spliced-on suffix.  Row 0's lone D cell
+        // adopted d1's class and joined its list.
+        let walk = |cell: usize| {
             let mut out = Vec::new();
-            let mut cell = scratch.head[id as usize];
+            let mut cell = scratch.head[scratch.cells[cell] as usize];
             while cell != NONE {
                 out.push(cell as usize);
                 cell = scratch.next[cell as usize];
             }
             out
         };
-        let (a0, a1) = (pa, width + pa);
-        assert_eq!(walk(scratch.cells[a0]), vec![a0, a1]);
-        assert_eq!(walk(scratch.cells[a1]), vec![a1]);
+        let [a0, a1, a2, a3] = [0, 1, 2, 3].map(|r| r * width + pa);
+        assert_eq!(walk(a0), vec![a0, a3, a1, a2]);
+        assert_eq!(walk(a1), vec![a1, a2]);
+        assert_eq!(walk(width + pd), vec![width + pd, pd]);
         // Every pending FD bit was consumed.
         assert!(scratch.pending.iter().all(|&bits| bits == 0));
     }
 
     #[test]
+    fn lone_cells_get_a_class_only_when_a_merge_reaches_them() {
+        // Tableau over A, B, C from R1[A] = (a), R2[A] = (a), R3[AC] =
+        // (a, c); every null is lone.  FDs B → C, A → B.  Only A → B is
+        // pending at first (B → C is keyed on lone cells).  Row 1's A → B
+        // pairs its lone B null with row 0's into a new class and marks
+        // both; row 2's lone B null then adopts that class and is marked.
+        // Row 0 claims the B → C slot, so row 1 pairs the C nulls and row
+        // 2 finds row 0 as its leader and brings in c: 3 + 3 visits.
+        // Marking only row 1's cell leaves row 0's C null apart; not
+        // marking the adopting cell leaves c out — both disagree with the
+        // full-rescan engine.
+        let mut f = fixture();
+        let [a, b, c] = ["A", "B", "C"].map(|n| f.universe.attr(n));
+        let db = DatabaseBuilder::new()
+            .relation(&mut f.universe, &mut f.symbols, "R1", &["A"], &[&["a"]])
+            .unwrap()
+            .relation(&mut f.universe, &mut f.symbols, "R2", &["A"], &[&["a"]])
+            .unwrap()
+            .relation(
+                &mut f.universe,
+                &mut f.symbols,
+                "R3",
+                &["A", "C"],
+                &[&["a", "c"]],
+            )
+            .unwrap()
+            .relation(&mut f.universe, &mut f.symbols, "RB", &["B"], &[])
+            .unwrap()
+            .build();
+        let fds = vec![fd(&[b], &[c]), fd(&[a], &[b])];
+        let outcome = chase(&db, &fds, &mut f.symbols);
+        assert!(outcome.consistent);
+        assert_eq!((outcome.steps, outcome.row_visits), (4, 6));
+        let rows = outcome.rows.as_ref().unwrap();
+        assert!(rows
+            .iter()
+            .all(|row| row[1] == rows[0][1] && row[1].is_null()));
+        assert!(rows.iter().all(|row| f.symbols.render(row[2]) == "c"));
+        // Two classes were pushed (the B nulls, the C nulls) beside the
+        // interned a and c, each with its two root-major leader slots.
+        let tableau = Tableau::from_database(&db, &db.all_attributes(), &mut f.symbols);
+        let mut scratch = ChaseScratch::default();
+        chase_tableau_with(&tableau, &fds, &mut scratch);
+        assert_eq!(scratch.rep.len(), 4);
+        assert_eq!(scratch.slots.len(), 4 * 2);
+        assert!(scratch.cells.iter().all(|&id| id != LONE));
+    }
+
+    #[test]
     fn merges_re_examine_only_the_fds_whose_lhs_moved() {
         // Tableau over A, B, C: row 0 = (a, b1, _), row 1 = (a, _, c).
-        // Row 1's A → B visit merges its B null into b1.  No lhs contains
-        // B, so nothing is re-queued: two rows × two FDs is all the work
-        // (re-examining every FD of a re-queued row would make it 6).
+        // Row 0's C null is lone, so its C → A pair is never pending.  Row
+        // 1's A → B visit merges its B null into b1.  No lhs contains B, so
+        // nothing is re-queued: three first visits are all the work
+        // (re-examining every FD of a re-queued row would make it 5).
         let mut f = fixture();
         let db = DatabaseBuilder::new()
             .relation(
@@ -976,14 +1164,15 @@ mod tests {
         let outcome = chase(&db, &[fd(&[a], &[b]), fd(&[c], &[a])], &mut f.symbols);
         assert!(outcome.consistent);
         assert_eq!(outcome.steps, 1);
-        assert_eq!(outcome.row_visits, 4);
+        assert_eq!(outcome.row_visits, 3);
 
         // Tableau over A, B, C, D: row 0 = (a, b1, c1, _), row 1 =
-        // (a, _, _, d), FDs B → C, A → B, D → C.  Row 1's B → C visit
-        // claims its own null's slot; its A → B visit then merges that
-        // null into b1.  Column B feeds only B → C, so row 1 comes back for
-        // that one FD (which equates C with c1, a column no lhs contains):
-        // 3 + 3 + 1 visits, where re-examining whole rows would take 12.
+        // (a, _, _, d), FDs B → C, A → B, D → C.  Lone cells leave row 0
+        // without D → C and row 1 without B → C.  Row 1's A → B visit gives
+        // its B null b1's class; column B feeds only B → C, so row 1 comes
+        // back for that one FD (which equates C with c1, a column no lhs
+        // contains): 2 + 2 + 1 visits, where re-examining whole rows would
+        // take 9.
         let mut f = fixture();
         let db = DatabaseBuilder::new()
             .relation(
@@ -1008,16 +1197,16 @@ mod tests {
         let outcome = chase(&db, &fds, &mut f.symbols);
         assert!(outcome.consistent);
         assert_eq!(outcome.steps, 2);
-        assert_eq!(outcome.row_visits, 7);
+        assert_eq!(outcome.row_visits, 5);
 
         // Behind 64 trivial FDs the bit that brings row 1 back lies in the
-        // second pending word: 2 × 67 + 1 visits.
+        // second pending word: 2 × 66 + 1 visits.
         let mut padded = vec![fd(&[a], &[a]); 64];
         padded.extend(fds);
         let outcome = chase(&db, &padded, &mut f.symbols);
         assert!(outcome.consistent);
         assert_eq!(outcome.steps, 2);
-        assert_eq!(outcome.row_visits, 135);
+        assert_eq!(outcome.row_visits, 133);
     }
 
     #[test]

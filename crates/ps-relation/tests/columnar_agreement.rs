@@ -159,10 +159,14 @@ struct ChaseCase {
 /// A random chase input over `attrs` (four attributes).
 ///
 /// Half the cases pad a random database of `relations` relations with
-/// `rows` rows each.  The others build a tableau of as many rows directly:
-/// three cells in four are nulls that repeat across rows and columns,
-/// minted either contiguously (the engine's direct null window) or a
-/// thousand indices apart (too sparse for the window, so they are hashed).
+/// `rows` rows each.  The others build a tableau of as many rows directly.
+/// In half of those, three cells in four are nulls that repeat across rows
+/// and columns, minted either contiguously (the engine's direct null
+/// window) or a thousand indices apart (too sparse for the window, so they
+/// are hashed).  In the other half, contiguous nulls used in one cell only
+/// (the engine's lone cells) sit beside nulls that repeat, and one column
+/// holds mostly lone nulls; an extra FD keys that column together with
+/// another, so its pairs wait for a merge to reach the lone cell.
 /// Constants are drawn from a per-column pool or from a pool shared by all
 /// columns.  FDs have one- or two-column left-hand sides.  About one case
 /// in three puts 60 to 64 trivial FDs (`A → A`) first, so the FDs that do
@@ -182,7 +186,8 @@ fn random_chase_case(
             symbols.symbol(&format!("a{}_v{}", attr.index(), rng.gen_range(0..3)))
         }
     };
-    let (tableau, db) = if rng.gen_bool(0.5) {
+    let all: AttrSet = attrs.iter().copied().collect();
+    let (tableau, db, lone_column) = if rng.gen_bool(0.5) {
         let mut db = Database::new();
         for r in 0..relations {
             let subset = random_attr_subset(attrs, rng);
@@ -198,15 +203,14 @@ fn random_chase_case(
             db.add(relation);
         }
         let tableau = Tableau::from_database(&db, &db.all_attributes(), &mut symbols);
-        (tableau, Some(db))
-    } else {
+        (tableau, Some(db), None)
+    } else if rng.gen_bool(0.5) {
         let spread: usize = if rng.gen_bool(0.5) { 1 } else { 1_000 };
         let pool = 1 + rng.gen_range(0..12usize);
         let nulls: Vec<Symbol> = (0..pool * spread)
             .map(|_| symbols.fresh())
             .step_by(spread)
             .collect();
-        let all: AttrSet = attrs.iter().copied().collect();
         let table = (0..relations * rows)
             .map(|_| {
                 all.iter()
@@ -220,7 +224,34 @@ fn random_chase_case(
                     .collect()
             })
             .collect();
-        (Tableau::from_rows(all, table), None)
+        (Tableau::from_rows(all, table), None, None)
+    } else {
+        // At most four repeated nulls beside at most one lone null per
+        // cell: the null indices span less than twice the cell count, so
+        // every null goes through the window.
+        let lone_column = rng.gen_range(0..all.len());
+        let pool: Vec<Symbol> = (0..1 + rng.gen_range(0..4))
+            .map(|_| symbols.fresh())
+            .collect();
+        let table = (0..relations * rows)
+            .map(|_| {
+                all.iter()
+                    .enumerate()
+                    .map(|(c, a)| {
+                        if c == lone_column && rng.gen_bool(0.8) {
+                            return symbols.fresh();
+                        }
+                        match rng.gen_range(0..3) {
+                            0 => symbols.fresh(),
+                            1 => pool[rng.gen_range(0..pool.len())],
+                            _ => constant(&mut symbols, rng, a),
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let lone = all.as_slice()[lone_column];
+        (Tableau::from_rows(all, table), None, Some(lone))
     };
     let used: Vec<Attribute> = tableau.attrs().iter().collect();
     let trivial = if rng.gen_bool(0.3) {
@@ -242,6 +273,13 @@ fn random_chase_case(
         let rhs = used[rng.gen_range(0..used.len())];
         Fd::new(lhs, AttrSet::singleton(rhs))
     }));
+    if let Some(lone) = lone_column {
+        let others: Vec<Attribute> = used.iter().copied().filter(|&a| a != lone).collect();
+        let mut lhs = AttrSet::singleton(lone);
+        lhs.insert(others[rng.gen_range(0..others.len())]);
+        let rhs = used[rng.gen_range(0..used.len())];
+        fds.push(Fd::new(lhs, AttrSet::singleton(rhs)));
+    }
     ChaseCase {
         symbols,
         tableau,

@@ -155,6 +155,9 @@ pub enum ErrorKind {
     ShuttingDown,
     /// A solver-level failure surfaced by the session layer.
     Session,
+    /// The frame ran past the server's frame cap (4 MiB) without a
+    /// newline; the server discarded input up to the next newline.
+    FrameTooLarge,
 }
 
 impl ErrorKind {
@@ -170,6 +173,7 @@ impl ErrorKind {
             ErrorKind::Overloaded => "overloaded",
             ErrorKind::ShuttingDown => "shutting_down",
             ErrorKind::Session => "session",
+            ErrorKind::FrameTooLarge => "frame_too_large",
         }
     }
 
@@ -184,6 +188,7 @@ impl ErrorKind {
             "overloaded" => ErrorKind::Overloaded,
             "shutting_down" => ErrorKind::ShuttingDown,
             "session" => ErrorKind::Session,
+            "frame_too_large" => ErrorKind::FrameTooLarge,
             _ => return None,
         })
     }

@@ -37,7 +37,7 @@
 //! like everywhere else.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -152,22 +152,86 @@ fn writer_loop(mut core: ServerCore, jobs: Receiver<Job>) {
     }
 }
 
+/// The longest frame a connection accepts, in bytes, its newline not
+/// counted.  Far above anything a client of this protocol sends (a
+/// `consistent` request over a few thousand tuples is a few hundred
+/// kilobytes); it bounds the memory one connection's read buffer can take.
+const MAX_FRAME_BYTES: usize = 4 << 20;
+
+/// What [`read_frame`] found.
+enum Frame {
+    /// End of input.
+    Eof,
+    /// One frame, without its line ending, is in the buffer.
+    Line,
+    /// The frame ran past [`MAX_FRAME_BYTES`]; input up to and including
+    /// the next newline has been discarded.
+    TooLarge,
+}
+
+/// Reads the next newline-terminated frame into `buf` (cleared first),
+/// never buffering more than [`MAX_FRAME_BYTES`] + 1 bytes of it.  A final
+/// frame without a newline still counts; a trailing `\r` is dropped.
+fn read_frame<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> io::Result<Frame> {
+    buf.clear();
+    let read = reader
+        .by_ref()
+        .take(MAX_FRAME_BYTES as u64 + 1)
+        .read_until(b'\n', buf)?;
+    if read == 0 {
+        return Ok(Frame::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_FRAME_BYTES {
+        buf.clear();
+        reader.skip_until(b'\n')?;
+        return Ok(Frame::TooLarge);
+    }
+    if buf.last() == Some(&b'\r') {
+        buf.pop();
+    }
+    Ok(Frame::Line)
+}
+
 /// Serves one connection: reads newline-delimited frames from `reader`,
 /// writes one response line per frame to `writer`.  Returns `true` when
-/// the connection requested (and was acknowledged) a server shutdown.
+/// the connection requested (and was acknowledged) a server shutdown.  A
+/// frame longer than [`MAX_FRAME_BYTES`] answers `frame_too_large` and one
+/// that is not UTF-8 answers `parse`; the connection stays up either way.
 fn serve_connection<R: BufRead, W: Write>(
-    reader: R,
+    mut reader: R,
     mut writer: W,
     jobs: &SyncSender<Job>,
     stats: &SharedStats,
     executor: ParallelExecutor,
 ) -> io::Result<bool> {
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = answer_frame(&line, jobs, stats, executor);
+    let mut frame = Vec::new();
+    loop {
+        let response = match read_frame(&mut reader, &mut frame)? {
+            Frame::Eof => return Ok(false),
+            Frame::TooLarge => malformed(
+                stats,
+                WireError::new(
+                    ErrorKind::FrameTooLarge,
+                    format!(
+                        "frame exceeds {MAX_FRAME_BYTES} bytes; \
+                         input up to the next newline was discarded"
+                    ),
+                ),
+            ),
+            Frame::Line => match std::str::from_utf8(&frame) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => answer_frame(line, jobs, stats, executor),
+                Err(e) => {
+                    let start = e.valid_up_to() as u64;
+                    let end = start + e.error_len().unwrap_or(1) as u64;
+                    let mut error = WireError::new(ErrorKind::Parse, "frame is not valid UTF-8");
+                    error.span = Some((start, end));
+                    malformed(stats, error)
+                }
+            },
+        };
         let shutdown = response.is_shutdown_ack();
         writer.write_all(response.to_line().as_bytes())?;
         writer.write_all(b"\n")?;
@@ -176,7 +240,16 @@ fn serve_connection<R: BufRead, W: Write>(
             return Ok(true);
         }
     }
-    Ok(false)
+}
+
+/// Answers a frame that never became a request, tallying it under
+/// `"(malformed)"`; the connection stays up.
+fn malformed(stats: &SharedStats, error: WireError) -> Response {
+    let mut guard = lock_stats(stats);
+    guard.record_request("(malformed)");
+    let response = Response::err(None, "", error);
+    guard.record_response(&response);
+    response
 }
 
 /// Produces the response for one raw frame: parse, tally, route.
@@ -188,15 +261,9 @@ fn answer_frame(
 ) -> Response {
     let request = match Request::parse_line(line) {
         Ok(request) => request,
-        Err(error) => {
-            // A malformed frame is answered in place (with its span) and
-            // the connection stays up.
-            let mut guard = lock_stats(stats);
-            guard.record_request("(malformed)");
-            let response = Response::err(None, "", error);
-            guard.record_response(&response);
-            return response;
-        }
+        // A malformed frame is answered in place (with its span) and the
+        // connection stays up.
+        Err(error) => return malformed(stats, error),
     };
     lock_stats(stats).record_request(request.op.name());
     let response = match &request.op {
@@ -466,14 +533,14 @@ mod tests {
 
     /// Drives `serve_connection` over in-memory buffers — the stdio path
     /// without a process boundary.
-    fn run_script(script: &str, config: ServeConfig) -> Vec<Response> {
+    fn run_script(script: impl AsRef<[u8]>, config: ServeConfig) -> Vec<Response> {
         let core = ServerCore::new(config.threads);
         let executor = core.executor();
         let (jobs_tx, jobs_rx) = mpsc::sync_channel::<Job>(config.queue);
         let stats: SharedStats = Arc::new(Mutex::new(StatsInner::new()));
         let writer = std::thread::spawn(move || writer_loop(core, jobs_rx));
         let mut out: Vec<u8> = Vec::new();
-        serve_connection(script.as_bytes(), &mut out, &jobs_tx, &stats, executor)
+        serve_connection(script.as_ref(), &mut out, &jobs_tx, &stats, executor)
             .expect("in-memory serve failed");
         drop(jobs_tx);
         writer.join().expect("writer panicked");
@@ -507,6 +574,47 @@ this is not json\n\
             "{:?}",
             responses[2]
         );
+    }
+
+    #[test]
+    fn an_over_long_frame_answers_frame_too_large_and_keeps_the_connection() {
+        // A frame at the cap (a `stats` request padded with blanks) is
+        // served; one a byte over is refused and skipped to its newline;
+        // the frame after it gets its real answer.
+        let stats = "{\"id\":1,\"op\":\"stats\"}";
+        let mut script = stats.to_owned();
+        script.push_str(&" ".repeat(MAX_FRAME_BYTES - stats.len()));
+        script.push('\n');
+        script.push_str(&"x".repeat(MAX_FRAME_BYTES + 1));
+        script.push_str("\n{\"id\":2,\"op\":\"stats\"}\n");
+        let responses = run_script(&script, ServeConfig::default());
+        assert_eq!(responses.len(), 3);
+        assert!(matches!(&responses[0].result, Ok((Payload::Stats(_), _))));
+        let Err(e) = &responses[1].result else {
+            panic!("an over-long frame must error");
+        };
+        assert_eq!(e.kind, ErrorKind::FrameTooLarge);
+        assert_eq!(responses[1].id, None);
+        let Ok((Payload::Stats(report), _)) = &responses[2].result else {
+            panic!("expected a stats payload, got {:?}", responses[2]);
+        };
+        assert_eq!(responses[2].id, Some(2));
+        assert_eq!(report.requests_total, 3);
+        assert_eq!(report.responses_err, 1);
+        assert_eq!(report.per_op[0], ("(malformed)".to_owned(), 1));
+    }
+
+    #[test]
+    fn a_frame_that_is_not_utf8_answers_parse_and_keeps_the_connection() {
+        let script = b"{\"op\":\"st\xffats\"}\n{\"id\":3,\"op\":\"stats\"}\n";
+        let responses = run_script(script, ServeConfig::default());
+        assert_eq!(responses.len(), 2);
+        let Err(e) = &responses[0].result else {
+            panic!("a non-UTF-8 frame must error");
+        };
+        assert_eq!(e.kind, ErrorKind::Parse);
+        assert_eq!(e.span, Some((9, 10)));
+        assert!(matches!(&responses[1].result, Ok((Payload::Stats(_), _))));
     }
 
     #[test]

@@ -159,9 +159,9 @@ fn arb_payload() -> impl Strategy<Value = (String, Payload)> {
 }
 
 fn arb_error() -> impl Strategy<Value = WireError> {
-    (0usize..9, arb_text(), 0u64..1 << 20, 0u64..1 << 20).prop_map(
+    (0usize..10, arb_text(), 0u64..1 << 20, 0u64..1 << 20).prop_map(
         |(kind_idx, message, start, len)| {
-            const KINDS: [ErrorKind; 9] = [
+            const KINDS: [ErrorKind; 10] = [
                 ErrorKind::Parse,
                 ErrorKind::Protocol,
                 ErrorKind::Equation,
@@ -171,6 +171,7 @@ fn arb_error() -> impl Strategy<Value = WireError> {
                 ErrorKind::Overloaded,
                 ErrorKind::ShuttingDown,
                 ErrorKind::Session,
+                ErrorKind::FrameTooLarge,
             ];
             WireError {
                 kind: KINDS[kind_idx],
