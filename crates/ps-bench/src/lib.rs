@@ -603,6 +603,46 @@ pub fn fanout_consistency_workload(
     }
 }
 
+/// [`fanout_consistency_workload`] with `sums` sum PDs `C_k = B_k + D_k`
+/// added, each over its own three attributes, and one relation `T_k[B_k
+/// D_k C_k]` per sum in every database: `rows` tuples with a new `B_k` and
+/// `D_k` each and `C_k` drawn from three values, so tuples share a `C_k`
+/// without a chain and the Lemma 12.1 repair must bridge them.  The
+/// `consistency_chase` benchmark builds the same shape.
+pub fn fanout_witness_workload(
+    relations: usize,
+    dbs: usize,
+    rows: usize,
+    sums: usize,
+    seed: u64,
+) -> FanoutConsistencyWorkload {
+    let mut w = fanout_consistency_workload(relations, dbs, rows, seed);
+    let mut sum_attrs = Vec::with_capacity(sums);
+    for k in 0..sums {
+        let [b, d, c] = ["B", "D", "C"].map(|p| w.universe.attr(&format!("{p}{k}")));
+        let (bt, dt, ct) = (w.arena.atom(b), w.arena.atom(d), w.arena.atom(c));
+        let join = w.arena.join(bt, dt);
+        w.pds.push(Equation::new(ct, join));
+        sum_attrs.push([b, d, c]);
+    }
+    for (d, db) in w.databases.iter_mut().enumerate() {
+        for (k, attrs) in sum_attrs.iter().enumerate() {
+            let scheme = RelationScheme::new(format!("T{k}"), attrs.to_vec());
+            let pos = attrs.map(|a| scheme.position(a).expect("attr in scheme"));
+            let mut relation = Relation::new(scheme);
+            for j in 0..rows {
+                let mut values = vec![ps_base::Symbol::from_index(0); 3];
+                values[pos[0]] = w.symbols.symbol(&format!("d{d}_b{k}_{j}"));
+                values[pos[1]] = w.symbols.symbol(&format!("d{d}_d{k}_{j}"));
+                values[pos[2]] = w.symbols.symbol(&format!("d{d}_c{k}_{}", j % 3));
+                relation.insert_values(&values).expect("arity matches");
+            }
+            db.add(relation);
+        }
+    }
+    w
+}
+
 /// A prepared chase instance: a database plus the FD set to chase it with
 /// (experiment E5, the `chase` bench group and its operation-counter test).
 pub struct ChaseWorkload {

@@ -81,6 +81,11 @@ pub struct WorkloadRecord {
     pub baseline_wall_ns: Option<u64>,
     /// `baseline_wall_ns / wall_ns` when a baseline was measured.
     pub speedup: Option<f64>,
+    /// What the measured section produced, beyond the work counters: named
+    /// counts such as the bridging rows a repair inserted or the witnesses
+    /// returned.  Deterministic for a fixed seed, like the counters; the
+    /// comparator flags any change.  Empty for most workloads.
+    pub outputs: Vec<(String, u64)>,
 }
 
 /// A full trajectory report: suite metadata plus one record per workload.
@@ -131,6 +136,14 @@ impl WorkloadRecord {
         }
         if let Some(speedup) = self.speedup {
             pairs.push(("speedup", Json::Num(speedup)));
+        }
+        if !self.outputs.is_empty() {
+            let outputs = self
+                .outputs
+                .iter()
+                .map(|(name, n)| (name.clone(), Json::Num(*n as f64)))
+                .collect();
+            pairs.push(("outputs", Json::Obj(outputs)));
         }
         Json::obj(pairs)
     }
@@ -190,6 +203,18 @@ impl WorkloadRecord {
                     v.as_f64()
                         .ok_or("workload field \"speedup\" not a number")?,
                 ),
+            },
+            outputs: match json.get("outputs") {
+                None => Vec::new(),
+                Some(Json::Obj(pairs)) => pairs
+                    .iter()
+                    .map(|(name, v)| {
+                        v.as_u64()
+                            .map(|n| (name.clone(), n))
+                            .ok_or_else(|| format!("output {name:?} not an integer"))
+                    })
+                    .collect::<Result<_, _>>()?,
+                Some(_) => return Err("workload field \"outputs\" not an object".to_owned()),
             },
         })
     }
@@ -325,10 +350,11 @@ impl TrajectoryReport {
 
     /// Diffs `current` against `baseline` and lists regressions: any
     /// strategy-independent counter increase (exact — counters are
-    /// deterministic per seed), any wall-clock growth beyond
-    /// `wall_tolerance` (fractional, e.g. `0.4` = 40%), and any baseline
-    /// workload missing from `current`.  Workloads are joined by name;
-    /// reports from different scales (`smoke` mismatch) are incomparable.
+    /// deterministic per seed), any change of a baseline output, any
+    /// wall-clock growth beyond `wall_tolerance` (fractional, e.g. `0.4` =
+    /// 40%), and any baseline workload missing from `current`.  Workloads
+    /// are joined by name; reports from different scales (`smoke`
+    /// mismatch) are incomparable.
     pub fn compare(
         baseline: &TrajectoryReport,
         current: &TrajectoryReport,
@@ -351,6 +377,16 @@ impl TrajectoryReport {
                 if now > was {
                     regressions.push(format!(
                         "workload {:?}: counter {counter} regressed {was} -> {now}",
+                        base.name
+                    ));
+                }
+            }
+            for (output, was) in &base.outputs {
+                let now = cur.outputs.iter().find(|(name, _)| name == output);
+                if now.map(|(_, n)| n) != Some(was) {
+                    let now = now.map_or("missing".to_owned(), |(_, n)| n.to_string());
+                    regressions.push(format!(
+                        "workload {:?}: output {output} changed {was} -> {now}",
                         base.name
                     ));
                 }
@@ -439,6 +475,7 @@ pub fn self_check() -> Result<(), String> {
         },
         baseline_wall_ns: None,
         speedup: None,
+        outputs: Vec::new(),
     };
     let report = |wall: u64, firings: u64| TrajectoryReport {
         schema_version: SCHEMA_VERSION,
@@ -463,15 +500,22 @@ pub fn self_check() -> Result<(), String> {
     if worse_wall.is_empty() {
         return Err("injected wall-clock regression was not flagged".to_owned());
     }
+    let mut changed_output = baseline.clone();
+    changed_output.workloads[0].outputs = vec![("witnesses".to_owned(), 3)];
+    let mut fewer_outputs = changed_output.clone();
+    fewer_outputs.workloads[0].outputs[0].1 = 2;
+    if TrajectoryReport::compare(&changed_output, &fewer_outputs, 0.4).is_empty() {
+        return Err("injected output change was not flagged".to_owned());
+    }
     let better = report(1_000_000, 499);
     if !TrajectoryReport::compare(&baseline, &better, 0.4).is_empty()
         || TrajectoryReport::improvements(&baseline, &better).len() != 1
     {
         return Err("injected counter drop was not listed as one improvement".to_owned());
     }
-    let round_trip = TrajectoryReport::from_text(&baseline.to_text())
+    let round_trip = TrajectoryReport::from_text(&changed_output.to_text())
         .map_err(|e| format!("synthetic report failed to round-trip: {e}"))?;
-    if round_trip != baseline {
+    if round_trip != changed_output {
         return Err("synthetic report changed across a round-trip".to_owned());
     }
     Ok(())
@@ -607,6 +651,7 @@ fn record(
         counters,
         baseline_wall_ns: None,
         speedup: None,
+        outputs: Vec::new(),
     }
 }
 
@@ -1044,6 +1089,54 @@ fn run_mutation(s: &SuiteScale, seed: u64) -> WorkloadRecord {
     rec
 }
 
+/// Theorem 7 witnesses at batch scale: [`Session::weak_instance`] over
+/// the fan-out databases, each with one sum relation per sum PD whose rows
+/// share target values without a chain, so every witness runs the chase,
+/// the Lemma 12.1 repair and `I(w)`.  Outputs: the bridging rows inserted
+/// and the witnesses returned.
+fn run_weak_instance_witness(s: &SuiteScale, seed: u64) -> WorkloadRecord {
+    let w = crate::fanout_witness_workload(
+        s.fanout_relations,
+        s.fanout_dbs,
+        s.fanout_rows,
+        2,
+        seed ^ 0xA11,
+    );
+    let tuples: u64 = w
+        .databases
+        .iter()
+        .flat_map(|db| db.relations())
+        .map(|r| r.len() as u64)
+        .sum();
+    let mut session = Session::from_parts(w.universe, w.symbols, w.arena);
+    let set = session.register(&w.pds).expect("generated PDs are valid");
+    session.take_counters();
+    let (mut bridges, mut witnesses) = (0u64, 0u64);
+    let start = Instant::now();
+    for db in &w.databases {
+        let answer = session.weak_instance(set, db).expect("valid query").value;
+        bridges += answer.repair.bridges as u64;
+        witnesses += u64::from(answer.weak_instance.is_some() && answer.interpretation.is_some());
+    }
+    let wall = start.elapsed().as_nanos() as u64;
+    assert!(
+        witnesses > 0,
+        "the consistent half of the pool has witnesses"
+    );
+    let mut rec = record(
+        "weak_instance_witness",
+        "consistency_polynomial",
+        tuples,
+        wall,
+        session.take_counters(),
+    );
+    rec.outputs = vec![
+        ("bridges".to_owned(), bridges),
+        ("witnesses".to_owned(), witnesses),
+    ];
+    rec
+}
+
 /// The thread ladder every parallel fan-out workload is measured at.
 const FANOUT_THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -1453,6 +1546,7 @@ pub fn run_suite(smoke: bool, seed: u64) -> TrajectoryReport {
         run_implication(&s, seed),
         run_identity(&s, seed),
         run_consistency_polynomial(&s, seed),
+        run_weak_instance_witness(&s, seed),
         run_consistency_cad(&s, seed),
         run_connectivity(&s, seed),
         run_bitmatrix_hot_path(&s, seed),

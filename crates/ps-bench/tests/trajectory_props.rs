@@ -18,10 +18,14 @@ fn arb_name() -> impl Strategy<Value = String> {
 }
 
 /// A workload record with every optional field exercised: the first draw
-/// selects the procedure, `baseline` of zero means "no baseline".
+/// selects the procedure, `baseline` of zero means "no baseline", and the
+/// outputs list is often empty.
 fn arb_record() -> impl Strategy<Value = WorkloadRecord> {
     (
-        arb_name(),
+        (
+            arb_name(),
+            proptest::collection::vec((arb_name(), 0u64..1 << 40), 0..3),
+        ),
         0usize..=REQUIRED_PROCEDURES.len(),
         (1u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40),
         (
@@ -32,31 +36,34 @@ fn arb_record() -> impl Strategy<Value = WorkloadRecord> {
             0u64..1 << 40,
         ),
     )
-        .prop_map(|(name, proc_idx, (scale, wall_ns, baseline), c)| {
-            let procedure = REQUIRED_PROCEDURES
-                .get(proc_idx)
-                .copied()
-                .unwrap_or("hot_path")
-                .to_owned();
-            let baseline_wall_ns = (baseline > 0).then_some(baseline);
-            let speedup = baseline_wall_ns.map(|b| b as f64 / wall_ns.max(1) as f64);
-            WorkloadRecord {
-                name,
-                procedure,
-                scale,
-                wall_ns,
-                throughput: scale as f64 / (wall_ns.max(1) as f64 / 1e9),
-                counters: Counters {
-                    rule_firings: c.0,
-                    row_visits: c.1,
-                    engine_hits: c.2,
-                    engine_misses: c.3,
-                    epoch: Epoch::new(c.4),
-                },
-                baseline_wall_ns,
-                speedup,
-            }
-        })
+        .prop_map(
+            |((name, outputs), proc_idx, (scale, wall_ns, baseline), c)| {
+                let procedure = REQUIRED_PROCEDURES
+                    .get(proc_idx)
+                    .copied()
+                    .unwrap_or("hot_path")
+                    .to_owned();
+                let baseline_wall_ns = (baseline > 0).then_some(baseline);
+                let speedup = baseline_wall_ns.map(|b| b as f64 / wall_ns.max(1) as f64);
+                WorkloadRecord {
+                    name,
+                    procedure,
+                    scale,
+                    wall_ns,
+                    throughput: scale as f64 / (wall_ns.max(1) as f64 / 1e9),
+                    counters: Counters {
+                        rule_firings: c.0,
+                        row_visits: c.1,
+                        engine_hits: c.2,
+                        engine_misses: c.3,
+                        epoch: Epoch::new(c.4),
+                    },
+                    baseline_wall_ns,
+                    speedup,
+                    outputs,
+                }
+            },
+        )
 }
 
 proptest! {

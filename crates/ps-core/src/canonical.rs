@@ -10,52 +10,55 @@
 //! * [`relation_satisfies_pd`] — Definition 7: `r ⊨ δ  ⇔  I(r) ⊨ δ`.
 //!   This is the notion of PD satisfaction *by a relation* used everywhere
 //!   in the expressiveness results of Section 4.
-
-use std::collections::BTreeMap;
+//!
+//! **One `I(w)` builder.**  `I(r)` is built in one place,
+//! [`canonical_interpretation_of_labels`], from a [`LabeledRelation`]: a
+//! column's labels, numbered by first occurrence down the column, are
+//! already the canonical label vector of `π_A` over `{0, …, |r|−1}`
+//! ([`Partition::from_canonical_labels`]), and its symbol list names the
+//! blocks in order.  The witness path hands it the labels the chase and the
+//! Lemma 12.1 repair produced, so nothing is hashed;
+//! [`canonical_interpretation`] labels an arbitrary relation by hashing
+//! each column once and calls the same builder.
 
 use ps_base::{Symbol, SymbolTable};
 use ps_lattice::{Equation, TermArena};
 use ps_partition::{Element, Partition};
-use ps_relation::{Relation, RelationScheme, Tuple};
+use ps_relation::{LabeledRelation, Relation, RelationScheme, Tuple};
 
-use crate::{AttributeInterpretation, PartitionInterpretation, Result};
+use crate::{AttributeInterpretation, CoreError, PartitionInterpretation, Result};
 
 /// Builds the canonical interpretation `I(r)` of a relation (Definition 5).
 ///
 /// The population of every attribute is `{0, …, |r|−1}` (one element per
 /// tuple, in the relation's iteration order), so `I(r)` always satisfies the
-/// EAP assumption.
-///
-/// Each attribute costs one pass over its column: rows are grouped by
-/// symbol with [`Partition::from_keys`], which labels blocks by first
-/// occurrence over the ascending population, so block `b` is the block of
-/// the `b`-th distinct symbol read down the column and that symbol names
-/// it.  No per-block vectors are built.
+/// EAP assumption.  Each column is labeled by hashing its symbols once
+/// ([`LabeledRelation::from_relation`]); block `b` of `π_A` is the block of
+/// the `b`-th distinct symbol read down the column, and that symbol names
+/// it.
 pub fn canonical_interpretation(relation: &Relation) -> Result<PartitionInterpretation> {
+    canonical_interpretation_of_labels(LabeledRelation::from_relation(relation))
+}
+
+/// Builds `I(r)` (Definition 5) of a relation given as labels: each
+/// column's labels become `π_A` as they stand, and its symbols name the
+/// blocks in label order.  No per-block vectors are built and nothing is
+/// hashed; the symbol → block map of each attribute is built only if a
+/// caller asks for it.
+pub fn canonical_interpretation_of_labels(
+    relation: LabeledRelation,
+) -> Result<PartitionInterpretation> {
     let mut interpretation = PartitionInterpretation::new();
     if relation.is_empty() {
         // An empty relation yields an interpretation with no attributes
         // rather than empty populations (Definition 1 forbids the latter).
         return Ok(interpretation);
     }
-    for (pos, attribute) in relation.scheme().attrs().iter().enumerate() {
-        let column = relation.column(pos);
-        let atomic = Partition::from_keys(
-            column
-                .iter()
-                .enumerate()
-                .map(|(row, &symbol)| (Element::new(row as u32), symbol)),
-        );
-        let mut block_names = Vec::with_capacity(atomic.num_blocks());
-        for (&symbol, &label) in column.iter().zip(atomic.labels()) {
-            if label as usize == block_names.len() {
-                block_names.push((symbol, block_names.len()));
-            }
-        }
-        let naming: BTreeMap<Symbol, usize> = block_names.into_iter().collect();
+    for (attribute, labels, names) in relation.into_columns() {
+        let atomic = Partition::from_canonical_labels(labels).map_err(CoreError::Partition)?;
         interpretation.set(
             attribute,
-            AttributeInterpretation::new(attribute, atomic, naming)?,
+            AttributeInterpretation::from_block_names(attribute, atomic, names)?,
         );
     }
     Ok(interpretation)

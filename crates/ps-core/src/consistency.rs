@@ -29,14 +29,26 @@
 //! `B` entries); the bridge for rows `t₁`, `t₂` copies `t₁` on `A⁺`, `t₂` on
 //! `B⁺` and is fresh elsewhere.
 //!
+//! * **The repair runs on labels.**  The chase hands back its weak instance
+//!   as a [`LabeledRelation`]: per column, one dense label per row,
+//!   numbered by first occurrence, and one symbol per label.  Two cells of
+//!   a column hold the same symbol iff they hold the same label, so the
+//!   repair never looks at a symbol: [`repair_labeled_sum_violations`]
+//!   appends each bridge as labels — `t₁`'s on `A⁺`, `t₂`'s on `B⁺ ∖ A⁺`,
+//!   and a fresh label with a minted null elsewhere, minted in column
+//!   order.  A bridge with a fresh cell is new by construction; only one
+//!   made entirely of existing labels is looked up before it is appended.
+//!   [`repair_sum_violations`] keeps the `Relation`-taking shape: it labels
+//!   the relation once by hashing, repairs, and builds the relation back.
 //! * **Incremental index.**  The repair builds one index per applicable sum,
 //!   once per call: a union-find over rows, the first row holding each `A`
-//!   and each `B` value (the leaders rows are unioned through), the first
+//!   and each `B` label (the leaders rows are unioned through), the first
 //!   row of each `C` group, and the rows that were outside their group's
-//!   class when added ("suspects", ascending).  A bridge only appends a
-//!   row; each index unions it with the leaders of its `A` and `B` values
-//!   and marks it suspect if needed, O(arity + sums) per bridge.  `A⁺` and
-//!   `B⁺` are computed once per sum, the first time it is violated.
+//!   class when added ("suspects", ascending).  The three lookups are dense
+//!   vectors indexed by label.  A bridge only appends a row; each index
+//!   unions it with the leaders of its `A` and `B` labels and marks it
+//!   suspect if needed, O(arity + sums) per bridge.  `A⁺` and `B⁺` are
+//!   computed once per sum, the first time it is violated.
 //! * **Same rows as the reference.**  Each round picks the violation that
 //!   [`repair_sum_violations_naive`]'s full rescan would: the lowest-indexed
 //!   sum with a violation, and in it the lowest row whose class differs from
@@ -68,7 +80,8 @@ use ps_base::{AttrSet, Attribute, NullSource, Symbol, SymbolTable, Universe};
 use ps_lattice::{Equation, TermArena, TermNode};
 use ps_partition::UnionFind;
 use ps_relation::{
-    chase_fds_over_with, fd_closure, ChaseOutcome, ChaseScratch, Database, Fd, Relation,
+    chase_fds_over_with, fd_closure, ChaseOutcome, ChaseScratch, Database, Fd, LabeledRelation,
+    Relation,
 };
 
 use crate::Result;
@@ -422,12 +435,19 @@ pub struct ConsistencyOutcome {
     pub sums: Vec<SumConstraint>,
     /// The extended attribute universe `U′`.
     pub attributes: AttrSet,
-    /// The raw chase outcome.
+    /// The raw chase outcome; when consistent it holds the chased weak
+    /// instance as labels ([`ChaseOutcome::into_labeled`]).
     pub chase: ChaseOutcome,
+}
+
+impl ConsistencyOutcome {
     /// The representative weak instance produced by the chase, when
-    /// consistent.  It satisfies `F`; apply [`repair_sum_violations`] to also
-    /// satisfy the sum constraints.
-    pub weak_instance: Option<Relation>,
+    /// consistent, built column-wise from the chase's labels on every call.
+    /// It satisfies `F`; apply [`repair_sum_violations`] to also satisfy
+    /// the sum constraints.
+    pub fn weak_instance(&self) -> Option<Relation> {
+        self.chase.weak_instance("weak_instance", &self.attributes)
+    }
 }
 
 /// Theorem 12: polynomial-time consistency of a database with an arbitrary
@@ -460,7 +480,7 @@ pub struct ConsistencyOutcome {
 /// let outcome = consistent_with_pds(&db, &satisfied, &mut arena, &mut universe, &mut symbols)
 ///     .unwrap();
 /// assert!(outcome.consistent);
-/// assert!(outcome.weak_instance.is_some());
+/// assert!(outcome.weak_instance().is_some());
 /// ```
 pub fn consistent_with_pds(
     db: &Database,
@@ -498,26 +518,12 @@ pub fn consistent_with_closed(
     }
 
     let chase = chase_fds_over_with(db, &attrs, &closed.fds, nulls, scratch);
-    package_chase_outcome(chase, closed, attrs)
-}
-
-fn package_chase_outcome(
-    chase: ChaseOutcome,
-    closed: &ClosedConstraints,
-    attrs: AttrSet,
-) -> ConsistencyOutcome {
-    let weak_instance = if chase.consistent {
-        chase.weak_instance("weak_instance", &attrs)
-    } else {
-        None
-    };
     ConsistencyOutcome {
         consistent: chase.consistent,
         fds: closed.fds.clone(),
         sums: closed.sums.clone(),
         attributes: attrs,
         chase,
-        weak_instance,
     }
 }
 
@@ -542,11 +548,10 @@ pub fn relation_satisfies_sum_constraints(relation: &Relation, sums: &[SumConstr
 /// the return value reports whether a fixpoint (all constraints satisfied)
 /// was reached.  The bridging tuples' fresh entries are minted from `nulls`.
 ///
-/// One chain index per applicable sum is built once and kept current as
-/// bridges are appended, so a round costs O(arity + sums) amortized instead
-/// of a rescan of the relation (see the module doc).  Every round picks the
-/// same violation as [`repair_sum_violations_naive`], so the bridging rows,
-/// their order and their nulls are identical to the reference's.
+/// This labels the relation's columns by hashing and runs
+/// [`repair_labeled_sum_violations`]; every round picks the same violation
+/// as [`repair_sum_violations_naive`], so the bridging rows, their order
+/// and their nulls are identical to the reference's.
 pub fn repair_sum_violations(
     weak_instance: &Relation,
     fds: &[Fd],
@@ -554,34 +559,66 @@ pub fn repair_sum_violations(
     nulls: &mut impl NullSource,
     max_rounds: usize,
 ) -> (Relation, bool) {
-    let mut current = weak_instance.clone();
+    let mut labeled = LabeledRelation::from_relation(weak_instance);
+    let converged = repair_labeled_sum_violations(&mut labeled, fds, sums, nulls, max_rounds);
+    (
+        labeled.to_relation(weak_instance.scheme().name()),
+        converged,
+    )
+}
+
+/// [`repair_sum_violations`] on a weak instance given as labels (the shape
+/// the chase hands back), appending the bridging rows in place; returns
+/// whether every sum constraint holds at the end.
+///
+/// One chain index per applicable sum is built once, over dense vectors
+/// indexed by label, and kept current as bridges are appended, so a round
+/// costs O(arity + sums) amortized instead of a rescan of the relation (see
+/// the module doc).  A bridge takes `t₁`'s labels on `A⁺`, `t₂`'s on
+/// `B⁺ ∖ A⁺`, and a fresh label with a minted null everywhere else, minted
+/// in column order ([`LabeledRelation::push_row`]).
+pub fn repair_labeled_sum_violations(
+    relation: &mut LabeledRelation,
+    fds: &[Fd],
+    sums: &[SumConstraint],
+    nulls: &mut impl NullSource,
+    max_rounds: usize,
+) -> bool {
     let mut indexes: Vec<(usize, SumIndex)> = sums
         .iter()
         .enumerate()
-        .filter_map(|(idx, &sum)| Some((idx, SumIndex::build(&current, sum)?)))
+        .filter_map(|(idx, &sum)| Some((idx, SumIndex::build(relation, sum)?)))
         .collect();
     let mut closures: Vec<Option<(AttrSet, AttrSet)>> = vec![None; sums.len()];
+    let mut cells = Vec::with_capacity(relation.attrs().len());
     for _ in 0..max_rounds {
         let Some((idx, t1, t2)) = indexes
             .iter_mut()
             .find_map(|(idx, index)| index.next_violation().map(|(t1, t2)| (*idx, t1, t2)))
         else {
-            return (current, true);
+            return true;
         };
         let (a_plus, b_plus) = sum_closures(&mut closures, fds, sums, idx);
-        let values = bridge_values(&current, t1, t2, a_plus, b_plus, nulls);
-        if current
-            .insert_values(&values)
-            .expect("bridging row matches the scheme")
-        {
-            let row = current.len() - 1;
+        cells.clear();
+        cells.extend(relation.attrs().iter().enumerate().map(|(pos, attr)| {
+            if a_plus.contains(attr) {
+                Some(relation.labels(pos)[t1])
+            } else if b_plus.contains(attr) {
+                Some(relation.labels(pos)[t2])
+            } else {
+                None
+            }
+        }));
+        if relation.push_row(&cells, nulls) {
+            let row = relation.len() - 1;
             for (_, index) in &mut indexes {
-                index.push_row(row, &values);
+                index.add(relation, row);
             }
         }
     }
-    let converged = relation_satisfies_sum_constraints(&current, sums);
-    (current, converged)
+    indexes
+        .iter_mut()
+        .all(|(_, index)| index.next_violation().is_none())
 }
 
 /// The pinned reference for [`repair_sum_violations`]: the same loop, but
@@ -656,20 +693,24 @@ fn bridge_values(
 }
 
 /// The chain classes of one sum `C ≤ A + B` over a relation that only grows:
-/// rows sharing an `A` or a `B` value are unioned through the first row
-/// holding that value, and each row is checked against the first row of its
+/// rows sharing an `A` or a `B` label are unioned through the first row
+/// holding that label, and each row is checked against the first row of its
 /// `C` group once, when it is added.  Classes only merge, so a row in its
 /// group's class stays there; the rows that were not are kept in ascending
 /// order and dropped lazily once their class catches up.
 struct SumIndex {
-    /// Scheme positions of `A`, `B` and `C`.
+    /// Column positions of `A`, `B` and `C`.
     left: usize,
     right: usize,
     target: usize,
     classes: UnionFind,
-    by_left: HashMap<Symbol, usize>,
-    by_right: HashMap<Symbol, usize>,
-    first_with_target: HashMap<Symbol, usize>,
+    /// `by_left[l]`: the first row whose `A` label is `l`; likewise
+    /// `by_right` for `B` and `first_with_target` for `C`.  Labels are
+    /// numbered by first occurrence, so each vector grows by one entry
+    /// whenever a row brings a new label.
+    by_left: Vec<usize>,
+    by_right: Vec<usize>,
+    first_with_target: Vec<usize>,
     /// `(row, first row of its C group)` for every row that was outside its
     /// group's class when added, ascending by row (rows are only appended).
     suspects: VecDeque<(usize, usize)>,
@@ -678,47 +719,50 @@ struct SumIndex {
 impl SumIndex {
     /// The index of `sum` over `relation`, or `None` when the constraint
     /// mentions an attribute outside the scheme (it is then vacuous).
-    fn build(relation: &Relation, sum: SumConstraint) -> Option<Self> {
-        let scheme = relation.scheme();
+    fn build(relation: &LabeledRelation, sum: SumConstraint) -> Option<Self> {
         let mut index = SumIndex {
-            left: scheme.position(sum.left)?,
-            right: scheme.position(sum.right)?,
-            target: scheme.position(sum.target)?,
+            left: relation.position(sum.left)?,
+            right: relation.position(sum.right)?,
+            target: relation.position(sum.target)?,
             classes: UnionFind::new(0),
-            by_left: HashMap::new(),
-            by_right: HashMap::new(),
-            first_with_target: HashMap::new(),
+            by_left: Vec::new(),
+            by_right: Vec::new(),
+            first_with_target: Vec::new(),
             suspects: VecDeque::new(),
         };
-        let (left, right, target) = (
-            relation.column(index.left),
-            relation.column(index.right),
-            relation.column(index.target),
-        );
         for row in 0..relation.len() {
-            index.add(row, left[row], right[row], target[row]);
+            index.add(relation, row);
         }
         Some(index)
     }
 
-    /// Adds the row just appended at index `row`, given in scheme order.
-    fn push_row(&mut self, row: usize, values: &[Symbol]) {
-        self.add(
-            row,
-            values[self.left],
-            values[self.right],
-            values[self.target],
+    /// The first row holding `label` in `firsts`, recording `row` if the
+    /// label is new.
+    fn first(firsts: &mut Vec<usize>, label: u32, row: usize) -> usize {
+        let label = label as usize;
+        if label == firsts.len() {
+            firsts.push(row);
+        }
+        debug_assert!(
+            label < firsts.len(),
+            "labels are numbered by first occurrence"
         );
+        firsts[label]
     }
 
-    fn add(&mut self, row: usize, a: Symbol, b: Symbol, c: Symbol) {
+    /// Adds row `row`, the next row of `relation`.
+    fn add(&mut self, relation: &LabeledRelation, row: usize) {
         let pushed = self.classes.push();
         debug_assert_eq!(pushed, row, "rows are added in order");
-        for (map, value) in [(&mut self.by_left, a), (&mut self.by_right, b)] {
-            let leader = *map.entry(value).or_insert(row);
-            self.classes.union(leader, row);
-        }
-        let first = *self.first_with_target.entry(c).or_insert(row);
+        let left = Self::first(&mut self.by_left, relation.labels(self.left)[row], row);
+        self.classes.union(left, row);
+        let right = Self::first(&mut self.by_right, relation.labels(self.right)[row], row);
+        self.classes.union(right, row);
+        let first = Self::first(
+            &mut self.first_with_target,
+            relation.labels(self.target)[row],
+            row,
+        );
         if self.classes.find(first) != self.classes.find(row) {
             self.suspects.push_back((row, first));
         }
@@ -904,7 +948,7 @@ mod tests {
         )
         .unwrap();
         assert!(!outcome.consistent);
-        assert!(outcome.weak_instance.is_none());
+        assert!(outcome.weak_instance().is_none());
 
         let satisfied = vec![parse_equation("B = B*A", &mut f.universe, &mut f.arena).unwrap()];
         let outcome = consistent_with_pds(
@@ -916,7 +960,7 @@ mod tests {
         )
         .unwrap();
         assert!(outcome.consistent);
-        let w = outcome.weak_instance.unwrap();
+        let w = outcome.weak_instance().unwrap();
         assert!(db.has_weak_instance(&w));
         assert!(w.satisfies_all_fds(&outcome.fds));
     }
@@ -943,7 +987,7 @@ mod tests {
             consistent_with_pds(&db, &pds, &mut f.arena, &mut f.universe, &mut f.symbols).unwrap();
         assert!(outcome.consistent);
         assert!(!outcome.sums.is_empty());
-        let w = outcome.weak_instance.clone().unwrap();
+        let w = outcome.weak_instance().unwrap();
         // The chased instance satisfies F but may violate the sum constraint…
         assert!(w.satisfies_all_fds(&outcome.fds));
         // …which the Lemma 12.1 repair fixes.
@@ -1054,7 +1098,7 @@ mod tests {
         let outcome =
             consistent_with_pds(&db, &pds, &mut f.arena, &mut f.universe, &mut f.symbols).unwrap();
         assert!(outcome.consistent);
-        let w = outcome.weak_instance.clone().unwrap();
+        let w = outcome.weak_instance().unwrap();
         let (repaired, converged) =
             repair_sum_violations(&w, &outcome.fds, &outcome.sums, &mut f.symbols, 32);
         assert!(converged);

@@ -1,6 +1,7 @@
 //! Partition interpretations (Definitions 1, 2 and 4 of the paper).
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
 
 use ps_base::{Attribute, Symbol, Universe};
 use ps_lattice::{Equation, TermArena, TermId, TermNode};
@@ -12,16 +13,33 @@ use crate::{CoreError, Result};
 /// The interpretation of one attribute: its population `p_A`, its atomic
 /// partition `π_A`, and the naming function `f_A` that sends a symbol to a
 /// block of `π_A` (every other symbol is sent to `∅`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// `f_A` is kept as `names`, the symbol of each block; the symbol → block
+/// map is built from it on the first [`AttributeInterpretation::block_of_symbol`]
+/// or [`AttributeInterpretation::naming`] call, so a witness `I(w)` that is
+/// only compared or evaluated never builds it.
+#[derive(Debug, Clone)]
 pub struct AttributeInterpretation {
     population: Population,
     atomic: Partition,
-    /// Symbol → index of the block of `atomic` it names.  By Definition 1
-    /// this is a bijection between a set of symbols and the blocks.
-    naming: BTreeMap<Symbol, usize>,
-    /// The inverse of `naming`: `names[block]` is the symbol naming it.
+    /// Symbol → index of the block of `atomic` it names (the inverse of
+    /// `names`), built on first use.  By Definition 1 this is a bijection
+    /// between a set of symbols and the blocks.
+    naming: OnceLock<BTreeMap<Symbol, usize>>,
+    /// `names[block]` is the symbol naming it.
     names: Vec<Symbol>,
 }
+
+impl PartialEq for AttributeInterpretation {
+    fn eq(&self, other: &Self) -> bool {
+        // `naming` is the inverse of `names`.
+        self.population == other.population
+            && self.atomic == other.atomic
+            && self.names == other.names
+    }
+}
+
+impl Eq for AttributeInterpretation {}
 
 impl AttributeInterpretation {
     /// Builds the interpretation of a single attribute from named blocks:
@@ -72,8 +90,50 @@ impl AttributeInterpretation {
         Ok(AttributeInterpretation {
             population: atomic.population().clone(),
             atomic,
-            naming,
+            naming: OnceLock::from(naming),
             names,
+        })
+    }
+
+    /// Builds the interpretation from a partition and the symbol naming
+    /// each of its blocks, in block order.  The caller guarantees that the
+    /// symbols are pairwise distinct, as the per-column names of a
+    /// [`ps_relation::LabeledRelation`] are; the count is checked.
+    pub(crate) fn from_block_names(
+        attribute: Attribute,
+        atomic: Partition,
+        names: Vec<Symbol>,
+    ) -> Result<Self> {
+        if atomic.is_empty() {
+            return Err(CoreError::EmptyPopulation(attribute));
+        }
+        if names.len() != atomic.num_blocks() {
+            return Err(CoreError::InvalidNaming {
+                attribute,
+                reason: format!("{} names for {} blocks", names.len(), atomic.num_blocks()),
+            });
+        }
+        debug_assert_eq!(
+            names.iter().collect::<std::collections::HashSet<_>>().len(),
+            names.len(),
+            "block names are pairwise distinct"
+        );
+        Ok(AttributeInterpretation {
+            population: atomic.population().clone(),
+            atomic,
+            naming: OnceLock::new(),
+            names,
+        })
+    }
+
+    /// The symbol → block map, built from `names` on first use.
+    fn naming_map(&self) -> &BTreeMap<Symbol, usize> {
+        self.naming.get_or_init(|| {
+            self.names
+                .iter()
+                .enumerate()
+                .map(|(block, &symbol)| (symbol, block))
+                .collect()
         })
     }
 
@@ -123,7 +183,9 @@ impl AttributeInterpretation {
 
     /// The meaning `f_A(symbol)`: the named block, or `None` (meaning `∅`).
     pub fn block_of_symbol(&self, symbol: Symbol) -> Option<&[Element]> {
-        self.naming.get(&symbol).map(|&idx| self.atomic.block(idx))
+        self.naming_map()
+            .get(&symbol)
+            .map(|&idx| self.atomic.block(idx))
     }
 
     /// The symbol naming a given block index, if any.
@@ -133,7 +195,7 @@ impl AttributeInterpretation {
 
     /// Iterates over `(symbol, block index)` pairs of the naming function.
     pub fn naming(&self) -> impl Iterator<Item = (Symbol, usize)> + '_ {
-        self.naming.iter().map(|(&s, &b)| (s, b))
+        self.naming_map().iter().map(|(&s, &b)| (s, b))
     }
 }
 

@@ -18,8 +18,10 @@ use ps_base::{NullSource, SymbolTable, Universe};
 use ps_lattice::{Equation, TermArena};
 use ps_relation::{chase_fds_over_with, ChaseScratch, Database, Relation};
 
-use crate::canonical::{canonical_interpretation, canonical_relation};
-use crate::consistency::{consistent_with_pds, repair_sum_violations, ConsistencyOutcome};
+use crate::canonical::{
+    canonical_interpretation, canonical_interpretation_of_labels, canonical_relation,
+};
+use crate::consistency::{consistent_with_pds, repair_labeled_sum_violations, ConsistencyOutcome};
 use crate::dependency::{fds_of_fpds, Fpd};
 use crate::{PartitionInterpretation, Result};
 
@@ -54,10 +56,11 @@ pub fn satisfiable_with_fpds(
     if !outcome.consistent {
         return Ok(SatisfiabilityWitness::unsatisfiable());
     }
-    let weak_instance = outcome
-        .weak_instance("weak_instance", &attrs)
+    let weak = outcome
+        .into_labeled()
         .expect("consistent chase produces rows");
-    let interpretation = interpretation_from_weak_instance(&weak_instance)?;
+    let weak_instance = weak.to_relation("weak_instance");
+    let interpretation = canonical_interpretation_of_labels(weak)?;
     Ok(SatisfiabilityWitness {
         satisfiable: true,
         weak_instance: Some(weak_instance),
@@ -99,6 +102,13 @@ pub fn satisfiable_with_pds(
 /// a cached closed constraint system.  The repair mints its fresh entries
 /// from `nulls`.
 ///
+/// The whole tail runs on the chase's labels: the repair appends its
+/// bridging rows as labels ([`repair_labeled_sum_violations`]), the weak
+/// instance is built column by column once, after the repair, and `I(w)`
+/// takes each column's labels as its partition
+/// ([`canonical_interpretation_of_labels`]).  No symbol is hashed; only a
+/// bridge made entirely of existing labels is looked up in a row index.
+///
 /// The repair may insert `max(64, rows × sums)` bridging rows, `rows` being
 /// the chased weak instance's.  That covers every input whose sums do not
 /// feed each other (the argument is in the [`crate::consistency`] module
@@ -111,15 +121,18 @@ pub fn witness_from_consistency(
     if !outcome.consistent {
         return Ok(SatisfiabilityWitness::unsatisfiable());
     }
-    let chased = outcome
-        .weak_instance
+    let ConsistencyOutcome {
+        fds, sums, chase, ..
+    } = outcome;
+    let mut weak = chase
+        .into_labeled()
         .expect("consistent chase produces rows");
-    let budget = (chased.len() * outcome.sums.len()).max(64);
-    let (weak_instance, converged) =
-        repair_sum_violations(&chased, &outcome.fds, &outcome.sums, nulls, budget);
+    let chased = weak.len();
+    let budget = (chased * sums.len()).max(64);
+    let converged = repair_labeled_sum_violations(&mut weak, &fds, &sums, nulls, budget);
     let repair = RepairStatus {
         converged,
-        bridges: weak_instance.len() - chased.len(),
+        bridges: weak.len() - chased,
     };
     if !converged {
         return Ok(SatisfiabilityWitness {
@@ -129,7 +142,8 @@ pub fn witness_from_consistency(
             repair,
         });
     }
-    let interpretation = interpretation_from_weak_instance(&weak_instance)?;
+    let weak_instance = weak.to_relation("weak_instance");
+    let interpretation = canonical_interpretation_of_labels(weak)?;
     Ok(SatisfiabilityWitness {
         satisfiable: true,
         weak_instance: Some(weak_instance),

@@ -16,6 +16,9 @@ pub enum PartitionError {
     NotInPopulation(Element),
     /// The population supplied does not match the union of the blocks.
     PopulationMismatch,
+    /// A label vector given as canonical is not: some label is more than
+    /// one above every label before it.
+    NonCanonicalLabels,
 }
 
 impl fmt::Display for PartitionError {
@@ -33,6 +36,9 @@ impl fmt::Display for PartitionError {
                     f,
                     "the union of the blocks does not equal the stated population"
                 )
+            }
+            PartitionError::NonCanonicalLabels => {
+                write!(f, "labels are not numbered by first occurrence")
             }
         }
     }
@@ -56,5 +62,8 @@ mod tests {
         assert!(PartitionError::PopulationMismatch
             .to_string()
             .contains("union of the blocks"));
+        assert!(PartitionError::NonCanonicalLabels
+            .to_string()
+            .contains("first occurrence"));
     }
 }

@@ -345,6 +345,40 @@ impl Partition {
             .expect("grouping by key cannot produce overlapping blocks")
     }
 
+    /// Builds a partition of the population `{0, …, n−1}` from a label
+    /// vector that is already canonical: `labels[i]` is the block of element
+    /// `i`, and the first occurrences of labels read `0, 1, 2, …`.  One check
+    /// pass, no hashing and no sort — the constructor for producers that
+    /// number their blocks by first occurrence themselves, like the chase's
+    /// per-column labels of a weak instance.
+    ///
+    /// Fails with [`PartitionError::NonCanonicalLabels`] if some label is
+    /// more than one above every label before it.
+    ///
+    /// ```
+    /// use ps_partition::{Partition, PartitionError};
+    /// let p = Partition::from_canonical_labels(vec![0, 1, 0, 2]).unwrap();
+    /// assert_eq!(p, Partition::from_blocks(vec![vec![0, 2], vec![1], vec![3]]).unwrap());
+    /// assert_eq!(
+    ///     Partition::from_canonical_labels(vec![0, 2, 1]),
+    ///     Err(PartitionError::NonCanonicalLabels)
+    /// );
+    /// ```
+    pub fn from_canonical_labels(labels: Vec<u32>) -> Result<Self> {
+        let mut num_blocks = 0u32;
+        for &label in &labels {
+            if label > num_blocks {
+                return Err(PartitionError::NonCanonicalLabels);
+            }
+            num_blocks += u32::from(label == num_blocks);
+        }
+        Ok(Partition::from_parts(
+            Population::range(labels.len() as u32),
+            labels,
+            num_blocks,
+        ))
+    }
+
     /// The population of the partition.
     pub fn population(&self) -> &Population {
         &self.population

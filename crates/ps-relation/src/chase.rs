@@ -72,6 +72,22 @@
 //! a window are hashed and always get an id.  A lone cell's chased value is
 //! its own symbol.
 //!
+//! **Labeled output.**  At the fixpoint the chase already knows which cells
+//! are equal: they share a class root.  So it hands back the weak instance
+//! as a [`LabeledRelation`] instead of symbol rows.  Each column is labeled
+//! densely in first-occurrence order down the column — a cell with a class
+//! gets its root's label in that column, a lone cell a fresh label — and
+//! keeps one symbol per label (the class representative, or the lone
+//! cell's own null).  Rows equal to an earlier row are dropped, and only
+//! rows without a lone cell are compared, by their label vectors: a lone
+//! cell's null occurs in no other cell, so a row holding one equals no
+//! other row.  The repair and `I(w)` run on these labels
+//! (`ps_core::consistency`, `ps_core::canonical`) after
+//! [`ChaseOutcome::into_labeled`]; [`ChaseOutcome::rows`]
+//! and [`ChaseOutcome::weak_instance`] materialize symbols only for the
+//! callers that ask.  The full-rescan engine labels its symbol rows by
+//! hashing, so both engines return the same shape.
+//!
 //! Both report their work in [`ChaseOutcome::row_visits`], which the
 //! `ps-bench` operation-counter test uses to prove the indexed engine does
 //! strictly less work.  Visits scale with the number of FDs, so the engines
@@ -91,7 +107,7 @@ use std::collections::{HashMap, VecDeque};
 use ps_base::{AttrSet, FreshSymbols, NullSource, Symbol, SymbolTable};
 use ps_partition::UnionFind;
 
-use crate::{Database, Fd, Relation, RelationScheme, Tableau};
+use crate::{Database, Fd, LabeledRelation, Relation, Tableau};
 
 /// The outcome of chasing a tableau with FDs.
 #[derive(Debug, Clone)]
@@ -113,9 +129,12 @@ pub struct ChaseOutcome {
     /// because the row's lhs holds a lone cell (see the module docs) is not
     /// a visit.  The naive engine examines every pair on every round.
     pub row_visits: usize,
-    /// If consistent, the chased tableau rows with every symbol replaced by
-    /// its representative.
-    pub rows: Option<Vec<Vec<Symbol>>>,
+    /// If consistent, the chased weak instance: the distinct chased rows,
+    /// as per-column labels.
+    weak: Option<LabeledRelation>,
+    /// `tableau_rows[r]`: the row of `weak` that tableau row `r` became;
+    /// empty when no row was dropped (then it is `r` itself).
+    tableau_rows: Vec<u32>,
 }
 
 impl ChaseOutcome {
@@ -125,23 +144,57 @@ impl ChaseOutcome {
             steps,
             rounds,
             row_visits,
-            rows: None,
+            weak: None,
+            tableau_rows: Vec::new(),
         }
     }
 
-    /// Converts the chased rows into a representative weak-instance relation
-    /// over `attrs` named `name`.  Returns `None` if the chase found an
-    /// inconsistency.
-    pub fn weak_instance(&self, name: &str, attrs: &AttrSet) -> Option<Relation> {
-        let rows = self.rows.as_ref()?;
-        let scheme = RelationScheme::new(name, attrs.clone());
-        let mut relation = Relation::new(scheme);
-        for row in rows {
-            relation
-                .insert_values(row)
-                .expect("chased rows match the attribute set");
+    fn fixpoint(
+        steps: usize,
+        rounds: usize,
+        row_visits: usize,
+        (weak, tableau_rows): (LabeledRelation, Vec<u32>),
+    ) -> Self {
+        ChaseOutcome {
+            consistent: true,
+            steps,
+            rounds,
+            row_visits,
+            weak: Some(weak),
+            tableau_rows,
         }
-        Some(relation)
+    }
+
+    /// If consistent, the chased tableau rows, one per tableau row, with
+    /// every symbol replaced by its representative.  Materialized from the
+    /// labels on every call.
+    pub fn rows(&self) -> Option<Vec<Vec<Symbol>>> {
+        let weak = self.weak.as_ref()?;
+        let rows = if self.tableau_rows.is_empty() {
+            (0..weak.len()).map(|r| weak.row_values(r)).collect()
+        } else {
+            self.tableau_rows
+                .iter()
+                .map(|&r| weak.row_values(r as usize))
+                .collect()
+        };
+        Some(rows)
+    }
+
+    /// If consistent, the chased weak instance as per-column labels: the
+    /// distinct chased rows in first-occurrence order.
+    pub fn into_labeled(self) -> Option<LabeledRelation> {
+        self.weak
+    }
+
+    /// Converts the chased rows into a representative weak-instance relation
+    /// over `attrs` (the chased tableau's attributes) named `name`, built
+    /// column by column from the labels.  Returns `None` if the chase found
+    /// an inconsistency.
+    pub fn weak_instance(&self, name: &str, attrs: &AttrSet) -> Option<Relation> {
+        let weak = self.weak.as_ref()?;
+        debug_assert_eq!(attrs, weak.attrs(), "the chased tableau's attributes");
+        Some(weak.to_relation(name))
     }
 }
 
@@ -252,18 +305,13 @@ pub fn chase_tableau_naive(tableau: &Tableau, fds: &[Fd]) -> ChaseOutcome {
         }
     }
 
-    let rows = tableau
+    let rows: Vec<Vec<Symbol>> = tableau
         .rows()
         .iter()
         .map(|row| row.iter().map(|&s| classes.find(s)).collect())
         .collect();
-    ChaseOutcome {
-        consistent: true,
-        steps,
-        rounds,
-        row_visits,
-        rows: Some(rows),
-    }
+    let weak = LabeledRelation::from_rows(tableau.attrs().clone(), &rows);
+    ChaseOutcome::fixpoint(steps, rounds, row_visits, weak)
 }
 
 /// Reusable working storage for the indexed chase engine.
@@ -324,6 +372,12 @@ pub struct ChaseScratch {
     queued: Vec<bool>,
     /// Scratch for the current row's lhs key (cloned only on index misses).
     key_buf: Vec<u32>,
+    /// Labeling at the fixpoint: `root_label[r]` for a class root `r` is
+    /// `(column, label)`, the last column that labeled the class and the
+    /// label it got there.
+    root_label: Vec<(u32, u32)>,
+    /// Labeling at the fixpoint: whether each row holds a lone cell.
+    lone_rows: Vec<bool>,
 }
 
 impl ChaseScratch {
@@ -406,6 +460,51 @@ impl ChaseScratch {
             self.next.push(NONE);
             self.cells.push(id);
         }
+    }
+
+    /// Labels the chased tableau at the fixpoint, column by column, in
+    /// first-occurrence order down the column: a cell with a class gets
+    /// its root's label in that column (the first cell of the root there
+    /// gets the next label, named by the class representative), and a lone
+    /// cell gets the next label, named by its own symbol.  Then drops every
+    /// row equal to an earlier one, comparing only rows without a lone cell
+    /// (see the module docs).
+    fn label(&mut self, tableau: &Tableau, uf: &mut UnionFind) -> (LabeledRelation, Vec<u32>) {
+        let rows = tableau.rows();
+        let width = tableau.attrs().len();
+        self.root_label.clear();
+        self.root_label.resize(self.rep.len(), (NONE, 0));
+        self.lone_rows.clear();
+        self.lone_rows.resize(rows.len(), false);
+        let mut labels = Vec::with_capacity(width);
+        let mut names = Vec::with_capacity(width);
+        for c in 0..width {
+            let mut column = Vec::with_capacity(rows.len());
+            let mut column_names = Vec::new();
+            for (r, row) in rows.iter().enumerate() {
+                let id = self.cells[r * width + c];
+                let label = if id == LONE {
+                    self.lone_rows[r] = true;
+                    column_names.push(row[c]);
+                    column_names.len() as u32 - 1
+                } else {
+                    let root = uf.find(id as usize);
+                    let entry = &mut self.root_label[root];
+                    if entry.0 != c as u32 {
+                        *entry = (c as u32, column_names.len() as u32);
+                        column_names.push(self.rep[root]);
+                    }
+                    entry.1
+                };
+                column.push(label);
+            }
+            labels.push(column);
+            names.push(column_names);
+        }
+        let lone_rows = &self.lone_rows;
+        LabeledRelation::distinct(tableau.attrs().clone(), rows.len(), labels, names, |r| {
+            !lone_rows[r]
+        })
     }
 
     /// Marks on `cell`'s row the FDs whose lhs contains its column, and
@@ -686,27 +785,8 @@ pub fn chase_tableau_with(
         }
     }
 
-    let chased = rows
-        .iter()
-        .enumerate()
-        .map(|(r, row)| {
-            let ids = &scratch.cells[r * width..(r + 1) * width];
-            row.iter()
-                .zip(ids)
-                .map(|(&s, &id)| match id {
-                    LONE => s,
-                    id => scratch.rep[uf.find(id as usize)],
-                })
-                .collect()
-        })
-        .collect();
-    ChaseOutcome {
-        consistent: true,
-        steps,
-        rounds: 1,
-        row_visits,
-        rows: Some(chased),
-    }
+    let weak = scratch.label(tableau, &mut uf);
+    ChaseOutcome::fixpoint(steps, 1, row_visits, weak)
 }
 
 /// Chases the padded tableau of `db` over the attribute universe `attrs`
@@ -796,7 +876,7 @@ mod tests {
         let indexed = chase_tableau_with(tableau, fds, &mut ChaseScratch::default());
         let naive = chase_tableau_naive(tableau, fds);
         assert_eq!(indexed.consistent, naive.consistent);
-        match (&indexed.rows, &naive.rows) {
+        match (&indexed.rows(), &naive.rows()) {
             (Some(a), Some(b)) => {
                 assert_eq!(
                     canonical_chase_rows(a, symbols),
@@ -865,7 +945,7 @@ mod tests {
         let b = f.universe.lookup("B").unwrap();
         let outcome = chase(&db, &[fd(&[a], &[b])], &mut f.symbols);
         assert!(!outcome.consistent);
-        assert!(outcome.rows.is_none());
+        assert!(outcome.rows().is_none());
         assert!(outcome.weak_instance("W", &db.all_attributes()).is_none());
     }
 
@@ -1035,7 +1115,7 @@ mod tests {
         // AC → D is skipped), and A → B again on row 1 (its AC → D bit, set
         // by the merge, was consumed by the visit that followed it).
         assert_eq!((outcome.steps, outcome.row_visits), (5, 11));
-        let rows = outcome.rows.as_ref().unwrap();
+        let rows = outcome.rows().unwrap();
         let [px, pa, pb, pc, pd] = [x, a, b, c, d].map(|attr| tableau.position(attr).unwrap());
         assert_eq!(rows[0][pa], rows[1][pa]);
         assert_eq!(f.symbols.render(rows[1][pb]), "b1");
@@ -1119,7 +1199,7 @@ mod tests {
         let outcome = chase(&db, &fds, &mut f.symbols);
         assert!(outcome.consistent);
         assert_eq!((outcome.steps, outcome.row_visits), (4, 6));
-        let rows = outcome.rows.as_ref().unwrap();
+        let rows = outcome.rows().unwrap();
         assert!(rows
             .iter()
             .all(|row| row[1] == rows[0][1] && row[1].is_null()));
@@ -1207,6 +1287,75 @@ mod tests {
         assert!(outcome.consistent);
         assert_eq!(outcome.steps, 2);
         assert_eq!(outcome.row_visits, 133);
+    }
+
+    #[test]
+    fn equal_chased_rows_are_kept_once() {
+        // R1[AB] = (a, b) and R2[AB] = {(a, b), (a2, b)}: the first two
+        // tableau rows are the same all-constant row.  The weak instance
+        // keeps it once, and `rows()` still reports one row per tableau row.
+        let mut f = fixture();
+        let db = DatabaseBuilder::new()
+            .relation(
+                &mut f.universe,
+                &mut f.symbols,
+                "R1",
+                &["A", "B"],
+                &[&["a", "b"]],
+            )
+            .unwrap()
+            .relation(
+                &mut f.universe,
+                &mut f.symbols,
+                "R2",
+                &["A", "B"],
+                &[&["a", "b"], &["a2", "b"]],
+            )
+            .unwrap()
+            .build();
+        let [a, b] = ["A", "B"].map(|n| f.universe.lookup(n).unwrap());
+        let outcome = chase(&db, &[fd(&[a], &[b])], &mut f.symbols);
+        let rows = outcome.rows().unwrap();
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows[0], rows[1]);
+        let weak = outcome.weak.as_ref().unwrap();
+        assert_eq!(weak.len(), 2);
+        assert_eq!((weak.labels(0), weak.labels(1)), (&[0, 1][..], &[0, 0][..]));
+        assert_eq!(weak.row_values(0), rows[0]);
+        assert_eq!(weak.row_values(1), rows[2]);
+        let w = outcome.weak_instance("W", &db.all_attributes()).unwrap();
+        assert_eq!(w.len(), 2);
+        assert_eq!(w, LabeledRelation::from_relation(&w).to_relation("W"));
+    }
+
+    #[test]
+    fn a_row_with_a_lone_cell_is_never_dropped() {
+        // Tableau over A, B from R1[A] = (a) and R2[A] = (a): rows (a, n1)
+        // and (a, n2) with lone B nulls.  With no FD they agree on A only
+        // and both stay; with A → B the two nulls pair up into one class,
+        // the rows become equal, and the second is dropped.
+        let mut f = fixture();
+        let b = f.universe.attr("B");
+        let db = DatabaseBuilder::new()
+            .relation(&mut f.universe, &mut f.symbols, "R1", &["A"], &[&["a"]])
+            .unwrap()
+            .relation(&mut f.universe, &mut f.symbols, "R2", &["A"], &[&["a"]])
+            .unwrap()
+            .build();
+        let a = f.universe.lookup("A").unwrap();
+        let attrs: AttrSet = [a, b].into_iter().collect();
+        let tableau = Tableau::from_database(&db, &attrs, &mut f.symbols);
+        let mut scratch = ChaseScratch::default();
+        let apart = chase_rows(&tableau, &[], &f.symbols);
+        chase_tableau_with(&tableau, &[], &mut scratch);
+        assert!(scratch.lone_rows.iter().all(|&lone| lone));
+        assert_eq!(apart.weak.as_ref().unwrap().len(), 2);
+        let weak = apart.weak.as_ref().unwrap();
+        assert_eq!(weak.labels(weak.position(b).unwrap()), &[0, 1]);
+        assert_eq!(weak.labels(weak.position(a).unwrap()), &[0, 0]);
+        let merged = chase_rows(&tableau, &[fd(&[a], &[b])], &f.symbols);
+        assert_eq!(merged.weak.as_ref().unwrap().len(), 1);
+        assert_eq!(merged.rows().unwrap().len(), 2);
     }
 
     #[test]

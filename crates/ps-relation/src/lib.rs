@@ -44,6 +44,7 @@ mod database;
 mod error;
 mod fd;
 pub mod fd_closure;
+mod labeled;
 mod mvd;
 mod relation;
 mod schema;
@@ -58,6 +59,7 @@ pub use consistency::{cad_consistent, weak_instance_consistent, CadOutcome, CadS
 pub use database::{Database, DatabaseBuilder};
 pub use error::RelationError;
 pub use fd::{fd, Fd};
+pub use labeled::LabeledRelation;
 pub use mvd::Mvd;
 pub use relation::{Relation, RowRef};
 pub use schema::{DatabaseScheme, RelationScheme};

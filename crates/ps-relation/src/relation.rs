@@ -8,11 +8,20 @@
 //! the bulk operations ([`Relation::project`], [`Relation::active_domain`],
 //! [`Relation::satisfies_fd`], [`Relation::satisfies_mvd`]) walk columns
 //! directly and are linear (hash-grouped) rather than quadratic rescans.
+//!
+//! **The lazy index.**  The dedup index is built on the first
+//! [`Relation::insert_values`] or [`Relation::contains_values`] and kept
+//! current from then on.  A relation that is only read — the weak instance
+//! a consistency check hands back, built column-wise from rows the chase
+//! already knows to be distinct ([`crate::LabeledRelation::to_relation`])
+//! — never hashes a row.  That column-wise constructor is crate-private,
+//! so every public way to make a relation still goes through the dedup.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 use ps_base::{AttrSet, Attribute, Symbol, SymbolTable, Universe};
 
@@ -22,8 +31,8 @@ use crate::{Fd, Mvd, RelationError, RelationScheme, Result, Tuple};
 ///
 /// Tuples are deduplicated (a relation is a *set*), and insertion order is
 /// preserved for deterministic iteration and display.  Storage is columnar:
-/// one symbol vector per attribute plus a row-hash index — each row's
-/// symbols are stored exactly once.
+/// one symbol vector per attribute plus a row-hash index, built lazily —
+/// each row's symbols are stored exactly once.
 #[derive(Debug, Clone)]
 pub struct Relation {
     scheme: RelationScheme,
@@ -32,8 +41,11 @@ pub struct Relation {
     columns: Vec<Vec<Symbol>>,
     /// Dedup index: hash of a row's symbols → ids of rows with that hash
     /// (almost always one; collisions are resolved by comparing cells).
-    index: HashMap<u64, Vec<u32>>,
+    /// Built on first use (see the module docs).
+    index: OnceLock<RowIndex>,
 }
+
+type RowIndex = HashMap<u64, Vec<u32>>;
 
 impl PartialEq for Relation {
     fn eq(&self, other: &Self) -> bool {
@@ -60,8 +72,47 @@ impl Relation {
         Relation {
             scheme,
             columns: vec![Vec::new(); arity],
-            index: HashMap::new(),
+            index: OnceLock::new(),
         }
+    }
+
+    /// A relation over `scheme` whose rows are given column-wise and are
+    /// already pairwise distinct; the dedup index is left unbuilt.  Only
+    /// producers that know their rows are distinct may call this.
+    pub(crate) fn from_distinct_columns(scheme: RelationScheme, columns: Vec<Vec<Symbol>>) -> Self {
+        debug_assert_eq!(columns.len(), scheme.arity());
+        debug_assert!(columns.windows(2).all(|w| w[0].len() == w[1].len()));
+        let relation = Relation {
+            scheme,
+            columns,
+            index: OnceLock::new(),
+        };
+        debug_assert_eq!(
+            (0..relation.len())
+                .map(|idx| relation.row_values(idx))
+                .collect::<HashSet<_>>()
+                .len(),
+            relation.len(),
+            "rows given as distinct must be distinct"
+        );
+        relation
+    }
+
+    /// Hashes every row into a fresh dedup index.
+    fn build_index(&self) -> RowIndex {
+        let mut index = RowIndex::new();
+        let mut values = Vec::with_capacity(self.columns.len());
+        for idx in 0..self.len() {
+            values.clear();
+            values.extend(self.columns.iter().map(|col| col[idx]));
+            index.entry(hash_row(&values)).or_default().push(idx as u32);
+        }
+        index
+    }
+
+    /// The dedup index, built on first use.
+    fn index(&self) -> &RowIndex {
+        self.index.get_or_init(|| self.build_index())
     }
 
     /// The relation's scheme.
@@ -123,7 +174,12 @@ impl Relation {
             });
         }
         let hash = hash_row(values);
-        let bucket = self.index.entry(hash).or_default();
+        self.index();
+        let index = self
+            .index
+            .get_mut()
+            .expect("the index was built just above");
+        let bucket = index.entry(hash).or_default();
         if bucket.is_empty() {
             // Fast path: fresh hash, certainly a new row.
         } else if bucket
@@ -151,7 +207,7 @@ impl Relation {
         if values.len() != self.scheme.arity() {
             return false;
         }
-        match self.index.get(&hash_row(values)) {
+        match self.index().get(&hash_row(values)) {
             None => false,
             Some(bucket) => bucket
                 .iter()
@@ -530,6 +586,29 @@ mod tests {
         assert!(!r2.insert_values(&vals).unwrap());
         assert_eq!(r2.storage_cells(), r.storage_cells());
         assert_eq!(r2.len(), r.len());
+    }
+
+    #[test]
+    fn distinct_columns_build_the_index_on_first_use() {
+        let mut f = setup();
+        let built = relation_abc(&mut f, &[["a", "b", "c"], ["a2", "b", "c"]]);
+        let columns = (0..3).map(|pos| built.column(pos).to_vec()).collect();
+        let mut r = Relation::from_distinct_columns(built.scheme().clone(), columns);
+        assert!(r.index.get().is_none());
+        let before = r.clone();
+        assert_eq!(before, built);
+        let row = built.row_values(1);
+        assert!(r.contains_values(&row));
+        assert!(r.index.get().is_some());
+        assert!(!r.insert_values(&row).unwrap());
+        let after = r.clone();
+        assert_eq!(before, after);
+        assert_eq!(after.len(), 2);
+        let fresh = ["a3", "b", "c"].map(|s| f.symbols.symbol(s));
+        assert!(r.insert_values(&fresh).unwrap());
+        assert!(r.contains_values(&fresh));
+        assert_eq!(r.len(), 3);
+        assert_ne!(r, after);
     }
 
     #[test]

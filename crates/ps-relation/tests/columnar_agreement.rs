@@ -466,7 +466,7 @@ proptest! {
         let indexed = chase_tableau_with(tableau, fds, &mut ChaseScratch::default());
         let naive = chase_tableau_naive(tableau, fds);
         prop_assert_eq!(indexed.consistent, naive.consistent);
-        match (&indexed.rows, &naive.rows) {
+        match (&indexed.rows(), &naive.rows()) {
             (Some(a), Some(b)) => {
                 prop_assert_eq!(
                     canonical_chase_rows(a, symbols),
@@ -509,7 +509,7 @@ proptest! {
             prop_assert_eq!(reused.steps, fresh.steps);
             prop_assert_eq!(reused.rounds, fresh.rounds);
             prop_assert_eq!(reused.row_visits, fresh.row_visits);
-            match (&reused.rows, &fresh.rows) {
+            match (&reused.rows(), &fresh.rows()) {
                 (Some(a), Some(b)) => prop_assert_eq!(a, b),
                 (None, None) => {}
                 _ => prop_assert!(false, "verdicts agree but rows differ in presence"),

@@ -295,12 +295,19 @@ pub enum Payload {
         /// Rows of the witnessing weak instance, when one exists.
         witness_rows: Option<u64>,
     },
-    /// `weak_instance`: the Theorem 7 verdict plus the witness size.
+    /// `weak_instance`: the Theorem 7 verdict, the witness size and how the
+    /// Lemma 12.1 repair behind the witness ended.
     WeakInstance {
         /// The verdict.
         satisfiable: bool,
         /// Rows of the repaired weak instance, when constructed.
         weak_instance_rows: Option<u64>,
+        /// Whether the repair reached its fixpoint.  `false` (with
+        /// `satisfiable` true) means its bridge budget ran out, and then no
+        /// witness is returned.
+        repair_converged: bool,
+        /// Bridging rows the repair inserted.
+        bridges: u64,
     },
     /// `connected_components`: one component id per vertex.
     Components {
@@ -623,9 +630,13 @@ impl Payload {
             Payload::WeakInstance {
                 satisfiable,
                 weak_instance_rows,
+                repair_converged,
+                bridges,
             } => Json::obj(vec![
                 ("satisfiable", Json::Bool(*satisfiable)),
                 ("weak_instance_rows", opt_rows(*weak_instance_rows)),
+                ("repair_converged", Json::Bool(*repair_converged)),
+                ("bridges", num(*bridges)),
             ]),
             Payload::Components { components } => Json::obj(vec![(
                 "components",
@@ -691,6 +702,8 @@ impl Payload {
             "weak_instance" => Payload::WeakInstance {
                 satisfiable: get_bool(value, "satisfiable")?,
                 weak_instance_rows: get_opt_u64(value, "weak_instance_rows")?,
+                repair_converged: get_bool(value, "repair_converged")?,
+                bridges: get_u64(value, "bridges")?,
             },
             "connected_components" => {
                 let arr = value

@@ -250,6 +250,8 @@ impl ServerCore {
                         Payload::WeakInstance {
                             satisfiable: witness.satisfiable,
                             weak_instance_rows: witness.weak_instance.map(|w| w.len() as u64),
+                            repair_converged: witness.repair.converged,
+                            bridges: witness.repair.bridges as u64,
                         },
                         counters,
                     )

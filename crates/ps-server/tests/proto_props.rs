@@ -119,15 +119,19 @@ fn arb_payload() -> impl Strategy<Value = (String, Payload)> {
                 },
             )
         }),
-        (0u64..2, 0u64..1 << 20).prop_map(|(s, rows)| {
-            (
-                "weak_instance".to_owned(),
-                Payload::WeakInstance {
-                    satisfiable: s == 1,
-                    weak_instance_rows: (rows % 2 == 1).then_some(rows),
-                },
-            )
-        }),
+        (0u64..2, 0u64..1 << 20, 0u64..2, 0u64..1 << 20).prop_map(
+            |(s, rows, converged, bridges)| {
+                (
+                    "weak_instance".to_owned(),
+                    Payload::WeakInstance {
+                        satisfiable: s == 1,
+                        weak_instance_rows: (rows % 2 == 1).then_some(rows),
+                        repair_converged: converged == 1,
+                        bridges,
+                    },
+                )
+            }
+        ),
         proptest::collection::vec(0u64..1 << 20, 0..8).prop_map(|components| {
             (
                 "connected_components".to_owned(),

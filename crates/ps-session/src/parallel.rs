@@ -24,6 +24,23 @@
 //!   [`ChaseScratch`], a [`Counters`] accumulator), and their per-item
 //!   results are merged back into input order after the join.
 //!
+//! **Claim size.**  A claim is about a quarter of an even share of the
+//! batch, between 1 and 16 items (`claim_len`), so a batch of a few
+//! databases is claimed one at a time and every worker gets one whenever
+//! the batch has at least as many items as there are workers.
+//!
+//! **The inline case.**  When only one worker would run — one thread, or a
+//! one-item batch, which is what every server compute frame is — the items
+//! run on the calling thread with the same per-worker state, and no thread
+//! is started.
+//!
+//! Witness nulls depend on the worker: each worker mints from its own
+//! [`FreshSymbols`] source, so in a multi-worker batch the nulls of a
+//! database's witness depend on which worker claimed it and what that
+//! worker minted before.  Witnesses stay equal up to renaming of nulls
+//! (`parallel_props` checks this); verdicts and counters do not depend on
+//! the claim order at all.
+//!
 //! Counter determinism: the strategy-independent counters
 //! (`rule_firings`, `row_visits`, `engine_hits`, `engine_misses`) are
 //! accumulated *per item* and summed by the order-independent
@@ -165,12 +182,13 @@ impl SetSnapshot {
     ) -> (ConsistencyAnswer, u64) {
         let outcome = consistent_with_closed(db, &self.closed, fresh, scratch);
         let row_visits = outcome.chase.row_visits as u64;
+        let witness = outcome.weak_instance();
         let answer = ConsistencyAnswer {
             consistent: outcome.consistent,
             mode: ConsistencyMode::Polynomial,
             fds: outcome.fds,
             sums: outcome.sums,
-            witness: outcome.weak_instance,
+            witness,
             interpretation: None,
         };
         (answer, row_visits)
@@ -208,7 +226,9 @@ struct WorkerState {
 /// chunked work-stealing over a shared [`AtomicUsize`] cursor — each worker
 /// repeatedly claims the next chunk of indices with a relaxed `fetch_add`
 /// until the range is drained, so a skewed batch (a few expensive items)
-/// cannot strand the other workers the way a static split would.
+/// cannot strand the other workers the way a static split would.  The
+/// chunk shrinks with the batch (see the module docs), and a one-worker
+/// batch runs on the calling thread.
 ///
 /// Results are collected per worker as `(index, result)` pairs and merged
 /// back into input order after the join; worker [`Counters`] merge by the
@@ -219,10 +239,18 @@ pub struct ParallelExecutor {
     threads: usize,
 }
 
-/// Indices claimed per cursor `fetch_add`: big enough to keep contention on
-/// the shared cursor negligible, small enough that a skewed tail still
-/// spreads over the pool.
+/// The most indices one cursor `fetch_add` claims: big enough to keep
+/// contention on the shared cursor negligible, small enough that a skewed
+/// tail still spreads over the pool.
 const CHUNK: usize = 16;
+
+/// Indices claimed per cursor `fetch_add` for a batch of `items` over
+/// `threads` workers: about a quarter of an even share, between 1 and
+/// [`CHUNK`].  A small batch is claimed one item at a time, so every worker
+/// gets an item whenever `items ≥ threads`; a large one in full chunks.
+fn claim_len(items: usize, threads: usize) -> usize {
+    (items / (4 * threads.max(1))).clamp(1, CHUNK)
+}
 
 impl ParallelExecutor {
     /// A pool of `threads` workers (clamped to at least one).  There is no
@@ -241,6 +269,11 @@ impl ParallelExecutor {
     /// Generic chunked fan-out: applies `work` to every item, returning the
     /// results in input order plus the merged per-worker counters (epoch
     /// already stamped with the snapshot's frozen epoch).
+    ///
+    /// With one worker (one thread, or a one-item batch such as every
+    /// server compute frame) the items run on the calling thread, in order,
+    /// with the same per-worker state a spawned worker would get: no thread
+    /// is started.
     fn fan_out<T, R, F>(&self, snapshot: &SetSnapshot, items: &[T], work: F) -> (Vec<R>, Counters)
     where
         T: Sync,
@@ -254,26 +287,34 @@ impl ParallelExecutor {
         if items.is_empty() {
             return (Vec::new(), base);
         }
+        let new_state = || WorkerState {
+            fresh: snapshot.symbols.fresh_source(),
+            scratch: ChaseScratch::default(),
+            counters: base,
+        };
         let threads = self.threads.min(items.len());
+        if threads == 1 {
+            let mut state = new_state();
+            let values = items.iter().map(|item| work(item, &mut state)).collect();
+            return (values, state.counters);
+        }
+        let claim = claim_len(items.len(), threads);
         let cursor = AtomicUsize::new(0);
         let per_worker: Vec<(Vec<(usize, R)>, Counters)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
                     let cursor = &cursor;
                     let work = &work;
+                    let new_state = &new_state;
                     scope.spawn(move || {
-                        let mut state = WorkerState {
-                            fresh: snapshot.symbols.fresh_source(),
-                            scratch: ChaseScratch::default(),
-                            counters: base,
-                        };
+                        let mut state = new_state();
                         let mut out = Vec::new();
                         loop {
-                            let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
+                            let start = cursor.fetch_add(claim, Ordering::Relaxed);
                             if start >= items.len() {
                                 break;
                             }
-                            let end = (start + CHUNK).min(items.len());
+                            let end = (start + claim).min(items.len());
                             for (idx, item) in items.iter().enumerate().take(end).skip(start) {
                                 out.push((idx, work(item, &mut state)));
                             }
@@ -512,6 +553,78 @@ mod tests {
         assert!(outcome.value[0].weak_instance.is_some());
         assert!(!outcome.value[1].satisfiable);
         assert!(outcome.counters.row_visits > 0);
+    }
+
+    #[test]
+    fn claims_shrink_so_small_batches_reach_every_worker() {
+        assert_eq!(claim_len(4, 2), 1);
+        assert_eq!(claim_len(1000, 2), CHUNK);
+        assert_eq!(claim_len(40, 2), 5);
+        for items in 1..200 {
+            for threads in 1..9 {
+                let claim = claim_len(items, threads);
+                assert!((1..=CHUNK).contains(&claim));
+                if items >= threads {
+                    assert!(
+                        claim * (threads - 1) < items,
+                        "{items} items over {threads} workers leave the last worker nothing"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_four_item_batch_spreads_over_both_workers() {
+        let (mut session, set, _) = warm_session();
+        let snapshot = session.snapshot(set).unwrap();
+        let items = [0u32; 4];
+        // Each item waits (up to a generous timeout) until two distinct
+        // threads have claimed an item, so the second worker cannot find
+        // the batch drained by the first.
+        let started = std::sync::Mutex::new(std::collections::BTreeSet::new());
+        let ready = std::sync::Condvar::new();
+        let (ids, _) = ParallelExecutor::new(2).fan_out(&snapshot, &items, |_, _| {
+            let id = std::thread::current().id();
+            let mut seen = started.lock().unwrap();
+            seen.insert(format!("{id:?}"));
+            ready.notify_all();
+            let timeout = std::time::Duration::from_secs(10);
+            drop(ready.wait_timeout_while(seen, timeout, |seen| seen.len() < 2));
+            id
+        });
+        let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
+        assert_eq!(distinct.len(), 2);
+    }
+
+    #[test]
+    fn a_one_item_batch_runs_on_the_calling_thread() {
+        let (mut session, set, _) = warm_session();
+        let db = session
+            .database()
+            .relation("R", &["A", "B", "C"], &[&["a", "b", "c"]])
+            .unwrap()
+            .build();
+        let snapshot = session.snapshot(set).unwrap();
+        let caller = std::thread::current().id();
+        for threads in [1, 4] {
+            let pool = ParallelExecutor::new(threads);
+            let (ids, counters) = pool.fan_out(&snapshot, &[()], |_, state| {
+                state.counters.row_visits += 1;
+                std::thread::current().id()
+            });
+            assert_eq!(ids, vec![caller], "threads={threads}");
+            assert_eq!(counters.row_visits, 1);
+            assert_eq!(counters.epoch, snapshot.epoch());
+            // Answers and counters match the sequential session path.
+            let par = pool
+                .weak_instance_many_par(&snapshot, std::slice::from_ref(&db))
+                .unwrap();
+            let seq = session.weak_instance(set, &db).unwrap();
+            assert_eq!(par.value[0].satisfiable, seq.value.satisfiable);
+            assert_eq!(par.value[0].repair, seq.value.repair);
+            assert_eq!(par.counters.row_visits, seq.counters.row_visits);
+        }
     }
 
     #[test]

@@ -792,12 +792,13 @@ impl Session {
                     &mut self.chase_scratch,
                 );
                 counters.row_visits += outcome.chase.row_visits as u64;
+                let witness = outcome.weak_instance();
                 ConsistencyAnswer {
                     consistent: outcome.consistent,
                     mode,
                     fds: outcome.fds,
                     sums: outcome.sums,
-                    witness: outcome.weak_instance,
+                    witness,
                     interpretation: None,
                 }
             }

@@ -102,7 +102,7 @@ fn adding_sum_dependencies_never_destroys_consistency() {
         // "before" — but never the other way round.
         if after.consistent {
             assert!(before.consistent, "seed {seed}");
-            let weak = after.weak_instance.clone().unwrap();
+            let weak = after.weak_instance().unwrap();
             let (repaired, converged) =
                 repair_sum_violations(&weak, &after.fds, &after.sums, &mut world.symbols, 64);
             assert!(converged, "seed {seed}");
@@ -257,7 +257,7 @@ fn repair_is_idempotent_once_converged() {
     )
     .unwrap();
     assert!(outcome.consistent);
-    let weak = outcome.weak_instance.unwrap();
+    let weak = outcome.weak_instance().unwrap();
     let (repaired, converged) =
         repair_sum_violations(&weak, &outcome.fds, &outcome.sums, &mut world.symbols, 32);
     assert!(converged);
@@ -416,8 +416,8 @@ proptest! {
         let reference = chase_tableau_naive(&tableau, &ungrouped);
         prop_assert_eq!(grouped.consistent, reference.consistent);
         prop_assert_eq!(
-            grouped.rows.map(|r| canonical_chase_rows(&r, &world.symbols)),
-            reference.rows.map(|r| canonical_chase_rows(&r, &world.symbols))
+            grouped.rows().map(|r| canonical_chase_rows(&r, &world.symbols)),
+            reference.rows().map(|r| canonical_chase_rows(&r, &world.symbols))
         );
     }
 }

@@ -85,7 +85,7 @@ fn figure1_database_is_consistent_with_e_by_every_route() {
     )
     .unwrap();
     assert!(outcome.consistent);
-    let weak = outcome.weak_instance.clone().unwrap();
+    let weak = outcome.weak_instance().unwrap();
     assert!(fig.database.has_weak_instance(&weak));
 
     // The canonical relation of the figure's interpretation is itself a weak

@@ -125,7 +125,7 @@ proptest! {
             .unwrap();
         prop_assert_eq!(ok.value.consistent, reference_ok.consistent);
         prop_assert_eq!(&ok.value.fds, &reference_ok.fds);
-        prop_assert_eq!(ok.value.witness.is_some(), reference_ok.weak_instance.is_some());
+        prop_assert_eq!(ok.value.witness.is_some(), reference_ok.weak_instance().is_some());
         let bad = session
             .consistent(set, &clashed, ConsistencyMode::Polynomial)
             .unwrap();
