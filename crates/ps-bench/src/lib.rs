@@ -1,21 +1,22 @@
-//! Workload generators shared by the Criterion benchmarks.
+//! Workload generators and the benchmark trajectory suite.
 //!
-//! Every generator is deterministic in an explicit seed so benchmark runs are
-//! reproducible.  Each experiment id from `DESIGN.md` maps to one bench
-//! target (see `benches/`):
+//! Every generator is deterministic in an explicit seed so runs are
+//! reproducible.  Timings live in one place: the [`trajectory`] suite, whose
+//! reports (`BENCH_*.json`) are committed and diffed.  Each experiment id
+//! maps to the trajectory record or the test that carries it:
 //!
-//! | Experiment | Bench target | Paper claim being reproduced |
+//! | Experiment | Trajectory record / test | Paper claim being reproduced |
 //! |---|---|---|
-//! | E1 | `implication` | Theorem 9: PD implication in polynomial time (ALG) |
-//! | E2 | `fd_implication` | Section 5.3: FD implication three ways |
-//! | E3 | `identity` | Theorem 10: identity recognition is cheaper than ALG |
-//! | E4 | `graph_connectivity` | Example e / Theorem 4: PDs express connectivity |
-//! | E5 | `consistency` | Theorems 6, 7, 12: polynomial consistency tests |
-//! | E6 / F3 | `cad_np` | Theorem 11: CAD+EAP consistency is NP-complete |
-//! | F1, F2 | `figures` | Figures 1 and 2 regenerated from scratch |
-//! | E7 | `ablation` | Design-choice ablations (naïve-fixpoint vs engine ALG, sum via chaining vs union–find) |
-//! | E8 | `word_problem` | Cached `ImplicationEngine`: build-once-query-many vs rebuild-per-goal, engine vs the naive-fixpoint reference |
-//! | E9 | `session` | Session facade: warm cached-engine queries vs free-function rebuilds vs cold sessions |
+//! | E1 | `alg_engine_vs_fixpoint`, `implication_skewed_mix` | Theorem 9: PD implication in polynomial time (ALG) |
+//! | E2 | `tests/implication_props.rs` | Section 5.3: FD implication three ways |
+//! | E3 | `identity_batch`; `tests/implication_props.rs` | Theorem 10: identity recognition |
+//! | E4 | `connectivity_gnp`; `tests/graph_pd.rs` | Example e / Theorem 4: PDs express connectivity |
+//! | E5 | `consistency_polynomial_warm`, `weak_instance_witness`, `chase_worklist_vs_rescan`, `chase_scratch_reuse` | Theorems 6, 7, 12: polynomial consistency tests |
+//! | E6 / F3 | `cad_eap_batch`; `tests/figure3_np.rs` | Theorem 11: CAD+EAP consistency is NP-complete |
+//! | F1, F2 | `tests/figure1.rs`, `tests/figure2_mvd.rs` | Figures 1 and 2 regenerated from scratch |
+//! | E7 | `alg_engine_vs_fixpoint`; `ps-partition/tests/{partition_properties,flat_kernel_agreement}.rs` | Design-choice ablations (naïve-fixpoint vs engine ALG, sum via chaining vs union–find, bulk ops) |
+//! | E8 | this crate's unit tests (rule-firing counters) | Cached `ImplicationEngine`: build-once-query-many vs rebuild-per-goal |
+//! | E9 | `tests/session_props.rs` | Session facade: warm cached-engine queries vs cold sessions |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +48,8 @@ pub struct ImplicationWorkload {
 }
 
 /// A chain of FPDs `A_0 ≤ A_1 ≤ … ≤ A_{n-1}` with the transitive goal
-/// `A_0 ≤ A_{n-1}` — the classic FD-style workload for experiment E1.
+/// `A_0 ≤ A_{n-1}` — the classic FD-style workload for experiment E1 (the
+/// `alg_engine_vs_fixpoint` trajectory record).
 pub fn fpd_chain(n: usize) -> ImplicationWorkload {
     assert!(n >= 2);
     let mut universe = Universe::new();
@@ -176,8 +178,8 @@ pub struct WordProblemWorkload {
 }
 
 /// A random equation set plus a batch of `num_goals` random goal equations —
-/// the fixture behind the `word_problem` bench group and the rule-firing
-/// counter acceptance test (cached engine vs. rebuild-per-goal).
+/// the fixture behind the rule-firing counter acceptance test (cached engine
+/// vs. rebuild-per-goal) and the parallel implication fan-out.
 pub fn random_word_problem_workload(
     num_attrs: usize,
     num_pds: usize,
@@ -366,86 +368,8 @@ pub fn mutation_workload(
     }
 }
 
-/// A random FD workload (experiment E2).
-pub struct FdWorkload {
-    /// Attribute universe.
-    pub universe: Universe,
-    /// The attributes.
-    pub attrs: Vec<Attribute>,
-    /// The FD set.
-    pub fds: Vec<Fd>,
-    /// A goal FD (implied via the embedded chain).
-    pub goal: Fd,
-}
-
-/// Random FDs with 1–2 attribute left-hand sides plus a transitive chain so
-/// that the goal `A_0 → A_{n-1}` is implied.
-pub fn random_fd_workload(num_attrs: usize, num_random: usize, seed: u64) -> FdWorkload {
-    assert!(num_attrs >= 2);
-    let mut universe = Universe::new();
-    let attrs: Vec<Attribute> = (0..num_attrs)
-        .map(|i| universe.attr(&format!("A{i}")))
-        .collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut fds: Vec<Fd> = (0..num_attrs - 1)
-        .map(|i| ps_relation::fd(&[attrs[i]], &[attrs[i + 1]]))
-        .collect();
-    for _ in 0..num_random {
-        let lhs_len = rng.gen_range(1..=2usize);
-        let mut lhs = Vec::new();
-        while lhs.len() < lhs_len {
-            let a = attrs[rng.gen_range(0..attrs.len())];
-            if !lhs.contains(&a) {
-                lhs.push(a);
-            }
-        }
-        let rhs = attrs[rng.gen_range(0..attrs.len())];
-        fds.push(ps_relation::fd(&lhs, &[rhs]));
-    }
-    let goal = ps_relation::fd(&[attrs[0]], &[attrs[num_attrs - 1]]);
-    FdWorkload {
-        universe,
-        attrs,
-        fds,
-        goal,
-    }
-}
-
-/// A balanced lattice term of the given depth over `attrs`, alternating `*`
-/// and `+` by level (experiment E3 workload).
-pub fn balanced_term(
-    arena: &mut TermArena,
-    attrs: &[Attribute],
-    depth: usize,
-    flip: bool,
-) -> TermId {
-    if depth == 0 {
-        return arena.atom(attrs[if flip { 0 } else { attrs.len() - 1 }]);
-    }
-    let left = balanced_term(arena, attrs, depth - 1, flip);
-    let right = balanced_term(arena, attrs, depth - 1, !flip);
-    if flip {
-        arena.meet(left, right)
-    } else {
-        arena.join(left, right)
-    }
-}
-
-/// An identity-recognition workload: the absorption-style identity
-/// `t * (t + u) = t` for balanced terms `t`, `u` of the given depth.
-pub fn identity_workload(depth: usize) -> (Universe, TermArena, Equation) {
-    let mut universe = Universe::new();
-    let mut arena = TermArena::new();
-    let attrs: Vec<Attribute> = (0..4).map(|i| universe.attr(&format!("A{i}"))).collect();
-    let t = balanced_term(&mut arena, &attrs, depth, true);
-    let u = balanced_term(&mut arena, &attrs, depth, false);
-    let tu = arena.join(t, u);
-    let lhs = arena.meet(t, tu);
-    (universe, arena, Equation::new(lhs, t))
-}
-
-/// A multi-relation database workload for the consistency benchmarks
-/// (experiment E5).
+/// A multi-relation database workload for the consistency trajectory
+/// records (experiment E5).
 pub struct ConsistencyWorkload {
     /// Attribute universe.
     pub universe: Universe,
@@ -644,7 +568,8 @@ pub fn fanout_witness_workload(
 }
 
 /// A prepared chase instance: a database plus the FD set to chase it with
-/// (experiment E5, the `chase` bench group and its operation-counter test).
+/// (experiment E5: the chase trajectory records and the operation-counter
+/// tests).
 pub struct ChaseWorkload {
     /// Attribute universe.
     pub universe: Universe,
@@ -704,7 +629,7 @@ pub fn chase_chain_workload(levels: usize, rows: usize) -> ChaseWorkload {
 /// values from a per-attribute domain of `domain` symbols, plus `num_fds`
 /// random single-attribute FDs.  Databases drawn this way are consistent or
 /// inconsistent depending on the seed, which is exactly what the chase
-/// benches want to exercise.
+/// records and tests want to exercise.
 pub fn random_chase_workload(
     num_attrs: usize,
     relations: usize,
@@ -762,9 +687,8 @@ pub fn random_chase_workload(
     }
 }
 
-/// Random partitions over a common population `{0, …, population-1}`, for the
-/// partition-operation ablation (experiment E7).
-pub fn random_partitions(
+/// Random partitions over a common population `{0, …, population-1}`.
+fn random_partitions(
     population: u32,
     blocks: usize,
     count: usize,
@@ -789,7 +713,7 @@ pub fn random_partitions(
 ///
 /// The generators are random partitions of a small common population with
 /// few blocks each, which makes new products and sums very likely (and on
-/// the seeds used by the benches, certain).
+/// the seeds used by the tests, certain).
 pub fn lattice_closure_generators(
     population: u32,
     generators: usize,
@@ -800,8 +724,8 @@ pub fn lattice_closure_generators(
 }
 
 /// A random partition interpretation over `attrs`, all sharing the
-/// population `{0, …, population-1}` — the model against which the identity
-/// bench evaluates PDs through the flat partition kernel.
+/// population `{0, …, population-1}` — a model in which to evaluate PDs
+/// through the flat partition kernel.
 pub fn random_interpretation(
     universe: &mut Universe,
     symbols: &mut SymbolTable,
@@ -845,7 +769,7 @@ pub fn random_interpretation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ps_lattice::{free_order, word_problem, DerivedOrder};
+    use ps_lattice::{word_problem, DerivedOrder};
 
     #[test]
     fn chain_goals_are_implied_and_grid_goals_too() {
@@ -894,20 +818,6 @@ mod tests {
             }
         }
         assert!(adds > 0 && removes > 0 && queries > 0);
-    }
-
-    #[test]
-    fn fd_workload_goal_is_implied() {
-        let w = random_fd_workload(8, 4, 3);
-        assert!(ps_relation::fd_closure::implies(&w.fds, &w.goal));
-    }
-
-    #[test]
-    fn identity_workload_is_an_identity() {
-        for depth in [1usize, 3, 5] {
-            let (_u, arena, eq) = identity_workload(depth);
-            assert!(free_order::is_identity(&arena, eq));
-        }
     }
 
     #[test]

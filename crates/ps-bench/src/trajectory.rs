@@ -75,9 +75,11 @@ pub struct WorkloadRecord {
     /// Strategy-independent work counters accumulated by the measured
     /// section (deterministic for a fixed seed).
     pub counters: Counters,
-    /// For hot-path workloads: wall-clock of the pre-optimization
-    /// reference (per-bit BitMatrix loops, fresh-allocation chase) on the
-    /// identical input.
+    /// For hot-path workloads (required there): wall-clock of the pinned
+    /// reference (per-bit BitMatrix loops, fresh-allocation chase,
+    /// full-rescan chase, the `DerivedOrder` fixpoint) on the identical
+    /// input; for `mutation` and `t>1` ladder records, the re-register leg
+    /// or the `t1` wall.
     pub baseline_wall_ns: Option<u64>,
     /// `baseline_wall_ns / wall_ns` when a baseline was measured.
     pub speedup: Option<f64>,
@@ -288,7 +290,9 @@ impl TrajectoryReport {
     }
 
     /// Schema validation: version, uniqueness, coverage of all five
-    /// decision procedures, and internal consistency of every record.
+    /// decision procedures, and internal consistency of every record (a
+    /// `hot_path` record must carry its reference's `baseline_wall_ns` and
+    /// the `speedup` over it).
     pub fn validate(&self) -> Result<(), String> {
         if self.schema_version != SCHEMA_VERSION {
             return Err(format!(
@@ -318,6 +322,12 @@ impl TrajectoryReport {
                 return Err(format!(
                     "workload {:?} has unknown procedure {:?}",
                     w.name, w.procedure
+                ));
+            }
+            if w.procedure == "hot_path" && (w.baseline_wall_ns.is_none() || w.speedup.is_none()) {
+                return Err(format!(
+                    "hot_path workload {:?} lacks baseline_wall_ns or speedup",
+                    w.name
                 ));
             }
             if let (Some(base), Some(speedup)) = (w.baseline_wall_ns, w.speedup) {
@@ -543,6 +553,9 @@ struct SuiteScale {
     bitmatrix_ops: usize,
     chase_rows: usize,
     chase_reps: usize,
+    chain_levels: usize,
+    chain_rows: usize,
+    alg_sizes: &'static [usize],
     mutation_attrs: usize,
     mutation_pool: usize,
     mutation_initial: usize,
@@ -578,6 +591,9 @@ impl SuiteScale {
             bitmatrix_ops: 30_000,
             chase_rows: 400,
             chase_reps: 400,
+            chain_levels: 8,
+            chain_rows: 4_096,
+            alg_sizes: &[16, 32, 64, 128],
             mutation_attrs: 16,
             mutation_pool: 60,
             mutation_initial: 30,
@@ -614,6 +630,9 @@ impl SuiteScale {
             bitmatrix_ops: 600,
             chase_rows: 40,
             chase_reps: 12,
+            chain_levels: 6,
+            chain_rows: 32,
+            alg_sizes: &[8, 16],
             mutation_attrs: 8,
             mutation_pool: 14,
             mutation_initial: 7,
@@ -653,6 +672,14 @@ fn record(
         speedup: None,
         outputs: Vec::new(),
     }
+}
+
+/// Stamps `rec` with the wall-clock of the reference leg it was measured
+/// against and the resulting speedup.
+fn with_baseline(mut rec: WorkloadRecord, baseline_wall: u64) -> WorkloadRecord {
+    rec.baseline_wall_ns = Some(baseline_wall);
+    rec.speedup = Some(baseline_wall as f64 / rec.wall_ns.max(1) as f64);
+    rec
 }
 
 /// Theorem 9 at session scale: a skewed warm-session query mix over
@@ -899,23 +926,19 @@ fn run_bitmatrix_hot_path(s: &SuiteScale, seed: u64) -> WorkloadRecord {
     let baseline_wall = start.elapsed().as_nanos() as u64;
     assert_eq!(fast, slow, "word-parallel and per-bit kernels must agree");
 
-    let mut rec = record(
-        "bitmatrix_word_parallel",
-        "hot_path",
-        (ops.len() * 2) as u64,
-        wall,
-        Counters {
-            rule_firings: changed_bits,
-            ..Counters::default()
-        },
-    );
-    rec.baseline_wall_ns = Some(baseline_wall);
-    rec.speedup = if wall > 0 {
-        Some(baseline_wall as f64 / wall as f64)
-    } else {
-        None
-    };
-    rec
+    with_baseline(
+        record(
+            "bitmatrix_word_parallel",
+            "hot_path",
+            (ops.len() * 2) as u64,
+            wall,
+            Counters {
+                rule_firings: changed_bits,
+                ..Counters::default()
+            },
+        ),
+        baseline_wall,
+    )
 }
 
 /// Hot path 2: the indexed chase with one reused [`ps_relation::ChaseScratch`]
@@ -954,23 +977,113 @@ fn run_chase_hot_path(s: &SuiteScale, seed: u64) -> WorkloadRecord {
         "buffer reuse must not change the chase's work"
     );
 
-    let mut rec = record(
-        "chase_scratch_reuse",
-        "hot_path",
-        rows * s.chase_reps as u64,
-        wall,
-        Counters {
-            row_visits,
-            ..Counters::default()
-        },
+    with_baseline(
+        record(
+            "chase_scratch_reuse",
+            "hot_path",
+            rows * s.chase_reps as u64,
+            wall,
+            Counters {
+                row_visits,
+                ..Counters::default()
+            },
+        ),
+        baseline_wall,
+    )
+}
+
+/// Hot path 3: the indexed worklist chase against the full-rescan
+/// reference on the propagation-chain fixture, where equalities travel one
+/// chain level per global rescan round.  Both engines must agree on the
+/// verdict, the merges and the chased rows.
+fn run_chase_worklist_hot_path(s: &SuiteScale) -> WorkloadRecord {
+    let w = crate::chase_chain_workload(s.chain_levels, s.chain_rows);
+    let mut symbols = w.symbols.clone();
+    let tableau = ps_relation::Tableau::from_database(
+        &w.database,
+        &w.database.all_attributes(),
+        &mut symbols,
     );
-    rec.baseline_wall_ns = Some(baseline_wall);
-    rec.speedup = if wall > 0 {
-        Some(baseline_wall as f64 / wall as f64)
-    } else {
-        None
-    };
-    rec
+
+    let start = Instant::now();
+    let indexed = ps_relation::chase_tableau_with(&tableau, &w.fds, &mut Default::default());
+    let wall = start.elapsed().as_nanos() as u64;
+
+    let start = Instant::now();
+    let naive = ps_relation::chase_tableau_naive(&tableau, &w.fds);
+    let baseline_wall = start.elapsed().as_nanos() as u64;
+    assert_eq!(indexed.consistent, naive.consistent, "chase verdicts agree");
+    assert_eq!(indexed.steps, naive.steps, "the FD chase is confluent");
+    assert_eq!(
+        indexed.rows(),
+        naive.rows(),
+        "both engines chase the same rows"
+    );
+
+    with_baseline(
+        record(
+            "chase_worklist_vs_rescan",
+            "hot_path",
+            tableau.num_rows() as u64,
+            wall,
+            Counters {
+                row_visits: indexed.row_visits as u64,
+                ..Counters::default()
+            },
+        ),
+        baseline_wall,
+    )
+}
+
+/// Hot path 4: ALG as the bitset [`ps_lattice::ImplicationEngine`] (what
+/// `word_problem::entails` builds) against the paper's literal
+/// repeat-until-stable fixpoint [`ps_lattice::DerivedOrder`], one goal per
+/// FPD chain and mixed product/sum grid of each size.  Verdicts must agree.
+fn run_alg_hot_path(s: &SuiteScale) -> WorkloadRecord {
+    let workloads: Vec<crate::ImplicationWorkload> = s
+        .alg_sizes
+        .iter()
+        .flat_map(|&n| [crate::fpd_chain(n), crate::mixed_pd_grid(n)])
+        .collect();
+
+    let mut rule_firings = 0u64;
+    let start = Instant::now();
+    let verdicts: Vec<bool> = workloads
+        .iter()
+        .map(|w| {
+            let mut engine = ps_lattice::ImplicationEngine::new(&w.arena, &w.equations);
+            let verdict = engine.entails_goal(&w.arena, w.goal);
+            rule_firings += engine.rule_firings() as u64;
+            verdict
+        })
+        .collect();
+    let wall = start.elapsed().as_nanos() as u64;
+
+    let start = Instant::now();
+    let reference: Vec<bool> = workloads
+        .iter()
+        .map(|w| {
+            ps_lattice::DerivedOrder::build(&w.arena, &w.equations, &[w.goal.lhs, w.goal.rhs])
+                .entails(w.goal)
+                .expect("goal terms are in V")
+        })
+        .collect();
+    let baseline_wall = start.elapsed().as_nanos() as u64;
+    assert_eq!(verdicts, reference, "engine and fixpoint verdicts agree");
+
+    with_baseline(
+        record(
+            "alg_engine_vs_fixpoint",
+            "hot_path",
+            workloads.len() as u64,
+            wall,
+            Counters {
+                rule_firings,
+                ..Counters::default()
+            },
+        ),
+        baseline_wall,
+    )
 }
 
 /// Live mutation A/B: one random edit script (interleaved
@@ -1073,20 +1186,16 @@ fn run_mutation(s: &SuiteScale, seed: u64) -> WorkloadRecord {
         baseline_counters.rule_firings
     );
 
-    let mut rec = record(
-        "mutation_edit_script",
-        "mutation",
-        w.script.len() as u64,
-        wall,
-        counters,
-    );
-    rec.baseline_wall_ns = Some(baseline_wall);
-    rec.speedup = if wall > 0 {
-        Some(baseline_wall as f64 / wall as f64)
-    } else {
-        None
-    };
-    rec
+    with_baseline(
+        record(
+            "mutation_edit_script",
+            "mutation",
+            w.script.len() as u64,
+            wall,
+            counters,
+        ),
+        baseline_wall,
+    )
 }
 
 /// Theorem 7 witnesses at batch scale: [`Session::weak_instance`] over
@@ -1183,15 +1292,18 @@ fn run_parallel_fanout(s: &SuiteScale, seed: u64) -> Vec<WorkloadRecord> {
             .implies_many_par(&snapshot, &w.goals)
             .expect("every goal was pre-extended at freeze time");
         let wall = start.elapsed().as_nanos() as u64;
-        let mut rec = record(
+        let rec = record(
             &format!("parallel_fanout_implication_t{threads}"),
             "parallel",
             w.goals.len() as u64,
             wall,
             outcome.counters,
         );
-        match &reference {
-            None => reference = Some((outcome.value, outcome.counters, wall)),
+        records.push(match &reference {
+            None => {
+                reference = Some((outcome.value, outcome.counters, wall));
+                rec
+            }
             Some((verdicts, counters, t1_wall)) => {
                 assert_eq!(
                     &outcome.value, verdicts,
@@ -1201,13 +1313,9 @@ fn run_parallel_fanout(s: &SuiteScale, seed: u64) -> Vec<WorkloadRecord> {
                     &outcome.counters, counters,
                     "merged implication counters must be thread-count independent"
                 );
-                if wall > 0 {
-                    rec.baseline_wall_ns = Some(*t1_wall);
-                    rec.speedup = Some(*t1_wall as f64 / wall as f64);
-                }
+                with_baseline(rec, *t1_wall)
             }
-        }
-        records.push(rec);
+        });
     }
 
     // Leg 2: batched Theorem 12 consistency over many independent databases.
@@ -1243,15 +1351,18 @@ fn run_parallel_fanout(s: &SuiteScale, seed: u64) -> Vec<WorkloadRecord> {
             verdicts.iter().any(|&v| v) && verdicts.iter().any(|&v| !v),
             "the fan-out fixture mixes consistent and inconsistent databases"
         );
-        let mut rec = record(
+        let rec = record(
             &format!("parallel_fanout_consistency_t{threads}"),
             "parallel",
             tuples,
             wall,
             outcome.counters,
         );
-        match &reference {
-            None => reference = Some((verdicts, outcome.counters, wall)),
+        records.push(match &reference {
+            None => {
+                reference = Some((verdicts, outcome.counters, wall));
+                rec
+            }
             Some((expected, counters, t1_wall)) => {
                 assert_eq!(
                     &verdicts, expected,
@@ -1261,13 +1372,9 @@ fn run_parallel_fanout(s: &SuiteScale, seed: u64) -> Vec<WorkloadRecord> {
                     &outcome.counters, counters,
                     "merged consistency counters must be thread-count independent"
                 );
-                if wall > 0 {
-                    rec.baseline_wall_ns = Some(*t1_wall);
-                    rec.speedup = Some(*t1_wall as f64 / wall as f64);
-                }
+                with_baseline(rec, *t1_wall)
             }
-        }
-        records.push(rec);
+        });
     }
     records
 }
@@ -1468,22 +1575,20 @@ fn run_service(s: &SuiteScale, seed: u64) -> Vec<WorkloadRecord> {
                 .expect("clean service shutdown");
             wall
         });
-        let mut rec = record(
+        let rec = record(
             &format!("service_loopback_t{connections}"),
             "service",
             frames,
             wall,
             totals,
         );
-        match t1_wall {
-            None => t1_wall = Some(wall),
-            Some(base) if wall > 0 => {
-                rec.baseline_wall_ns = Some(base);
-                rec.speedup = Some(base as f64 / wall as f64);
+        records.push(match t1_wall {
+            None => {
+                t1_wall = Some(wall);
+                rec
             }
-            Some(_) => {}
-        }
-        records.push(rec);
+            Some(base) => with_baseline(rec, base),
+        });
     }
     records
 }
@@ -1531,7 +1636,7 @@ fn commit_stamp(head: &str, porcelain: Option<&str>) -> String {
     }
 }
 
-/// Runs the pinned suite — all five decision procedures, the two hot-path
+/// Runs the pinned suite — all five decision procedures, the four hot-path
 /// micro-suites, the live-mutation A/B, the parallel fan-out thread ladder
 /// and the service-loopback connection ladder — and packages the report.
 /// Counters in the result are deterministic in `(smoke, seed)`; wall-clock
@@ -1551,6 +1656,8 @@ pub fn run_suite(smoke: bool, seed: u64) -> TrajectoryReport {
         run_connectivity(&s, seed),
         run_bitmatrix_hot_path(&s, seed),
         run_chase_hot_path(&s, seed),
+        run_chase_worklist_hot_path(&s),
+        run_alg_hot_path(&s),
         run_mutation(&s, seed),
     ];
     workloads.extend(run_parallel_fanout(&s, seed));
@@ -1637,6 +1744,32 @@ mod tests {
         assert!(TrajectoryReport::improvements(&a, &b).is_empty());
         a.workloads[0].procedure = "nonsense".into();
         assert!(a.validate().is_err());
+    }
+
+    #[test]
+    fn validate_requires_a_baseline_on_hot_paths() {
+        let procedures = REQUIRED_PROCEDURES.iter().chain(&["hot_path"]);
+        let mut report = TrajectoryReport {
+            schema_version: SCHEMA_VERSION,
+            bench_id: BENCH_ID.to_owned(),
+            toolchain: "t".into(),
+            commit: "c".into(),
+            smoke: true,
+            seed: 0,
+            workloads: procedures
+                .map(|&p| record(p, p, 1, 10, Counters::default()))
+                .collect(),
+        };
+        let hot = report.workloads.len() - 1;
+        let err = report.validate().unwrap_err();
+        assert!(err.contains("hot_path"), "{err}");
+        report.workloads[hot] = with_baseline(report.workloads[hot].clone(), 20);
+        assert_eq!(report.workloads[hot].speedup, Some(2.0));
+        report
+            .validate()
+            .expect("a hot path with its baseline is valid");
+        report.workloads[hot].speedup = None;
+        assert!(report.validate().is_err());
     }
 
     #[test]

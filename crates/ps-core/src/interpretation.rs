@@ -20,7 +20,7 @@ use crate::{CoreError, Result};
 /// only compared or evaluated never builds it.
 #[derive(Debug, Clone)]
 pub struct AttributeInterpretation {
-    population: Population,
+    /// `π_A`, which carries the population `p_A`.
     atomic: Partition,
     /// Symbol → index of the block of `atomic` it names (the inverse of
     /// `names`), built on first use.  By Definition 1 this is a bijection
@@ -32,10 +32,9 @@ pub struct AttributeInterpretation {
 
 impl PartialEq for AttributeInterpretation {
     fn eq(&self, other: &Self) -> bool {
-        // `naming` is the inverse of `names`.
-        self.population == other.population
-            && self.atomic == other.atomic
-            && self.names == other.names
+        // `naming` is the inverse of `names`; `Partition` equality compares
+        // the populations.
+        self.atomic == other.atomic && self.names == other.names
     }
 }
 
@@ -88,7 +87,6 @@ impl AttributeInterpretation {
         }
         let names = Self::block_names(attribute, &atomic, &naming)?;
         Ok(AttributeInterpretation {
-            population: atomic.population().clone(),
             atomic,
             naming: OnceLock::from(naming),
             names,
@@ -119,7 +117,6 @@ impl AttributeInterpretation {
             "block names are pairwise distinct"
         );
         Ok(AttributeInterpretation {
-            population: atomic.population().clone(),
             atomic,
             naming: OnceLock::new(),
             names,
@@ -173,7 +170,7 @@ impl AttributeInterpretation {
 
     /// The population `p_A`.
     pub fn population(&self) -> &Population {
-        &self.population
+        self.atomic.population()
     }
 
     /// The atomic partition `π_A`.

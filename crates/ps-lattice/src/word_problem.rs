@@ -47,8 +47,8 @@
 //!   per instance by the paper's literal repeat-until-no-change fixpoint
 //!   (`O(n⁴)` with the straightforward implementation).  It is the one
 //!   reference the engine is pinned against: property tests, the debug
-//!   cross-check in `ps-core`'s closure step and the benchmark suite
-//!   (experiment E7 and the `word_problem` bench group) all compare the two.
+//!   cross-check in `ps-core`'s closure step and the trajectory suite's
+//!   `alg_engine_vs_fixpoint` record (experiment E7) all compare the two.
 //!
 //! The one-shot [`entails`] runs on the engine.
 

@@ -4,7 +4,7 @@
 //! lints, `#![forbid(unsafe_code)]` in every crate root).  This rule closes
 //! the two gaps the compiler attributes leave:
 //!
-//! * tests, benches and examples are targets of their own — a stray
+//! * tests and examples are targets of their own — a stray
 //!   `unsafe` there would compile if a future edit relaxed a crate
 //!   attribute, so the token itself is policed in **every** file class;
 //! * the crate-root attributes could be deleted in the same commit that

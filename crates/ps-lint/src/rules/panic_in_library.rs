@@ -1,7 +1,7 @@
 //! `panic-in-library`: library code must not contain reachable panics.
 //!
-//! Production-facing crates return `Result`/`Option`; panics are for tests,
-//! benches and examples.  Flagged in non-test library functions:
+//! Production-facing crates return `Result`/`Option`; panics are for tests
+//! and examples.  Flagged in non-test library functions:
 //!
 //! * `.unwrap()` — always (convert to `?`, a match, or `.expect("why")`);
 //! * `.expect(…)` — unless the argument is a non-empty string literal

@@ -4,8 +4,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// What kind of target a file belongs to — rules apply per class (the
-/// panic/thread contracts bind library code; tests and benches are free
-/// to unwrap).
+/// panic/thread contracts bind library code; tests are free to unwrap).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileClass {
     /// Library source (`crates/*/src/**`, the facade `src/**`).
@@ -14,8 +13,6 @@ pub enum FileClass {
     Bin,
     /// Test code (`tests/**` at root or crate level).
     Test,
-    /// Benchmark code (`crates/*/benches/**`).
-    Bench,
     /// Example code (`examples/**`).
     Example,
 }
@@ -42,9 +39,7 @@ pub fn classify(path: &Path) -> Option<FileClass> {
     }
     let parts: Vec<&str> = path.iter().filter_map(|p| p.to_str()).collect();
     let has = |name: &str| parts.contains(&name);
-    if has("benches") {
-        Some(FileClass::Bench)
-    } else if has("tests") {
+    if has("tests") {
         Some(FileClass::Test)
     } else if has("examples") {
         Some(FileClass::Example)
@@ -116,7 +111,6 @@ mod tests {
                 "crates/ps-lattice/tests/bitmatrix_props.rs",
                 Some(FileClass::Test),
             ),
-            ("crates/ps-bench/benches/chase.rs", Some(FileClass::Bench)),
             ("examples/quickstart.rs", Some(FileClass::Example)),
             ("README.md", None),
         ];
