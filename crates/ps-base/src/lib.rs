@@ -37,7 +37,7 @@ mod symbol;
 pub use attribute::{AttrSet, Attribute, Universe};
 pub use error::BaseError;
 pub use interner::Interner;
-pub use symbol::{FreshSymbols, NullSource, Symbol, SymbolTable};
+pub use symbol::{FreshSymbols, NullBlock, NullSource, Symbol, SymbolTable};
 
 /// Convenient `Result` alias for fallible operations in this crate.
 pub type Result<T> = std::result::Result<T, BaseError>;

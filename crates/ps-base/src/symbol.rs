@@ -52,17 +52,50 @@ impl fmt::Display for Symbol {
     }
 }
 
-/// A supply of nulls: each call returns a symbol distinct from every
+/// A supply of nulls: each call returns symbols distinct from every
 /// constant and from every null this source issued before.
 ///
-/// The chase and the Lemma 12.1 repair take their padding nulls from one.
-/// A [`SymbolTable`] is a source that advances the table itself; a
-/// [`FreshSymbols`] cursor is a detached source that leaves a shared table
-/// untouched (one per snapshot worker).
+/// A source mints by counting up its namespace, so `n` calls to
+/// [`NullSource::fresh`] and one call to [`NullSource::fresh_block`] with
+/// `n` hand out the same nulls in the same order.  The chase's padded
+/// tableau takes all its padding nulls in one block; the Lemma 12.1 repair
+/// takes its bridging nulls one at a time.  A [`SymbolTable`] is a source
+/// that advances the table itself; a [`FreshSymbols`] cursor is a detached
+/// source that leaves a shared table untouched (one per snapshot worker).
 pub trait NullSource {
     /// Mints the next null.
     fn fresh(&mut self) -> Symbol;
+
+    /// Mints the next `n` nulls at once, in the order `n` calls to
+    /// [`NullSource::fresh`] would mint them.
+    fn fresh_block(&mut self, n: usize) -> NullBlock;
 }
+
+/// The nulls of one [`NullSource::fresh_block`] call, in minting order.
+#[derive(Debug, Clone)]
+pub struct NullBlock {
+    next: u32,
+    end: u32,
+}
+
+impl Iterator for NullBlock {
+    type Item = Symbol;
+
+    fn next(&mut self) -> Option<Symbol> {
+        let id = self.next;
+        (id < self.end).then(|| {
+            self.next = id + 1;
+            Symbol(FRESH_TAG | id)
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = (self.end - self.next) as usize;
+        (len, Some(len))
+    }
+}
+
+impl ExactSizeIterator for NullBlock {}
 
 /// The catalog of data symbols, modelling the countably infinite set `𝒟`.
 ///
@@ -126,6 +159,11 @@ impl SymbolTable {
         self.nulls.fresh()
     }
 
+    /// Generates `n` nulls at once (see [`FreshSymbols::fresh_block`]).
+    pub fn fresh_block(&mut self, n: usize) -> NullBlock {
+        self.nulls.fresh_block(n)
+    }
+
     /// The name of a constant symbol, if it was interned here.
     pub fn name(&self, sym: Symbol) -> Option<&str> {
         if sym.is_constant() {
@@ -174,6 +212,10 @@ impl NullSource for SymbolTable {
     fn fresh(&mut self) -> Symbol {
         SymbolTable::fresh(self)
     }
+
+    fn fresh_block(&mut self, n: usize) -> NullBlock {
+        SymbolTable::fresh_block(self, n)
+    }
 }
 
 /// A cursor over the null namespace.  A [`SymbolTable`] keeps one for its
@@ -209,6 +251,26 @@ impl FreshSymbols {
         Symbol(FRESH_TAG | id)
     }
 
+    /// Mints the next `n` nulls from this source at once.
+    ///
+    /// # Panics
+    ///
+    /// When the block does not fit in what is left of the namespace, with
+    /// [`FreshSymbols::fresh`]'s message; the check is one comparison for
+    /// the whole block.
+    pub fn fresh_block(&mut self, n: usize) -> NullBlock {
+        let start = self.next;
+        assert!(
+            u64::from(start) + n as u64 <= u64::from(FRESH_TAG),
+            "null source overflowed the null namespace"
+        );
+        self.next += n as u32;
+        NullBlock {
+            next: start,
+            end: self.next,
+        }
+    }
+
     /// Number of symbols this source has minted.
     pub fn minted(&self) -> usize {
         (self.next - self.start) as usize
@@ -218,6 +280,10 @@ impl FreshSymbols {
 impl NullSource for FreshSymbols {
     fn fresh(&mut self) -> Symbol {
         FreshSymbols::fresh(self)
+    }
+
+    fn fresh_block(&mut self, n: usize) -> NullBlock {
+        FreshSymbols::fresh_block(self, n)
     }
 }
 
@@ -302,6 +368,64 @@ mod tests {
         assert_eq!(last.index(), u32::MAX);
         // The next null would be FRESH_TAG | 0 again.
         let _ = source.fresh();
+    }
+
+    /// A source whose cursor sits `left` nulls below the end of the
+    /// namespace.
+    fn near_the_end(left: u32) -> FreshSymbols {
+        FreshSymbols {
+            next: FRESH_TAG - left,
+            start: FRESH_TAG - left,
+        }
+    }
+
+    #[test]
+    fn a_block_mints_what_single_calls_mint() {
+        let mut t = SymbolTable::new();
+        t.fresh();
+        let mut single = t.fresh_source();
+        let block: Vec<Symbol> = t.fresh_block(5).collect();
+        assert_eq!(block, (0..5).map(|_| single.fresh()).collect::<Vec<_>>());
+        assert_eq!(t.num_fresh(), 6);
+        assert_eq!(t.fresh(), single.fresh());
+        assert_eq!(t.fresh_block(0).len(), 0);
+    }
+
+    #[test]
+    fn a_block_may_end_exactly_at_the_namespace_bound() {
+        let mut source = near_the_end(3);
+        let block: Vec<Symbol> = source.fresh_block(3).collect();
+        assert_eq!(block.last().map(|s| s.index()), Some(u32::MAX));
+        assert_eq!(source.minted(), 3);
+        let mut table = SymbolTable {
+            nulls: near_the_end(3),
+            ..SymbolTable::default()
+        };
+        assert_eq!(table.fresh_block(3).len(), 3);
+        assert_eq!(table.fresh_block(0).len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflowed the null namespace")]
+    fn a_detached_block_crossing_the_bound_panics() {
+        let _ = near_the_end(3).fresh_block(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflowed the null namespace")]
+    fn a_table_block_crossing_the_bound_panics() {
+        let mut table = SymbolTable {
+            nulls: near_the_end(3),
+            ..SymbolTable::default()
+        };
+        let _ = table.fresh_block(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflowed the null namespace")]
+    fn a_block_cannot_wrap_the_cursor() {
+        // `next + n` would wrap a `u32` to a small cursor.
+        let _ = near_the_end(3).fresh_block(u32::MAX as usize);
     }
 
     #[test]

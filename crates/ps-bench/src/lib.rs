@@ -723,49 +723,6 @@ pub fn lattice_closure_generators(
     random_partitions(population, blocks, generators, seed)
 }
 
-/// A random partition interpretation over `attrs`, all sharing the
-/// population `{0, …, population-1}` — a model in which to evaluate PDs
-/// through the flat partition kernel.
-pub fn random_interpretation(
-    universe: &mut Universe,
-    symbols: &mut SymbolTable,
-    attrs: &[&str],
-    population: u32,
-    blocks: usize,
-    seed: u64,
-) -> ps_core::PartitionInterpretation {
-    assert!(
-        blocks >= 1 && blocks as u32 <= population,
-        "need between 1 and `population` blocks"
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut interpretation = ps_core::PartitionInterpretation::new();
-    for (idx, name) in attrs.iter().enumerate() {
-        let attribute = universe.attr(name);
-        // Guarantee every block id occurs so the naming is a bijection: the
-        // first `blocks` elements get their own block id, the rest go to a
-        // uniformly random block.
-        let mut by_block: Vec<Vec<u32>> = vec![Vec::new(); blocks];
-        for e in 0..population {
-            let b = if e < blocks as u32 {
-                e as usize
-            } else {
-                rng.gen_range(0..blocks)
-            };
-            by_block[b].push(e);
-        }
-        let named: Vec<(ps_base::Symbol, Vec<u32>)> = by_block
-            .into_iter()
-            .enumerate()
-            .map(|(b, elems)| (symbols.symbol(&format!("s{idx}_{b}")), elems))
-            .collect();
-        interpretation
-            .set_named_blocks(attribute, named)
-            .expect("generated blocks are disjoint and non-empty");
-    }
-    interpretation
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1054,17 +1011,5 @@ mod tests {
             inconsistent > 0,
             "sample must contain inconsistent instances"
         );
-    }
-
-    #[test]
-    fn random_interpretation_is_well_formed() {
-        let mut universe = Universe::new();
-        let mut symbols = SymbolTable::new();
-        let interp = random_interpretation(&mut universe, &mut symbols, &["A", "B", "C"], 16, 4, 5);
-        assert_eq!(interp.len(), 3);
-        assert!(interp.satisfies_eap());
-        for attr in interp.attributes().collect::<Vec<_>>() {
-            assert_eq!(interp.require(attr).unwrap().atomic().num_blocks(), 4);
-        }
     }
 }

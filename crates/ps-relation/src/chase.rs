@@ -64,13 +64,16 @@
 //! whose key could match another row's has been examined under its final
 //! key — exactly the full-rescan engine's stopping condition.
 //!
-//! The dense ids are assigned in row-major first-occurrence order.
-//! Constants go through a hash map; padding nulls, which a [`NullSource`]
-//! mints by counting up, are looked up by their offset from the tableau's
-//! least null whenever that window spans at most twice the cell count.  A
-//! counting pass over that window finds the lone cells first; nulls outside
-//! a window are hashed and always get an id.  A lone cell's chased value is
-//! its own symbol.
+//! The lone cells are the tableau's padding, which the [`Tableau`] records
+//! per run of rows: [`Tableau::from_database`] knows which columns it
+//! padded, and [`Tableau::from_rows`] counts each null's cells.  So the
+//! engine starts with every cell lone and interns only the other cells:
+//! each distinct symbol gets the next dense id at its first occurrence in
+//! row-major order, through one hash map keyed by the symbol's index.  A
+//! null in a database's own cells is interned like a constant and is never
+//! lone.  A run's rows all start with the same pending bits: every FD but
+//! those whose lhs meets one of the run's padding columns.  A lone cell's
+//! chased value is its own symbol.
 //!
 //! **Labeled output.**  At the fixpoint the chase already knows which cells
 //! are equal: they share a class root.  So it hands back the weak instance
@@ -103,10 +106,12 @@
 //! 12 of the paper (experiment E5).
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 
 use ps_base::{AttrSet, FreshSymbols, NullSource, Symbol, SymbolTable};
 use ps_partition::UnionFind;
 
+use crate::labeled::SymbolHasher;
 use crate::{Database, Fd, LabeledRelation, Relation, Tableau};
 
 /// The outcome of chasing a tableau with FDs.
@@ -273,7 +278,7 @@ pub fn chase_tableau_naive(tableau: &Tableau, fds: &[Fd]) -> ChaseOutcome {
         for (lhs_cols, rhs_cols) in &fd_columns {
             // Group rows by the representative vector of their lhs columns.
             let mut groups: HashMap<Vec<Symbol>, usize> = HashMap::new();
-            for (row_idx, row) in tableau.rows().iter().enumerate() {
+            for (row_idx, row) in tableau.rows().enumerate() {
                 row_visits += 1;
                 let key: Vec<Symbol> = lhs_cols.iter().map(|&c| classes.find(row[c])).collect();
                 match groups.get(&key) {
@@ -283,7 +288,7 @@ pub fn chase_tableau_naive(tableau: &Tableau, fds: &[Fd]) -> ChaseOutcome {
                     Some(&leader) => {
                         // Equate the rhs entries of `row_idx` with the leader's.
                         for &c in rhs_cols {
-                            let a = tableau.rows()[leader][c];
+                            let a = tableau.row(leader)[c];
                             let b = row[c];
                             match classes.union(a, b) {
                                 Ok(true) => {
@@ -307,7 +312,6 @@ pub fn chase_tableau_naive(tableau: &Tableau, fds: &[Fd]) -> ChaseOutcome {
 
     let rows: Vec<Vec<Symbol>> = tableau
         .rows()
-        .iter()
         .map(|row| row.iter().map(|&s| classes.find(s)).collect())
         .collect();
     let weak = LabeledRelation::from_rows(tableau.attrs().clone(), &rows);
@@ -316,8 +320,8 @@ pub fn chase_tableau_naive(tableau: &Tableau, fds: &[Fd]) -> ChaseOutcome {
 
 /// Reusable working storage for the indexed chase engine.
 ///
-/// One [`chase_tableau_with`] run needs a local symbol-interning table, the
-/// flat cell array, per-class occurrence lists, per-row pending FD bits,
+/// One [`chase_tableau_with`] run needs a symbol-interning map, the flat
+/// cell array, per-class occurrence lists, per-row pending FD bits,
 /// the dense leader slots of the single-column FDs, one lhs-key hash index
 /// per multi-column FD, the dirty-row queue and a key scratch buffer.  On
 /// macro workloads (10⁵–10⁶ tuples chased per batch, or one chase per query
@@ -329,20 +333,13 @@ pub fn chase_tableau_naive(tableau: &Tableau, fds: &[Fd]) -> ChaseOutcome {
 /// in the `BENCH_*.json` trajectory (`chase_scratch_reuse` workload).
 #[derive(Debug, Default)]
 pub struct ChaseScratch {
-    /// Dense local interning of constants, and of nulls outside `window`.
-    local: HashMap<Symbol, u32>,
-    /// Direct interning of nulls: `window[i]` describes the null whose raw
-    /// index lies `i` above the tableau's least null.  A counting pass
-    /// leaves [`NONE`] (absent), [`LONE`] (in exactly one cell, which then
-    /// gets no id) or [`SHARED`] (in several cells); interning replaces
-    /// each `SHARED` by the null's dense id.  Empty when the nulls are too
-    /// sparse for a window.
-    window: Vec<u32>,
+    /// Dense interning of every symbol outside the tableau's padding.
+    local: HashMap<Symbol, u32, BuildHasherDefault<SymbolHasher>>,
     /// `rep[r]` for a root `r`: the minimum symbol of the class.
     rep: Vec<Symbol>,
     /// Dense symbol ids, row-major: cell `(row, col)` is
-    /// `cells[row · width + col]`, or [`LONE`] for a lone cell — one whose
-    /// null occurs in no other cell and that no merge has reached yet.
+    /// `cells[row · width + col]`, or [`LONE`] for a lone cell — a padding
+    /// cell of the tableau that no merge has reached yet.
     cells: Vec<u32>,
     /// Occurrence lists over cell indices: for a root `r`, `head[r]` and
     /// `tail[r]` are the first and last cell holding a member of its class;
@@ -356,7 +353,7 @@ pub struct ChaseScratch {
     lhs_fds: Vec<u64>,
     /// `pending[row · words ..][..words]`: the FDs `row` has yet to
     /// (re-)examine.  A row starts with every FD pending except those whose
-    /// lhs contains one of its lone cells.
+    /// lhs contains one of its padding columns.
     pending: Vec<u64>,
     /// The leader slots of the FDs whose active lhs is a single column,
     /// root-major: with `dense` such FDs, the slot of the `d`-th one under
@@ -390,7 +387,6 @@ impl ChaseScratch {
     /// slots are sized later, once the symbol count is known.
     fn reset(&mut self, num_rows: usize, num_hashed: usize) {
         self.local.clear();
-        self.window.clear();
         self.rep.clear();
         self.cells.clear();
         self.head.clear();
@@ -408,57 +404,37 @@ impl ChaseScratch {
         self.key_buf.clear();
     }
 
-    /// Interns every cell of `rows` in row-major order: each distinct
-    /// symbol gets the next dense id at its first occurrence, and each cell
-    /// is appended to its symbol's occurrence list — except a window null
-    /// that occurs in one cell only, whose cell is left [`LONE`].
-    fn intern(&mut self, rows: &[Vec<Symbol>]) {
-        // Padding nulls are minted by counting up, so a tableau's nulls
-        // usually fill a narrow index range: look those up by offset
-        // instead of hashing them, after counting each one's cells.
-        let (least, greatest) = rows
-            .iter()
-            .flatten()
-            .filter(|s| s.is_null())
-            .fold((u32::MAX, 0), |(lo, hi), s| {
-                (lo.min(s.index()), hi.max(s.index()))
-            });
-        let num_cells: usize = rows.iter().map(Vec::len).sum();
-        if least <= greatest && ((greatest - least) as usize) < 2 * num_cells {
-            self.window.resize((greatest - least) as usize + 1, NONE);
-            for s in rows.iter().flatten().filter(|s| s.is_null()) {
-                let entry = &mut self.window[(s.index() - least) as usize];
-                *entry = if *entry == NONE { LONE } else { SHARED };
-            }
-        }
-        for &s in rows.iter().flatten() {
-            let cell = self.cells.len() as u32;
-            let fresh = self.rep.len() as u32;
-            let id = if s.is_null() && !self.window.is_empty() {
-                let entry = &mut self.window[(s.index() - least) as usize];
-                match *entry {
-                    LONE => {
-                        self.next.push(NONE);
-                        self.cells.push(LONE);
-                        continue;
+    /// Interns every cell of `tableau` outside its padding in row-major
+    /// order: each distinct symbol gets the next dense id at its first
+    /// occurrence, and each cell is appended to its symbol's occurrence
+    /// list.  Padding cells stay [`LONE`].
+    fn intern(&mut self, tableau: &Tableau) {
+        let symbols = tableau.cells();
+        let width = tableau.attrs().len();
+        self.cells.resize(symbols.len(), LONE);
+        self.next.resize(symbols.len(), NONE);
+        let mut values = Vec::with_capacity(width);
+        let mut row_start = 0;
+        for segment in tableau.segments() {
+            values.clear();
+            values.extend((0..width).filter(|c| !segment.padding.contains(c)));
+            for _ in 0..segment.rows {
+                for &c in &values {
+                    let cell = row_start + c;
+                    let fresh = self.rep.len() as u32;
+                    let id = *self.local.entry(symbols[cell]).or_insert(fresh);
+                    if id == fresh {
+                        self.rep.push(symbols[cell]);
+                        self.head.push(cell as u32);
+                        self.tail.push(cell as u32);
+                    } else {
+                        let last = std::mem::replace(&mut self.tail[id as usize], cell as u32);
+                        self.next[last as usize] = cell as u32;
                     }
-                    SHARED => *entry = fresh,
-                    _ => {}
+                    self.cells[cell] = id;
                 }
-                *entry
-            } else {
-                *self.local.entry(s).or_insert(fresh)
-            };
-            if id == fresh {
-                self.rep.push(s);
-                self.head.push(cell);
-                self.tail.push(cell);
-            } else {
-                let last = std::mem::replace(&mut self.tail[id as usize], cell);
-                self.next[last as usize] = cell;
+                row_start += width;
             }
-            self.next.push(NONE);
-            self.cells.push(id);
         }
     }
 
@@ -470,22 +446,24 @@ impl ChaseScratch {
     /// row equal to an earlier one, comparing only rows without a lone cell
     /// (see the module docs).
     fn label(&mut self, tableau: &Tableau, uf: &mut UnionFind) -> (LabeledRelation, Vec<u32>) {
-        let rows = tableau.rows();
+        let symbols = tableau.cells();
+        let num_rows = tableau.num_rows();
         let width = tableau.attrs().len();
         self.root_label.clear();
         self.root_label.resize(self.rep.len(), (NONE, 0));
         self.lone_rows.clear();
-        self.lone_rows.resize(rows.len(), false);
+        self.lone_rows.resize(num_rows, false);
         let mut labels = Vec::with_capacity(width);
         let mut names = Vec::with_capacity(width);
         for c in 0..width {
-            let mut column = Vec::with_capacity(rows.len());
+            let mut column = Vec::with_capacity(num_rows);
             let mut column_names = Vec::new();
-            for (r, row) in rows.iter().enumerate() {
-                let id = self.cells[r * width + c];
+            for r in 0..num_rows {
+                let cell = r * width + c;
+                let id = self.cells[cell];
                 let label = if id == LONE {
                     self.lone_rows[r] = true;
-                    column_names.push(row[c]);
+                    column_names.push(symbols[cell]);
                     column_names.len() as u32 - 1
                 } else {
                     let root = uf.find(id as usize);
@@ -502,7 +480,7 @@ impl ChaseScratch {
             names.push(column_names);
         }
         let lone_rows = &self.lone_rows;
-        LabeledRelation::distinct(tableau.attrs().clone(), rows.len(), labels, names, |r| {
+        LabeledRelation::distinct(tableau.attrs().clone(), num_rows, labels, names, |r| {
             !lone_rows[r]
         })
     }
@@ -525,7 +503,8 @@ impl ChaseScratch {
     }
 
     /// Equates tableau cells `a` and `b` (flat indices), either of which
-    /// may be lone; `rows` supplies a lone cell's symbol.  Two cells with
+    /// may be lone; `symbols`, the tableau's cells, supplies a lone cell's
+    /// symbol.  Two cells with
     /// classes merge as in [`ChaseScratch::merge`].  A lone cell adopts the
     /// other cell's class: it joins the root's occurrence list, may lower
     /// its representative, and is marked.  Two lone cells form a new class
@@ -536,12 +515,12 @@ impl ChaseScratch {
     fn merge_cells(
         &mut self,
         uf: &mut UnionFind,
-        rows: &[Vec<Symbol>],
+        symbols: &[Symbol],
         (width, words, dense): (usize, usize, usize),
         a: u32,
         b: u32,
     ) -> Merge {
-        let symbol = |cell: u32| rows[cell as usize / width][cell as usize % width];
+        let symbol = |cell: u32| symbols[cell as usize];
         let (ia, ib) = (self.cells[a as usize], self.cells[b as usize]);
         if ia != LONE && ib != LONE {
             return self.merge(uf, width, words, ia, ib);
@@ -613,17 +592,11 @@ enum Merge {
     Clash,
 }
 
-/// Marks an empty dense leader slot, the end of an occurrence list and a
-/// null the interning window has not seen.
+/// Marks an empty dense leader slot and the end of an occurrence list.
 const NONE: u32 = u32::MAX;
 
-/// Marks a lone cell in [`ChaseScratch::cells`], and a null counted once in
-/// [`ChaseScratch::window`].
+/// Marks a lone cell in [`ChaseScratch::cells`].
 const LONE: u32 = u32::MAX - 1;
-
-/// Marks a null counted in several cells, not yet given an id, in
-/// [`ChaseScratch::window`].
-const SHARED: u32 = u32::MAX - 2;
 
 /// The least FD index `≥ from` whose bit is set in `bits`.
 fn next_pending(bits: &[u64], from: usize) -> Option<usize> {
@@ -649,7 +622,7 @@ enum LeaderIndex {
 
 /// Chases `tableau` with `fds` using the indexed, worklist-driven engine
 /// (see the module docs).  The leader indexes, occurrence lists, pending
-/// bits, dirty-row queue, interning tables and key scratch live in
+/// bits, dirty-row queue, interning map and key scratch live in
 /// `scratch` and are cleared — not reallocated — between runs; pass
 /// `&mut ChaseScratch::default()` for a one-off chase.
 pub fn chase_tableau_with(
@@ -657,8 +630,7 @@ pub fn chase_tableau_with(
     fds: &[Fd],
     scratch: &mut ChaseScratch,
 ) -> ChaseOutcome {
-    let rows = tableau.rows();
-    let num_rows = rows.len();
+    let num_rows = tableau.num_rows();
     let width = tableau.attrs().len();
     let fd_columns = active_fd_columns(tableau, fds);
     let words = fd_columns.len().div_ceil(64);
@@ -676,10 +648,10 @@ pub fn chase_tableau_with(
         })
         .collect();
     scratch.reset(num_rows, hashed);
-    scratch.intern(rows);
+    scratch.intern(tableau);
 
     // Which FDs each column feeds; every FD pending on every row except
-    // those keyed on one of the row's lone cells.
+    // those keyed on one of the row's padding columns, once per run.
     scratch.lhs_fds.resize(width * words, 0);
     for (k, (lhs_cols, _)) in fd_columns.iter().enumerate() {
         for &c in lhs_cols {
@@ -690,21 +662,24 @@ pub fn chase_tableau_with(
         n if n >= 64 => !0u64,
         n => (1u64 << n) - 1,
     };
-    for r in 0..num_rows {
-        scratch.pending.extend((0..words).map(all_fds));
-        for c in 0..width {
-            if scratch.cells[r * width + c] == LONE {
-                for w in 0..words {
-                    scratch.pending[r * words + w] &= !scratch.lhs_fds[c * words + w];
-                }
+    let mut seed: Vec<u64> = Vec::with_capacity(words);
+    let mut r = 0;
+    for segment in tableau.segments() {
+        seed.clear();
+        seed.extend((0..words).map(all_fds));
+        for &c in &segment.padding {
+            for (bits, &fds) in seed.iter_mut().zip(&scratch.lhs_fds[c * words..]) {
+                *bits &= !fds;
             }
         }
-        if scratch.pending[r * words..(r + 1) * words]
-            .iter()
-            .any(|&bits| bits != 0)
-        {
-            scratch.queued[r] = true;
-            scratch.queue.push_back(r as u32);
+        let any = seed.iter().any(|&bits| bits != 0);
+        for _ in 0..segment.rows {
+            scratch.pending.extend_from_slice(&seed);
+            if any {
+                scratch.queued[r] = true;
+                scratch.queue.push_back(r as u32);
+            }
+            r += 1;
         }
     }
 
@@ -774,7 +749,7 @@ pub fn chase_tableau_with(
             for &c in rhs_cols {
                 let a = (leader as usize * width + c) as u32;
                 let b = (r * width + c) as u32;
-                match scratch.merge_cells(&mut uf, rows, (width, words, dense), a, b) {
+                match scratch.merge_cells(&mut uf, tableau.cells(), (width, words, dense), a, b) {
                     Merge::Same => {}
                     Merge::Clash => {
                         return ChaseOutcome::inconsistent(steps, 1, row_visits);
@@ -1121,7 +1096,7 @@ mod tests {
         assert_eq!(f.symbols.render(rows[1][pb]), "b1");
         assert_eq!(f.symbols.render(rows[0][pd]), "d1");
         // A lone cell no merge reached keeps its own symbol.
-        assert_eq!(rows[2][pc], tableau.rows()[2][pc]);
+        assert_eq!(rows[2][pc], tableau.row(2)[pc]);
         // The A → B slots (the first of each root's two) still hold both
         // leaders, one under a root that lost the merge; only the
         // two-column FD used a hash index.
@@ -1132,12 +1107,11 @@ mod tests {
         assert_eq!(leaders, 2);
         assert_eq!(scratch.slots.len(), 2 * n);
         assert_eq!(scratch.indexes.len(), 1);
-        // Flat cells; the six constants are hashed, the contiguous nulls go
-        // through the window, and only the two shared nulls got ids.
+        // Flat cells; the six constants and the two shared nulls are
+        // hashed and got ids, the once-used nulls were never interned.
         let width = tableau.attrs().len();
         assert_eq!(scratch.cells.len(), 4 * width);
-        assert_eq!(scratch.local.len(), 6);
-        assert!(!scratch.window.is_empty());
+        assert_eq!(scratch.local.len(), 8);
         assert_eq!(n, 8);
         assert_eq!(scratch.cells[2 * width + pc], LONE);
         // Column A feeds A → B and AC → D, column X feeds X → A.
@@ -1212,6 +1186,40 @@ mod tests {
         assert_eq!(scratch.rep.len(), 4);
         assert_eq!(scratch.slots.len(), 4 * 2);
         assert!(scratch.cells.iter().all(|&id| id != LONE));
+    }
+
+    #[test]
+    fn once_used_nulls_are_lone_however_far_apart() {
+        // Tableau over A, B, C, with every null minted a thousand indices
+        // after the one before: row 0 = (a, b, n0), row 1 = (a, n1, c),
+        // row 2 = (n2, n3, c2).  Each null occurs once, so each is lone.
+        // Row 2 has no FD pending (both lhs columns are lone), row 1 only
+        // A → B.  Row 0 claims both slots; row 1's A → B gives n1 b's class
+        // and brings row 1 back for B → C, which gives row 0's n0 c's
+        // class: 2 merges in 4 visits.  Hashing these nulls instead would
+        // give each a class, visit row 2 as well and take 6 visits.
+        let mut f = fixture();
+        let [a, b, c] = ["A", "B", "C"].map(|n| f.universe.attr(n));
+        let attrs: AttrSet = [a, b, c].into_iter().collect();
+        let [sa, sb, sc, sc2] = ["a", "b", "c", "c2"].map(|n| f.symbols.symbol(n));
+        let mut spaced = || {
+            let null = f.symbols.fresh();
+            f.symbols.fresh_block(999);
+            null
+        };
+        let [n0, n1, n2, n3] = [(); 4].map(|()| spaced());
+        let tableau = Tableau::from_rows(
+            attrs,
+            vec![vec![sa, sb, n0], vec![sa, n1, sc], vec![n2, n3, sc2]],
+        );
+        let fds = vec![fd(&[a], &[b]), fd(&[b], &[c])];
+        let outcome = chase_rows(&tableau, &fds, &f.symbols);
+        assert!(outcome.consistent);
+        assert_eq!((outcome.steps, outcome.row_visits), (2, 4));
+        let rows = outcome.rows().unwrap();
+        assert_eq!(rows[0], vec![sa, sb, sc]);
+        assert_eq!(rows[1], vec![sa, sb, sc]);
+        assert_eq!(rows[2], vec![n2, n3, sc2]);
     }
 
     #[test]

@@ -293,12 +293,12 @@ fn hash_labels(labels: &[u32]) -> u64 {
     hasher.finish()
 }
 
-/// The hasher of [`hash_label`]'s symbol map.  A symbol hashes as its
-/// interner index, a dense integer the program assigns, so one multiply
-/// spreads consecutive indices over the table; SipHash, the default, costs
-/// more than all the rest of labeling a column.
-#[derive(Default)]
-struct SymbolHasher(u64);
+/// The hasher of [`hash_label`]'s symbol map and of the chase's interning
+/// map.  A symbol hashes as its interner index, a dense integer the program
+/// assigns, so one multiply spreads consecutive indices over the table;
+/// SipHash, the default, costs more than all the rest of labeling a column.
+#[derive(Debug, Default)]
+pub(crate) struct SymbolHasher(u64);
 
 impl Hasher for SymbolHasher {
     fn write(&mut self, bytes: &[u8]) {

@@ -6,60 +6,129 @@
 //! columns holding its constants and every other column holding a fresh
 //! null.  The chase ([`crate::chase`]) then equates symbols as dictated by
 //! the FDs.
+//!
+//! Most cells of a padded tableau are padding: a null that occurs in no
+//! other cell.  The tableau records where they are, per run of rows, so the
+//! chase never has to look for them.
+
+use std::collections::HashMap;
 
 use ps_base::{AttrSet, Attribute, NullSource, Symbol};
 
 use crate::Database;
 
-/// A tableau: rows of symbols over a fixed attribute set.
+/// A tableau: rows of symbols over a fixed attribute set, stored row-major,
+/// that knows which of its cells are padding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tableau {
     attrs: AttrSet,
-    rows: Vec<Vec<Symbol>>,
+    num_rows: usize,
+    /// Cell `(row, col)` is `cells[row · width + col]`.
+    cells: Vec<Symbol>,
+    /// The rows in order, cut into runs that share their padding columns.
+    segments: Vec<Segment>,
+}
+
+/// A run of consecutive tableau rows whose padding cells lie in the same
+/// columns.  A padding cell holds a null that occurs in no other cell of
+/// the tableau.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Segment {
+    /// Number of rows in the run.
+    pub(crate) rows: usize,
+    /// The padding columns of every row of the run, ascending.
+    pub(crate) padding: Vec<usize>,
 }
 
 impl Tableau {
     /// Builds the tableau of `db` over the attribute set `attrs`, which
-    /// must contain every attribute used by `db` and may contain more (the
-    /// Section 6.2 pipeline adds the attributes its constraints mention).
-    /// Every column a tuple lacks holds a fresh null drawn from `nulls`.
+    /// may contain more attributes than `db` uses (the Section 6.2 pipeline
+    /// adds the attributes its constraints mention).  Every column a tuple
+    /// lacks holds a fresh null drawn from `nulls`: one block for the whole
+    /// tableau, handed out in row-major order.  Each relation is one
+    /// segment, padded in the columns of `attrs` its scheme lacks.
     ///
     /// The source decides only the nulls' identities, which never affect a
     /// chase verdict: a session passes its own [`ps_base::SymbolTable`],
-    /// a snapshot worker a detached [`ps_base::FreshSymbols`].
+    /// a snapshot worker a detached [`ps_base::FreshSymbols`].  It must not
+    /// have issued a null the database holds, or that null would stand in
+    /// two cells the chase takes for distinct.
+    ///
+    /// # Panics
+    ///
+    /// When `attrs` lacks an attribute of one of `db`'s relations.
     pub fn from_database(db: &Database, attrs: &AttrSet, nulls: &mut impl NullSource) -> Self {
-        let mut rows = Vec::with_capacity(db.total_tuples());
-        for relation in db.relations() {
-            // Resolve each tableau column to the relation's column (or a
-            // fresh-null pad) once per relation, then walk the columns.
-            let positions: Vec<Option<usize>> = attrs
-                .iter()
-                .map(|a| relation.scheme().position(a))
-                .collect();
-            for row in relation.iter() {
-                let padded: Vec<Symbol> = positions
+        // Resolve each tableau column to the relation's column (or a
+        // padding null) once per relation.
+        let (columns, segments): (Vec<_>, Vec<_>) = db
+            .relations()
+            .iter()
+            .map(|relation| {
+                let scheme = relation.scheme();
+                let columns: Vec<Option<&[Symbol]>> = attrs
                     .iter()
-                    .map(|pos| match pos {
-                        Some(pos) => row.value_at(*pos),
-                        None => nulls.fresh(),
-                    })
+                    .map(|a| scheme.position(a).map(|pos| relation.column(pos)))
                     .collect();
-                rows.push(padded);
+                let padding: Vec<usize> = (0..columns.len())
+                    .filter(|&c| columns[c].is_none())
+                    .collect();
+                assert_eq!(
+                    columns.len() - padding.len(),
+                    scheme.arity(),
+                    "the tableau's attributes must contain every attribute of {}",
+                    scheme.name()
+                );
+                let rows = relation.len();
+                (columns, Segment { rows, padding })
+            })
+            .unzip();
+        let num_padding = segments.iter().map(|s| s.rows * s.padding.len()).sum();
+        let mut padding = nulls.fresh_block(num_padding);
+        let num_rows = db.total_tuples();
+        let mut cells = Vec::with_capacity(num_rows * attrs.len());
+        for (columns, segment) in columns.iter().zip(&segments) {
+            for row in 0..segment.rows {
+                cells.extend(columns.iter().map(|column| match column {
+                    Some(values) => values[row],
+                    None => padding.next().expect("the block holds every padding null"),
+                }));
             }
         }
         Tableau {
             attrs: attrs.clone(),
-            rows,
+            num_rows,
+            cells,
+            segments,
         }
     }
 
-    /// Creates a tableau directly from rows (mainly for tests).
+    /// Creates a tableau directly from rows (mainly for tests).  A null
+    /// that occurs in exactly one cell is that row's padding.
     pub fn from_rows(attrs: AttrSet, rows: Vec<Vec<Symbol>>) -> Self {
         assert!(
             rows.iter().all(|r| r.len() == attrs.len()),
             "every row must have one symbol per attribute"
         );
-        Tableau { attrs, rows }
+        let mut count: HashMap<Symbol, usize> = HashMap::new();
+        for &s in rows.iter().flatten().filter(|s| s.is_null()) {
+            *count.entry(s).or_default() += 1;
+        }
+        let mut segments: Vec<Segment> = Vec::new();
+        for row in &rows {
+            let padding: Vec<usize> = (0..row.len())
+                .filter(|&c| row[c].is_null() && count[&row[c]] == 1)
+                .collect();
+            match segments.last_mut() {
+                Some(last) if last.padding == padding => last.rows += 1,
+                _ => segments.push(Segment { rows: 1, padding }),
+            }
+        }
+        Tableau {
+            attrs,
+            num_rows: rows.len(),
+            cells: rows.into_iter().flatten().collect(),
+            segments,
+        }
     }
 
     /// The attribute set the tableau ranges over.
@@ -67,19 +136,35 @@ impl Tableau {
         &self.attrs
     }
 
-    /// The rows.
-    pub fn rows(&self) -> &[Vec<Symbol>] {
-        &self.rows
+    /// The rows, in order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Symbol]> {
+        (0..self.num_rows).map(|r| self.row(r))
+    }
+
+    /// Row `row`.
+    pub fn row(&self, row: usize) -> &[Symbol] {
+        let width = self.attrs.len();
+        &self.cells[row * width..(row + 1) * width]
+    }
+
+    /// Every cell, row-major: cell `(row, col)` is `cells[row · width + col]`.
+    pub(crate) fn cells(&self) -> &[Symbol] {
+        &self.cells
+    }
+
+    /// The rows in order, as runs sharing their padding columns.
+    pub(crate) fn segments(&self) -> &[Segment] {
+        &self.segments
     }
 
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
-        self.rows.len()
+        self.num_rows
     }
 
     /// Whether the tableau has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.num_rows == 0
     }
 
     /// The column index of `attr`, if it is part of the tableau.
@@ -89,7 +174,7 @@ impl Tableau {
 
     /// The symbol at `(row, attr)`.
     pub fn get(&self, row: usize, attr: Attribute) -> Option<Symbol> {
-        Some(self.rows[row][self.position(attr)?])
+        Some(self.row(row)[self.position(attr)?])
     }
 }
 
@@ -176,8 +261,78 @@ mod tests {
         let owned = Tableau::from_database(&db, &attrs, &mut s);
         // Both start minting at the same cursor, so they agree
         // symbol-for-symbol; only the table itself advanced.
-        assert_eq!(detached.rows(), owned.rows());
+        assert_eq!(detached, owned);
         assert_eq!(s.num_fresh(), minted_before + 3);
+    }
+
+    #[test]
+    fn one_block_pads_like_one_null_per_cell() {
+        // The padding nulls, minted in one block, are the ones per-cell
+        // minting from a clone of the source puts in the same cells.
+        let (mut u, mut s, db) = two_relation_db();
+        let d = u.attr("D");
+        let mut attrs = db.all_attributes();
+        attrs.insert(d);
+        s.fresh();
+        let mut cloned = s.clone();
+        let tableau = Tableau::from_database(&db, &attrs, &mut s);
+        let mut expected = Vec::new();
+        for relation in db.relations() {
+            for row in relation.iter() {
+                for a in attrs.iter() {
+                    expected.push(match relation.scheme().position(a) {
+                        Some(pos) => row.value_at(pos),
+                        None => cloned.fresh(),
+                    });
+                }
+            }
+        }
+        assert_eq!(tableau.cells(), expected.as_slice());
+        assert_eq!(s.num_fresh(), cloned.num_fresh());
+        // One segment per relation: R1 lacks C and D, R2 lacks A and D.
+        let segments: Vec<(usize, Vec<usize>)> = tableau
+            .segments()
+            .iter()
+            .map(|s| (s.rows, s.padding.clone()))
+            .collect();
+        assert_eq!(segments, vec![(2, vec![2, 3]), (1, vec![0, 3])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must contain every attribute of R2")]
+    fn from_database_requires_every_relation_attribute() {
+        let (u, mut s, db) = two_relation_db();
+        let attrs: AttrSet = ["A", "B"]
+            .map(|n| u.lookup(n).unwrap())
+            .into_iter()
+            .collect();
+        let _ = Tableau::from_database(&db, &attrs, &mut s);
+    }
+
+    #[test]
+    fn from_rows_finds_its_padding_by_counting() {
+        // Row 0 = (n0, n1), row 1 = (n0, n2), row 2 = (a, n3): n0 occurs
+        // twice, so only the B cells are padding, however far apart the
+        // nulls' indices lie.
+        let mut u = Universe::new();
+        let attrs: AttrSet = u.attrs(["A", "B"]).into();
+        let mut s = SymbolTable::new();
+        let a = s.symbol("a");
+        let mut spaced = || {
+            let null = s.fresh();
+            s.fresh_block(999);
+            null
+        };
+        let [n0, n1, n2, n3] = [(); 4].map(|()| spaced());
+        let tableau = Tableau::from_rows(attrs, vec![vec![n0, n1], vec![n0, n2], vec![a, n3]]);
+        let segments: Vec<(usize, Vec<usize>)> = tableau
+            .segments()
+            .iter()
+            .map(|s| (s.rows, s.padding.clone()))
+            .collect();
+        assert_eq!(segments, vec![(3, vec![1])]);
+        assert_eq!(tableau.row(2), &[a, n3]);
+        assert_eq!(tableau.rows().len(), 3);
     }
 
     #[test]

@@ -159,14 +159,17 @@ struct ChaseCase {
 /// A random chase input over `attrs` (four attributes).
 ///
 /// Half the cases pad a random database of `relations` relations with
-/// `rows` rows each.  The others build a tableau of as many rows directly.
-/// In half of those, three cells in four are nulls that repeat across rows
-/// and columns, minted either contiguously (the engine's direct null
-/// window) or a thousand indices apart (too sparse for the window, so they
-/// are hashed).  In the other half, contiguous nulls used in one cell only
-/// (the engine's lone cells) sit beside nulls that repeat, and one column
-/// holds mostly lone nulls; an extra FD keys that column together with
-/// another, so its pairs wait for a merge to reach the lone cell.
+/// `rows` rows each; the padding cells are the engine's lone cells.  In
+/// half of those, the relations hold nulls of their own in some cells, some
+/// repeated across rows and columns and some used once: cells a relation
+/// holds are interned like constants and are never lone.  The other cases
+/// build a tableau of as many rows directly, whose lone cells the tableau
+/// finds by counting.  In half of those, three cells in four are nulls that
+/// repeat across rows and columns, minted either contiguously or a
+/// thousand indices apart.  In the other half, nulls used in one cell only
+/// (lone cells) sit beside nulls that repeat, and one column holds mostly
+/// lone nulls; an extra FD keys that column together with another, so its
+/// pairs wait for a merge to reach the lone cell.
 /// Constants are drawn from a per-column pool or from a pool shared by all
 /// columns.  FDs have one- or two-column left-hand sides.  About one case
 /// in three puts 60 to 64 trivial FDs (`A → A`) first, so the FDs that do
@@ -188,6 +191,15 @@ fn random_chase_case(
     };
     let all: AttrSet = attrs.iter().copied().collect();
     let (tableau, db, lone_column) = if rng.gen_bool(0.5) {
+        // Nulls a relation holds, when it holds any: a pool of repeated
+        // ones beside nulls minted for one cell.
+        let pool: Vec<Symbol> = if rng.gen_bool(0.5) {
+            (0..1 + rng.gen_range(0..3))
+                .map(|_| symbols.fresh())
+                .collect()
+        } else {
+            Vec::new()
+        };
         let mut db = Database::new();
         for r in 0..relations {
             let subset = random_attr_subset(attrs, rng);
@@ -196,14 +208,25 @@ fn random_chase_case(
             for _ in 0..rows {
                 let mut values = vec![Symbol::from_index(0); subset.len()];
                 for a in subset.iter() {
-                    values[scheme.position(a).unwrap()] = constant(&mut symbols, rng, a);
+                    values[scheme.position(a).unwrap()] = if !pool.is_empty() && rng.gen_bool(0.4) {
+                        if rng.gen_bool(0.5) {
+                            pool[rng.gen_range(0..pool.len())]
+                        } else {
+                            symbols.fresh()
+                        }
+                    } else {
+                        constant(&mut symbols, rng, a)
+                    };
                 }
                 relation.insert_values(&values).unwrap();
             }
             db.add(relation);
         }
         let tableau = Tableau::from_database(&db, &db.all_attributes(), &mut symbols);
-        (tableau, Some(db), None)
+        // The chase may equate a relation's own null with a constant, so a
+        // weak instance need not hold such a relation's tuples verbatim.
+        let db = pool.is_empty().then_some(db);
+        (tableau, db, None)
     } else if rng.gen_bool(0.5) {
         let spread: usize = if rng.gen_bool(0.5) { 1 } else { 1_000 };
         let pool = 1 + rng.gen_range(0..12usize);
@@ -226,9 +249,8 @@ fn random_chase_case(
             .collect();
         (Tableau::from_rows(all, table), None, None)
     } else {
-        // At most four repeated nulls beside at most one lone null per
-        // cell: the null indices span less than twice the cell count, so
-        // every null goes through the window.
+        // At most four repeated nulls beside nulls minted for one cell
+        // each, which the tableau counts as its padding.
         let lone_column = rng.gen_range(0..all.len());
         let pool: Vec<Symbol> = (0..1 + rng.gen_range(0..4))
             .map(|_| symbols.fresh())

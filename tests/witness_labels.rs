@@ -12,8 +12,8 @@
 //! The generator reaches the three shapes the labels treat specially:
 //! sums whose repair adds bridges, the same all-constant tuple in two
 //! relations (two chased rows that coincide and are kept once), and a
-//! database holding an old null, which spreads the tableau's nulls too far
-//! apart for the chase's interning window.
+//! database holding an old null, which the chase interns like a constant
+//! however far its index lies from the padding nulls'.
 
 mod common;
 
@@ -47,8 +47,9 @@ struct Case {
 /// (`common::random_database`), one relation per sum whose four rows draw
 /// `Bk` from three values, take a new `Dk` each and the `Ck` of their `Bk`
 /// (two `Bk` share a `Ck` without a chain, so the repair must bridge), and
-/// one tuple over every attribute repeated in two relations.  With `sparse`, each database also holds a null minted before
-/// 4096 others, so its tableau's nulls get no interning window.
+/// one tuple over every attribute repeated in two relations.  Each
+/// database also holds an old null; with `sparse` it is minted 4096 nulls
+/// before the padding, so the tableau's nulls lie far apart.
 fn case(seed: u64, sums: usize, fpds: usize, batch: usize, sparse: bool) -> Case {
     let mut world = World::new();
     let a_attrs = world.attrs(3);
@@ -266,7 +267,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random sum and FPD sets over random databases with twinned
-    /// all-constant tuples, with and without an interning window: the
+    /// all-constant tuples, with the database's own null near or far from
+    /// the padding nulls: the
     /// labeled witness path equals the symbol-level reference on every
     /// path.
     #[test]
@@ -283,8 +285,8 @@ proptest! {
 }
 
 /// The generator reaches what the labels treat specially: repairs that
-/// bridge, chased rows dropped as duplicates, and tableaux without an
-/// interning window.
+/// bridge, chased rows dropped as duplicates, and tableaux whose nulls lie
+/// far apart.
 #[test]
 fn generated_cases_cover_bridges_duplicate_rows_and_sparse_nulls() {
     let (mut bridged, mut deduplicated, mut sparse_runs) = (0, 0, 0);
