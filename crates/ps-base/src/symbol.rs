@@ -206,6 +206,31 @@ impl SymbolTable {
             start: self.nulls.next,
         }
     }
+
+    /// Moves the table's null cursor past every null `source` minted, so
+    /// the table never hands them out again.  The cursor only moves
+    /// forwards: a source behind the table leaves it unchanged.
+    ///
+    /// A caller that mints from a [`SymbolTable::fresh_source`] and hands
+    /// out only some of its answers calls this for those alone; the nulls
+    /// of an answer it drops are minted again by the next source.
+    ///
+    /// ```
+    /// use ps_base::SymbolTable;
+    /// let mut t = SymbolTable::new();
+    /// let mut kept = t.fresh_source();
+    /// let handed_out = kept.fresh();
+    /// let mut dropped = t.fresh_source();
+    /// dropped.fresh_block(8);
+    /// t.advance_past(&kept);
+    /// assert_eq!(t.num_fresh(), 1);
+    /// assert_ne!(t.fresh(), handed_out);
+    /// t.advance_past(&kept); // behind the table now: no effect
+    /// assert_eq!(t.num_fresh(), 2);
+    /// ```
+    pub fn advance_past(&mut self, source: &FreshSymbols) {
+        self.nulls.next = self.nulls.next.max(source.next);
+    }
 }
 
 impl NullSource for SymbolTable {

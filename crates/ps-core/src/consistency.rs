@@ -13,9 +13,12 @@
 //!    word-problem algorithm of Section 5 and add them to `F`; drop any
 //!    `C ≤ A + B` whose `A ≤ B` or `B ≤ A` is derivable (then `A + B`
 //!    collapses and the constraint becomes an FPD).  The closed `F` is
-//!    condensed by the union rule to one FD per left-hand side,
-//!    `A → {B : A ≤_E B}` merged with the normalized and collapsed-sum FDs
-//!    on the same lhs — [`close_constraints_with`].
+//!    emitted as an equivalent cover, not as the transitive closure: each
+//!    ≤-cycle class as a star on its least attribute, the Hasse edges
+//!    between classes, and what each multi-attribute normalized FD adds
+//!    beyond them — one FD per left-hand side, by the union rule
+//!    ([`close_constraints_with`]).  Any equivalent cover chases to the
+//!    same rows in the same steps; a smaller one makes fewer row visits.
 //! 4. **Chase**: by Lemma 12.1, the database is consistent with `E` iff it is
 //!    consistent with the FD set `F` alone, which Honeyman's chase decides in
 //!    polynomial time — [`consistent_with_pds`] runs all four steps, and
@@ -314,8 +317,9 @@ impl ClosedConstraints {
 /// Computes `E⁺` from a normalized constraint set: adds every derivable
 /// `A ≤ B` (as the FD `A → B`) to `F`, and eliminates each sum constraint
 /// `C ≤ A + B` for which `A ≤ B` or `B ≤ A` is derivable (step 3 of the
-/// pipeline).  The resulting FD set holds exactly one FD per left-hand side
-/// (see [`close_constraints_with`]).
+/// pipeline).  The resulting FD set is the transitive reduction of that
+/// closure, with exactly one FD per left-hand side (see
+/// [`close_constraints_with`]).
 ///
 /// One [`ps_lattice::ImplicationEngine`] is built per normalized constraint
 /// set and queried for every consequence.  Debug builds cross-check the
@@ -347,13 +351,32 @@ pub fn close_constraints(
 /// engine cached per constraint set, so repeated closures pay no
 /// re-saturation and the engine's `rule_firings` counter stays observable.
 ///
-/// The closed FD set is *condensed*: by Armstrong's union rule, FDs sharing
-/// a left-hand side `X` are equivalent to the single FD `X → ⋃ Y`, so the
-/// normalized FDs, the derived `A → {B : A ≤_E B}` and the collapsed-sum
-/// FDs `C → B` are merged into one FD per left-hand side, emitted in
-/// ascending lhs order with the trivial right-hand attributes (`Y ∩ X`)
-/// dropped.  The chase then examines each row once per distinct lhs
-/// instead of once per derived pair.
+/// The closed FD set is the *transitive reduction* of `E⁺`'s attribute
+/// order, not its transitive closure.  Any FD set equivalent to `F` chases
+/// to the same finest partition, so the verdict, the chased rows and the
+/// chase's `steps` do not depend on which cover is used; a smaller cover
+/// only saves the chase the re-examination of equalities it has already
+/// made.  The reduction:
+///
+/// 1. `up` is the reflexive–transitive closure over `U′` of every
+///    single-attribute FD — the engine's `A ≤_E B`, the normalized FDs with
+///    one-attribute left-hand sides and the collapsed-sum `C → B` — as
+///    dense bit rows closed by one Warshall pass.
+/// 2. A ≤-cycle class (mutually reachable attributes) is emitted as a star
+///    on its least attribute, the *leader*: `M → leader` for every other
+///    member, and `leader → other members`.
+/// 3. Each leader gets `L → D` for the leaders `D` of its immediate
+///    successor classes (the Hasse diagram of the order on classes).
+/// 4. A multi-attribute normalized FD `X → Y` (a meet's `{l, r} → _t`)
+///    keeps `Y ∖ X ∖ ⋃ₓ up[x]`, and is dropped when that is empty.
+///
+/// FDs sharing a left-hand side are merged by the union rule, so the set
+/// holds one FD per left-hand side, in ascending lhs order.  The cost is
+/// that of one Warshall pass, O(|U′|³/64) word operations, and O(|U′|³)
+/// bit probes for the Hasse test in the worst case (a chain).  Debug
+/// builds check that the reduced set is FD-equivalent to the full one
+/// (the normalized FDs, one FD per derived `A ≤_E B` and the
+/// collapsed-sum FDs).
 pub fn close_constraints_with(
     engine: &mut ps_lattice::ImplicationEngine,
     normalized: &NormalizedConstraints,
@@ -365,54 +388,109 @@ pub fn close_constraints_with(
         .map(|a| arena.atom(a))
         .collect();
     engine.add_goal_terms(arena, &atoms);
-    let mut pairs: Vec<(Attribute, Attribute)> =
+    let pairs: Vec<(Attribute, Attribute)> =
         crate::implication::attribute_pairs(arena, engine.atom_consequences(arena)).collect();
-    pairs.sort_unstable();
 
-    // A → {B : A ≤_E B}, one group per A, in one pass over the sorted pairs.
-    let successors: BTreeMap<Attribute, AttrSet> = pairs
-        .chunk_by(|x, y| x.0 == y.0)
-        .map(|chunk| (chunk[0].0, chunk.iter().map(|&(_, b)| b).collect()))
-        .collect();
-    let leq = |a: Attribute, b: Attribute| successors.get(&a).is_some_and(|s| s.contains(b));
-
-    let mut groups: BTreeMap<AttrSet, AttrSet> = BTreeMap::new();
-    let mut add = |lhs: AttrSet, rhs: &AttrSet| {
-        let slot = groups.entry(lhs).or_default();
-        *slot = slot.union(rhs);
-    };
-    for fd in &normalized.fds {
-        add(fd.lhs.clone(), &fd.rhs);
-    }
-    for (&a, succ) in &successors {
-        add(AttrSet::singleton(a), succ);
+    // Dense ids: the position in U′, so the least id is the least attribute.
+    // A cached engine may know atoms outside U′ (from goals); an atom that
+    // no PD mentions is only below itself, so its pairs are dropped.
+    let universe = normalized.attributes.as_slice();
+    let position = |a: Attribute| universe.binary_search(&a);
+    let at = |a: Attribute| position(a).expect("constraint attributes lie in U′");
+    let mut up = ps_lattice::BitMatrix::new(universe.len());
+    for &(a, b) in &pairs {
+        if let (Ok(i), Ok(j)) = (position(a), position(b)) {
+            up.set(i, j);
+        }
     }
 
+    // A ≤ B collapses A + B to B, so C ≤ A + B becomes C ≤ B (and
+    // symmetrically for B ≤ A).  Decided on the engine's pairs, before
+    // the closure pass.
+    let leq = |a: Attribute, b: Attribute| up.get(at(a), at(b));
     let mut sums = Vec::new();
+    let mut collapsed = Vec::new();
     for &sum in &normalized.sums {
-        // A ≤ B collapses A + B to B, so C ≤ A + B becomes C ≤ B (and
-        // symmetrically for B ≤ A).
-        let collapsed = if leq(sum.left, sum.right) {
-            sum.right
+        if leq(sum.left, sum.right) {
+            collapsed.push((sum.target, sum.right));
         } else if leq(sum.right, sum.left) {
-            sum.left
+            collapsed.push((sum.target, sum.left));
         } else {
             sums.push(sum);
-            continue;
-        };
-        add(
-            AttrSet::singleton(sum.target),
-            &AttrSet::singleton(collapsed),
-        );
+        }
     }
 
-    let fds = groups
+    let single_fds = normalized.fds.iter().filter_map(|fd| {
+        let a = fd.lhs.as_singleton()?;
+        Some(fd.rhs.iter().map(move |b| (a, b)))
+    });
+    for (a, b) in single_fds.flatten().chain(collapsed.iter().copied()) {
+        up.set(at(a), at(b));
+    }
+    up.transitive_closure();
+
+    // The leader of each ≤-cycle class.  Attribute `i` is unassigned only
+    // if no smaller attribute is in its class, so it leads its class.
+    let mut leader = vec![usize::MAX; universe.len()];
+    for i in 0..universe.len() {
+        if leader[i] == usize::MAX {
+            for j in up.iter_row(i).filter(|&j| up.get(j, i)) {
+                leader[j] = i;
+            }
+        }
+    }
+
+    let mut groups: BTreeMap<AttrSet, AttrSet> = BTreeMap::new();
+    let mut add = |lhs: AttrSet, rhs: Attribute| {
+        groups.entry(lhs).or_default().insert(rhs);
+    };
+    for (i, &l) in leader.iter().enumerate() {
+        if i != l {
+            // The star: member → leader, leader → member.
+            add(AttrSet::singleton(universe[i]), universe[l]);
+            add(AttrSet::singleton(universe[l]), universe[i]);
+            continue;
+        }
+        // The Hasse edges: the leaders strictly above `i` that no other
+        // of them lies below.
+        let above: Vec<usize> = up
+            .iter_row(i)
+            .filter(|&d| d != i && leader[d] == d)
+            .collect();
+        for &d in &above {
+            if above.iter().all(|&m| m == d || !up.get(m, d)) {
+                add(AttrSet::singleton(universe[i]), universe[d]);
+            }
+        }
+    }
+    // A multi-attribute FD keeps what its attributes do not reach alone.
+    for fd in normalized.fds.iter().filter(|fd| fd.lhs.len() > 1) {
+        for b in fd.rhs.iter() {
+            if !fd.lhs.iter().any(|a| up.get(at(a), at(b))) {
+                add(fd.lhs.clone(), b);
+            }
+        }
+    }
+    let fds: Vec<Fd> = groups
         .into_iter()
-        .filter_map(|(lhs, rhs)| {
-            let rhs = rhs.difference(&lhs);
-            (!rhs.is_empty()).then(|| Fd::new(lhs, rhs))
-        })
+        .map(|(lhs, rhs)| Fd::new(lhs, rhs))
         .collect();
+
+    #[cfg(debug_assertions)]
+    {
+        let mut full = normalized.fds.clone();
+        full.extend(
+            pairs
+                .iter()
+                .chain(&collapsed)
+                .filter(|(a, b)| a != b)
+                .map(|&(a, b)| ps_relation::fd(&[a], &[b])),
+        );
+        debug_assert!(
+            fd_closure::equivalent(&fds, &full),
+            "the reduced closed system must be FD-equivalent to the full one"
+        );
+    }
 
     ClosedConstraints {
         fds,
@@ -900,6 +978,83 @@ mod tests {
             &closed.fds,
             &ps_relation::fd(&[c], &[b])
         ));
+    }
+
+    /// The closed FDs of `texts` in emission order, as `X -> Y` with each
+    /// definitional attribute shown as the term it names, `[A*B]`.
+    fn closed_fds(f: &mut Fixture, texts: &[&str]) -> Vec<String> {
+        let pds: Vec<Equation> = texts
+            .iter()
+            .map(|t| parse_equation(t, &mut f.universe, &mut f.arena).unwrap())
+            .collect();
+        let normalized = normalize_pds(&pds, &mut f.arena, &mut f.universe);
+        let closed = close_constraints(&normalized, &mut f.arena);
+        let name = |a: Attribute| match normalized.definitions.iter().find(|d| d.0 == a) {
+            Some(&(_, term)) => format!("[{}]", f.arena.display(term, &f.universe)),
+            None => f.universe.name(a).unwrap().to_owned(),
+        };
+        let list = |set: &AttrSet| set.iter().map(name).collect::<Vec<_>>().join(",");
+        closed
+            .fds
+            .iter()
+            .map(|fd| format!("{} -> {}", list(&fd.lhs), list(&fd.rhs)))
+            .collect()
+    }
+
+    #[test]
+    fn fpd_chain_closes_to_its_hasse_edges() {
+        // A ≤ B ≤ C ≤ D: the closure derives A ≤ C, A ≤ D and B ≤ D too,
+        // but only the covering edges are emitted.  Each A*B is ≡ A, so it
+        // joins A's class as a star, and {A,B} → A*B is dropped.
+        let mut f = fixture();
+        let fds = closed_fds(&mut f, &["A = A*B", "B = B*C", "C = C*D"]);
+        assert_eq!(
+            fds,
+            [
+                "A -> B,[A*B]",
+                "B -> C,[B*C]",
+                "C -> D,[C*D]",
+                "[A*B] -> A",
+                "[B*C] -> B",
+                "[C*D] -> C",
+            ]
+        );
+    }
+
+    #[test]
+    fn cycle_closes_to_a_star_on_its_least_attribute() {
+        let mut f = fixture();
+        let fds = closed_fds(&mut f, &["A = A*B", "B = B*A"]);
+        assert_eq!(
+            fds,
+            ["A -> B,[A*B],[B*A]", "B -> A", "[A*B] -> A", "[B*A] -> A"]
+        );
+    }
+
+    #[test]
+    fn meet_keeps_its_two_attribute_fd() {
+        // C ≡ A*B lies below A and below B, but neither A nor B alone
+        // reaches it: {A,B} → A*B is the only way to C.
+        let mut f = fixture();
+        let fds = closed_fds(&mut f, &["C = A*B"]);
+        assert_eq!(fds, ["C -> A,B,[A*B]", "A,B -> [A*B]", "[A*B] -> C"]);
+    }
+
+    #[test]
+    fn collapsed_sum_still_yields_its_fd() {
+        // A ≤ B collapses C = A + B to C = B: C and A+B join B's class.
+        let mut f = fixture();
+        let fds = closed_fds(&mut f, &["A = A*B", "C = A+B"]);
+        assert_eq!(
+            fds,
+            [
+                "A -> B,[A*B]",
+                "B -> C,[A+B]",
+                "C -> B",
+                "[A*B] -> A",
+                "[A+B] -> B",
+            ]
+        );
     }
 
     #[test]

@@ -95,9 +95,9 @@
 //! `ps-bench` operation-counter test uses to prove the indexed engine does
 //! strictly less work.  Visits scale with the number of FDs, so the engines
 //! take the FD set as given and never regroup it: the Theorem 12 pipeline
-//! hands them a closed system already condensed to one FD per left-hand
-//! side (`ps_core::consistency::close_constraints_with`).  Neither consults
-//! a symbol table: constants and nulls are told apart by
+//! hands them a closed system already reduced to its Hasse diagram, one FD
+//! per left-hand side (`ps_core::consistency::close_constraints_with`).
+//! Neither consults a symbol table: constants and nulls are told apart by
 //! [`Symbol::is_constant`].
 //!
 //! [`chase_fds_over_with`] is the one database-level entry point: it pads
@@ -127,12 +127,14 @@ pub struct ChaseOutcome {
     /// Number of (row, FD) examinations performed — the work measure the
     /// operation-counter tests compare across engines.  A visit is one
     /// examination of one row against one FD of the set as given; for a
-    /// closed Theorem 12 system, whose FDs are grouped one per left-hand
-    /// side, that is one (row, grouped FD) examination.  The indexed engine
-    /// examines each pair once, and again only after a merge moved one of
-    /// the row's lhs cells (its pending bit for that FD); a pair it skips
-    /// because the row's lhs holds a lone cell (see the module docs) is not
-    /// a visit.  The naive engine examines every pair on every round.
+    /// closed Theorem 12 system, reduced to one FD per left-hand side, that
+    /// is one (row, reduced FD) examination, so an equivalent cover with
+    /// fewer FDs makes fewer visits for the same chased rows and `steps`.
+    /// The indexed engine examines each pair once, and again only after a
+    /// merge moved one of the row's lhs cells (its pending bit for that
+    /// FD); a pair it skips because the row's lhs holds a lone cell (see
+    /// the module docs) is not a visit.  The naive engine examines every
+    /// pair on every round.
     pub row_visits: usize,
     /// If consistent, the chased weak instance: the distinct chased rows,
     /// as per-column labels.

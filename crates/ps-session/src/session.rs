@@ -71,9 +71,11 @@ pub struct ConsistencyAnswer {
     pub consistent: bool,
     /// The mode that produced this answer.
     pub mode: ConsistencyMode,
-    /// The FD set `F` the decision ran with (the closed FD image of the
-    /// constraints for [`ConsistencyMode::Polynomial`], the direct FD image
-    /// for [`ConsistencyMode::ExactCadEap`]).
+    /// The FD set `F` the decision ran with: for
+    /// [`ConsistencyMode::Polynomial`] the closed system as the chase saw
+    /// it, reduced to the Hasse diagram of `≤_E` with one FD per left-hand
+    /// side ([`ps_core::consistency::close_constraints_with`]); for
+    /// [`ConsistencyMode::ExactCadEap`] the direct FD image of the FPDs.
     pub fds: Vec<Fd>,
     /// Sum constraints `C ≤ A + B` that survived closure (always empty in
     /// CAD mode, which only admits FPDs).
@@ -762,6 +764,11 @@ impl Session {
     /// Is the database consistent with the registered PDs?  The mode picks
     /// Theorem 12's polynomial open-world pipeline or Theorem 11's exact
     /// CAD+EAP search (the latter requires an FPD-only set).
+    ///
+    /// The polynomial chase mints its padding nulls from a detached source;
+    /// the session's symbol table moves past them only when the answer
+    /// carries them in its witness, so an inconsistent database uses up no
+    /// nulls.
     pub fn consistent(
         &mut self,
         set: ConstraintSetId,
@@ -785,14 +792,18 @@ impl Session {
                     .closed
                     .as_ref()
                     .expect("closure just ensured");
+                let mut nulls = self.symbols.fresh_source();
                 let outcome = ps_core::consistency::consistent_with_closed(
                     db,
                     closed,
-                    &mut self.symbols,
+                    &mut nulls,
                     &mut self.chase_scratch,
                 );
                 counters.row_visits += outcome.chase.row_visits as u64;
                 let witness = outcome.weak_instance();
+                if witness.is_some() {
+                    self.symbols.advance_past(&nulls);
+                }
                 ConsistencyAnswer {
                     consistent: outcome.consistent,
                     mode,
@@ -828,7 +839,9 @@ impl Session {
     /// Lemma 12.1 sum-constraint repair and the interpretation `I(w)` built
     /// from it.  Both are `None` only when the repair runs out of its bridge
     /// budget before its fixpoint, and then `repair.converged` is `false`
-    /// (see [`ps_core::weak_bridge::witness_from_consistency`]).
+    /// (see [`ps_core::weak_bridge::witness_from_consistency`]).  As in
+    /// [`Session::consistent`], the symbol table moves past the chase's and
+    /// the repair's nulls only when a weak instance is handed out.
     pub fn weak_instance(
         &mut self,
         set: ConstraintSetId,
@@ -849,14 +862,18 @@ impl Session {
             .closed
             .as_ref()
             .expect("closure just ensured");
+        let mut nulls = self.symbols.fresh_source();
         let outcome = ps_core::consistency::consistent_with_closed(
             db,
             closed,
-            &mut self.symbols,
+            &mut nulls,
             &mut self.chase_scratch,
         );
         counters.row_visits += outcome.chase.row_visits as u64;
-        let witness = ps_core::weak_bridge::witness_from_consistency(outcome, &mut self.symbols)?;
+        let witness = ps_core::weak_bridge::witness_from_consistency(outcome, &mut nulls)?;
+        if witness.weak_instance.is_some() {
+            self.symbols.advance_past(&nulls);
+        }
         self.totals += counters;
         Ok(Outcome::new(witness, counters))
     }

@@ -402,3 +402,58 @@ fn session_witness_nulls_stay_fresh() {
         assert!(!nulls.contains(&next), "{next} was already handed out");
     }
 }
+
+/// Only a handed-out witness keeps its nulls: an inconsistent database
+/// leaves the session's null cursor where it was, and after a consistent
+/// one the next null lies above every null of the witness.
+#[test]
+fn session_witness_less_answers_give_their_nulls_back() {
+    let mut session = Session::new();
+    let set = session.register_texts(&["C = A+B", "A = A*D"]).unwrap();
+    let clash = session
+        .database()
+        .relation("S", &["A", "D"], &[&["a1", "d1"], &["a1", "d2"]])
+        .unwrap()
+        .build();
+    let fine = session
+        .database()
+        .relation(
+            "R",
+            &["A", "B", "C"],
+            &[&["a1", "b1", "c"], &["a2", "b2", "c"]],
+        )
+        .unwrap()
+        .relation("S", &["A", "D"], &[&["a1", "d1"]])
+        .unwrap()
+        .build();
+
+    let before = session.symbols().num_fresh();
+    let decided = session
+        .consistent(set, &clash, ConsistencyMode::Polynomial)
+        .unwrap()
+        .value;
+    assert!(!decided.consistent && decided.witness.is_none());
+    let weak = session.weak_instance(set, &clash).unwrap().value;
+    assert!(!weak.satisfiable && weak.weak_instance.is_none());
+    assert_eq!(session.symbols().num_fresh(), before);
+
+    let decided = session
+        .consistent(set, &fine, ConsistencyMode::Polynomial)
+        .unwrap()
+        .value;
+    let chased = decided.witness.expect("consistent database");
+    let next = session.symbols_mut().fresh();
+    let weak = session.weak_instance(set, &fine).unwrap().value;
+    let repaired = weak.weak_instance.expect("the repair converges");
+    let after = session.symbols_mut().fresh();
+    let nulls = |w: &Relation| -> Vec<Symbol> {
+        w.iter()
+            .flat_map(|t| t.to_values())
+            .filter(|s| s.is_null())
+            .collect()
+    };
+    let (chased, repaired) = (nulls(&chased), nulls(&repaired));
+    assert!(!chased.is_empty() && !repaired.is_empty());
+    assert!(chased.iter().all(|&s| s < next), "{next} is not fresh");
+    assert!(repaired.iter().all(|&s| s < after), "{after} is not fresh");
+}
