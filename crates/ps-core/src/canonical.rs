@@ -12,19 +12,18 @@
 //!   in the expressiveness results of Section 4.
 //!
 //! **One `I(w)` builder.**  `I(r)` is built in one place,
-//! [`canonical_interpretation_of_labels`], from a [`LabeledRelation`]: a
-//! column's labels, numbered by first occurrence down the column, are
+//! [`canonical_interpretation`], from the relation's own storage: a
+//! column's codes, numbered by first occurrence down the column, are
 //! already the canonical label vector of `π_A` over `{0, …, |r|−1}`
-//! ([`Partition::from_canonical_labels`]), and its symbol list names the
-//! blocks in order.  The witness path hands it the labels the chase and the
-//! Lemma 12.1 repair produced, so nothing is hashed;
-//! [`canonical_interpretation`] labels an arbitrary relation by hashing
-//! each column once and calls the same builder.
+//! ([`Partition::from_canonical_labels`]), and its dictionary names the
+//! blocks in order.  Nothing is hashed, whether the relation came from the
+//! chase and the Lemma 12.1 repair (the witness path) or from
+//! [`Relation::insert_values`].
 
 use ps_base::{Symbol, SymbolTable};
 use ps_lattice::{Equation, TermArena};
 use ps_partition::{Element, Partition};
-use ps_relation::{LabeledRelation, Relation, RelationScheme, Tuple};
+use ps_relation::{Relation, RelationScheme, Tuple};
 
 use crate::{AttributeInterpretation, CoreError, PartitionInterpretation, Result};
 
@@ -32,30 +31,22 @@ use crate::{AttributeInterpretation, CoreError, PartitionInterpretation, Result}
 ///
 /// The population of every attribute is `{0, …, |r|−1}` (one element per
 /// tuple, in the relation's iteration order), so `I(r)` always satisfies the
-/// EAP assumption.  Each column is labeled by hashing its symbols once
-/// ([`LabeledRelation::from_relation`]); block `b` of `π_A` is the block of
-/// the `b`-th distinct symbol read down the column, and that symbol names
-/// it.
+/// EAP assumption.  Each column's codes become `π_A` as they stand: block
+/// `b` of `π_A` is the block of the `b`-th distinct symbol read down the
+/// column, and that symbol, the column's `b`-th dictionary entry, names
+/// it.  No per-block vectors are built and nothing is hashed; the symbol →
+/// block map of each attribute is built only if a caller asks for it.
 pub fn canonical_interpretation(relation: &Relation) -> Result<PartitionInterpretation> {
-    canonical_interpretation_of_labels(LabeledRelation::from_relation(relation))
-}
-
-/// Builds `I(r)` (Definition 5) of a relation given as labels: each
-/// column's labels become `π_A` as they stand, and its symbols name the
-/// blocks in label order.  No per-block vectors are built and nothing is
-/// hashed; the symbol → block map of each attribute is built only if a
-/// caller asks for it.
-pub fn canonical_interpretation_of_labels(
-    relation: LabeledRelation,
-) -> Result<PartitionInterpretation> {
     let mut interpretation = PartitionInterpretation::new();
     if relation.is_empty() {
         // An empty relation yields an interpretation with no attributes
         // rather than empty populations (Definition 1 forbids the latter).
         return Ok(interpretation);
     }
-    for (attribute, labels, names) in relation.into_columns() {
-        let atomic = Partition::from_canonical_labels(labels).map_err(CoreError::Partition)?;
+    for (pos, attribute) in relation.scheme().attrs().iter().enumerate() {
+        let atomic = Partition::from_canonical_labels(relation.codes(pos).to_vec())
+            .map_err(CoreError::Partition)?;
+        let names = relation.dictionary(pos).to_vec();
         interpretation.set(
             attribute,
             AttributeInterpretation::from_block_names(attribute, atomic, names)?,

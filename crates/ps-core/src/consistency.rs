@@ -32,24 +32,24 @@
 //! `B` entries); the bridge for rows `t₁`, `t₂` copies `t₁` on `A⁺`, `t₂` on
 //! `B⁺` and is fresh elsewhere.
 //!
-//! * **The repair runs on labels.**  The chase hands back its weak instance
-//!   as a [`LabeledRelation`]: per column, one dense label per row,
-//!   numbered by first occurrence, and one symbol per label.  Two cells of
-//!   a column hold the same symbol iff they hold the same label, so the
-//!   repair never looks at a symbol: [`repair_labeled_sum_violations`]
-//!   appends each bridge as labels — `t₁`'s on `A⁺`, `t₂`'s on `B⁺ ∖ A⁺`,
-//!   and a fresh label with a minted null elsewhere, minted in column
-//!   order.  A bridge with a fresh cell is new by construction; only one
-//!   made entirely of existing labels is looked up before it is appended.
-//!   [`repair_sum_violations`] keeps the `Relation`-taking shape: it labels
-//!   the relation once by hashing, repairs, and builds the relation back.
+//! * **The repair runs on codes.**  A [`Relation`] stores each column as
+//!   one dense code per row, numbered by first occurrence, plus a
+//!   dictionary of one symbol per code.  Two cells of a column hold the
+//!   same symbol iff they hold the same code, so the repair never looks at
+//!   a symbol: it appends each bridge as codes
+//!   ([`Relation::push_row`]) — `t₁`'s on `A⁺`, `t₂`'s on `B⁺ ∖ A⁺`, and a
+//!   fresh code with a minted null elsewhere, minted in column order.  A
+//!   bridge with a fresh cell is new by construction; only one made
+//!   entirely of existing codes is looked up before it is appended.
+//!   [`repair_sum_violations`] repairs a copy of the relation it is given;
+//!   the witness path repairs the chase's weak instance in place.
 //! * **Incremental index.**  The repair builds one index per applicable sum,
 //!   once per call: a union-find over rows, the first row holding each `A`
-//!   and each `B` label (the leaders rows are unioned through), the first
+//!   and each `B` code (the leaders rows are unioned through), the first
 //!   row of each `C` group, and the rows that were outside their group's
 //!   class when added ("suspects", ascending).  The three lookups are dense
-//!   vectors indexed by label.  A bridge only appends a row; each index
-//!   unions it with the leaders of its `A` and `B` labels and marks it
+//!   vectors indexed by code.  A bridge only appends a row; each index
+//!   unions it with the leaders of its `A` and `B` codes and marks it
 //!   suspect if needed, O(arity + sums) per bridge.  `A⁺` and `B⁺` are
 //!   computed once per sum, the first time it is violated.
 //! * **Same rows as the reference.**  Each round picks the violation that
@@ -83,8 +83,7 @@ use ps_base::{AttrSet, Attribute, NullSource, Symbol, SymbolTable, Universe};
 use ps_lattice::{Equation, TermArena, TermNode};
 use ps_partition::UnionFind;
 use ps_relation::{
-    chase_fds_over_with, fd_closure, ChaseOutcome, ChaseScratch, Database, Fd, LabeledRelation,
-    Relation,
+    chase_fds_over_with, fd_closure, ChaseOutcome, ChaseScratch, Database, Fd, Relation,
 };
 
 use crate::Result;
@@ -514,13 +513,13 @@ pub struct ConsistencyOutcome {
     /// The extended attribute universe `U′`.
     pub attributes: AttrSet,
     /// The raw chase outcome; when consistent it holds the chased weak
-    /// instance as labels ([`ChaseOutcome::into_labeled`]).
+    /// instance ([`ChaseOutcome::into_weak_instance`]).
     pub chase: ChaseOutcome,
 }
 
 impl ConsistencyOutcome {
     /// The representative weak instance produced by the chase, when
-    /// consistent, built column-wise from the chase's labels on every call.
+    /// consistent, copied from the chase outcome on every call.
     /// It satisfies `F`; apply [`repair_sum_violations`] to also satisfy
     /// the sum constraints.
     pub fn weak_instance(&self) -> Option<Relation> {
@@ -626,10 +625,12 @@ pub fn relation_satisfies_sum_constraints(relation: &Relation, sums: &[SumConstr
 /// the return value reports whether a fixpoint (all constraints satisfied)
 /// was reached.  The bridging tuples' fresh entries are minted from `nulls`.
 ///
-/// This labels the relation's columns by hashing and runs
-/// [`repair_labeled_sum_violations`]; every round picks the same violation
-/// as [`repair_sum_violations_naive`], so the bridging rows, their order
-/// and their nulls are identical to the reference's.
+/// One chain index per applicable sum is built once, over dense vectors
+/// indexed by code, and kept current as bridges are appended, so a round
+/// costs O(arity + sums) amortized instead of a rescan of the relation (see
+/// the module doc).  Every round picks the same violation as
+/// [`repair_sum_violations_naive`], so the bridging rows, their order and
+/// their nulls are identical to the reference's.
 pub fn repair_sum_violations(
     weak_instance: &Relation,
     fds: &[Fd],
@@ -637,26 +638,18 @@ pub fn repair_sum_violations(
     nulls: &mut impl NullSource,
     max_rounds: usize,
 ) -> (Relation, bool) {
-    let mut labeled = LabeledRelation::from_relation(weak_instance);
-    let converged = repair_labeled_sum_violations(&mut labeled, fds, sums, nulls, max_rounds);
-    (
-        labeled.to_relation(weak_instance.scheme().name()),
-        converged,
-    )
+    let mut repaired = weak_instance.clone();
+    let converged = repair_in_place(&mut repaired, fds, sums, nulls, max_rounds);
+    (repaired, converged)
 }
 
-/// [`repair_sum_violations`] on a weak instance given as labels (the shape
-/// the chase hands back), appending the bridging rows in place; returns
-/// whether every sum constraint holds at the end.
-///
-/// One chain index per applicable sum is built once, over dense vectors
-/// indexed by label, and kept current as bridges are appended, so a round
-/// costs O(arity + sums) amortized instead of a rescan of the relation (see
-/// the module doc).  A bridge takes `t₁`'s labels on `A⁺`, `t₂`'s on
-/// `B⁺ ∖ A⁺`, and a fresh label with a minted null everywhere else, minted
-/// in column order ([`LabeledRelation::push_row`]).
-pub fn repair_labeled_sum_violations(
-    relation: &mut LabeledRelation,
+/// [`repair_sum_violations`] appending the bridging rows to `relation`
+/// itself; returns whether every sum constraint holds at the end.  A
+/// bridge takes `t₁`'s codes on `A⁺`, `t₂`'s on `B⁺ ∖ A⁺`, and a fresh
+/// code with a minted null everywhere else, minted in column order
+/// ([`Relation::push_row`]).
+pub(crate) fn repair_in_place(
+    relation: &mut Relation,
     fds: &[Fd],
     sums: &[SumConstraint],
     nulls: &mut impl NullSource,
@@ -668,7 +661,8 @@ pub fn repair_labeled_sum_violations(
         .filter_map(|(idx, &sum)| Some((idx, SumIndex::build(relation, sum)?)))
         .collect();
     let mut closures: Vec<Option<(AttrSet, AttrSet)>> = vec![None; sums.len()];
-    let mut cells = Vec::with_capacity(relation.attrs().len());
+    let attrs = relation.scheme().attrs().clone();
+    let mut cells = Vec::with_capacity(attrs.len());
     for _ in 0..max_rounds {
         let Some((idx, t1, t2)) = indexes
             .iter_mut()
@@ -678,11 +672,11 @@ pub fn repair_labeled_sum_violations(
         };
         let (a_plus, b_plus) = sum_closures(&mut closures, fds, sums, idx);
         cells.clear();
-        cells.extend(relation.attrs().iter().enumerate().map(|(pos, attr)| {
+        cells.extend(attrs.iter().enumerate().map(|(pos, attr)| {
             if a_plus.contains(attr) {
-                Some(relation.labels(pos)[t1])
+                Some(relation.codes(pos)[t1])
             } else if b_plus.contains(attr) {
-                Some(relation.labels(pos)[t2])
+                Some(relation.codes(pos)[t2])
             } else {
                 None
             }
@@ -771,8 +765,8 @@ fn bridge_values(
 }
 
 /// The chain classes of one sum `C ≤ A + B` over a relation that only grows:
-/// rows sharing an `A` or a `B` label are unioned through the first row
-/// holding that label, and each row is checked against the first row of its
+/// rows sharing an `A` or a `B` code are unioned through the first row
+/// holding that code, and each row is checked against the first row of its
 /// `C` group once, when it is added.  Classes only merge, so a row in its
 /// group's class stays there; the rows that were not are kept in ascending
 /// order and dropped lazily once their class catches up.
@@ -782,10 +776,10 @@ struct SumIndex {
     right: usize,
     target: usize,
     classes: UnionFind,
-    /// `by_left[l]`: the first row whose `A` label is `l`; likewise
-    /// `by_right` for `B` and `first_with_target` for `C`.  Labels are
+    /// `by_left[l]`: the first row whose `A` code is `l`; likewise
+    /// `by_right` for `B` and `first_with_target` for `C`.  Codes are
     /// numbered by first occurrence, so each vector grows by one entry
-    /// whenever a row brings a new label.
+    /// whenever a row brings a new code.
     by_left: Vec<usize>,
     by_right: Vec<usize>,
     first_with_target: Vec<usize>,
@@ -797,11 +791,12 @@ struct SumIndex {
 impl SumIndex {
     /// The index of `sum` over `relation`, or `None` when the constraint
     /// mentions an attribute outside the scheme (it is then vacuous).
-    fn build(relation: &LabeledRelation, sum: SumConstraint) -> Option<Self> {
+    fn build(relation: &Relation, sum: SumConstraint) -> Option<Self> {
+        let scheme = relation.scheme();
         let mut index = SumIndex {
-            left: relation.position(sum.left)?,
-            right: relation.position(sum.right)?,
-            target: relation.position(sum.target)?,
+            left: scheme.position(sum.left)?,
+            right: scheme.position(sum.right)?,
+            target: scheme.position(sum.target)?,
             classes: UnionFind::new(0),
             by_left: Vec::new(),
             by_right: Vec::new(),
@@ -814,31 +809,31 @@ impl SumIndex {
         Some(index)
     }
 
-    /// The first row holding `label` in `firsts`, recording `row` if the
-    /// label is new.
-    fn first(firsts: &mut Vec<usize>, label: u32, row: usize) -> usize {
-        let label = label as usize;
-        if label == firsts.len() {
+    /// The first row holding `code` in `firsts`, recording `row` if the
+    /// code is new.
+    fn first(firsts: &mut Vec<usize>, code: u32, row: usize) -> usize {
+        let code = code as usize;
+        if code == firsts.len() {
             firsts.push(row);
         }
         debug_assert!(
-            label < firsts.len(),
-            "labels are numbered by first occurrence"
+            code < firsts.len(),
+            "codes are numbered by first occurrence"
         );
-        firsts[label]
+        firsts[code]
     }
 
     /// Adds row `row`, the next row of `relation`.
-    fn add(&mut self, relation: &LabeledRelation, row: usize) {
+    fn add(&mut self, relation: &Relation, row: usize) {
         let pushed = self.classes.push();
         debug_assert_eq!(pushed, row, "rows are added in order");
-        let left = Self::first(&mut self.by_left, relation.labels(self.left)[row], row);
+        let left = Self::first(&mut self.by_left, relation.codes(self.left)[row], row);
         self.classes.union(left, row);
-        let right = Self::first(&mut self.by_right, relation.labels(self.right)[row], row);
+        let right = Self::first(&mut self.by_right, relation.codes(self.right)[row], row);
         self.classes.union(right, row);
         let first = Self::first(
             &mut self.first_with_target,
-            relation.labels(self.target)[row],
+            relation.codes(self.target)[row],
             row,
         );
         if self.classes.find(first) != self.classes.find(row) {

@@ -95,8 +95,8 @@ impl AttributeInterpretation {
 
     /// Builds the interpretation from a partition and the symbol naming
     /// each of its blocks, in block order.  The caller guarantees that the
-    /// symbols are pairwise distinct, as the per-column names of a
-    /// [`ps_relation::LabeledRelation`] are; the count is checked.
+    /// symbols are pairwise distinct, as a column's dictionary in a
+    /// [`ps_relation::Relation`] is; the count is checked.
     pub(crate) fn from_block_names(
         attribute: Attribute,
         atomic: Partition,

@@ -18,10 +18,8 @@ use ps_base::{NullSource, SymbolTable, Universe};
 use ps_lattice::{Equation, TermArena};
 use ps_relation::{chase_fds_over_with, ChaseScratch, Database, Relation};
 
-use crate::canonical::{
-    canonical_interpretation, canonical_interpretation_of_labels, canonical_relation,
-};
-use crate::consistency::{consistent_with_pds, repair_labeled_sum_violations, ConsistencyOutcome};
+use crate::canonical::{canonical_interpretation, canonical_relation};
+use crate::consistency::{consistent_with_pds, repair_in_place, ConsistencyOutcome};
 use crate::dependency::{fds_of_fpds, Fpd};
 use crate::{PartitionInterpretation, Result};
 
@@ -56,11 +54,10 @@ pub fn satisfiable_with_fpds(
     if !outcome.consistent {
         return Ok(SatisfiabilityWitness::unsatisfiable());
     }
-    let weak = outcome
-        .into_labeled()
+    let weak_instance = outcome
+        .into_weak_instance()
         .expect("consistent chase produces rows");
-    let weak_instance = weak.to_relation("weak_instance");
-    let interpretation = canonical_interpretation_of_labels(weak)?;
+    let interpretation = canonical_interpretation(&weak_instance)?;
     Ok(SatisfiabilityWitness {
         satisfiable: true,
         weak_instance: Some(weak_instance),
@@ -102,12 +99,12 @@ pub fn satisfiable_with_pds(
 /// a cached closed constraint system.  The repair mints its fresh entries
 /// from `nulls`.
 ///
-/// The whole tail runs on the chase's labels: the repair appends its
-/// bridging rows as labels ([`repair_labeled_sum_violations`]), the weak
-/// instance is built column by column once, after the repair, and `I(w)`
-/// takes each column's labels as its partition
-/// ([`canonical_interpretation_of_labels`]).  No symbol is hashed; only a
-/// bridge made entirely of existing labels is looked up in a row index.
+/// The whole tail runs on the one weak-instance relation the chase wrote
+/// ([`ps_relation::ChaseOutcome::into_weak_instance`]): the repair appends
+/// its bridging rows to it as codes ([`Relation::push_row`]), and `I(w)`
+/// takes each column's codes as its partition
+/// ([`canonical_interpretation`]).  No symbol is hashed; only a bridge made
+/// entirely of existing codes is looked up in a row index.
 ///
 /// The repair may insert `max(64, rows × sums)` bridging rows, `rows` being
 /// the chased weak instance's.  That covers every input whose sums do not
@@ -125,11 +122,11 @@ pub fn witness_from_consistency(
         fds, sums, chase, ..
     } = outcome;
     let mut weak = chase
-        .into_labeled()
+        .into_weak_instance()
         .expect("consistent chase produces rows");
     let chased = weak.len();
     let budget = (chased * sums.len()).max(64);
-    let converged = repair_labeled_sum_violations(&mut weak, &fds, &sums, nulls, budget);
+    let converged = repair_in_place(&mut weak, &fds, &sums, nulls, budget);
     let repair = RepairStatus {
         converged,
         bridges: weak.len() - chased,
@@ -142,11 +139,10 @@ pub fn witness_from_consistency(
             repair,
         });
     }
-    let weak_instance = weak.to_relation("weak_instance");
-    let interpretation = canonical_interpretation_of_labels(weak)?;
+    let interpretation = canonical_interpretation(&weak)?;
     Ok(SatisfiabilityWitness {
         satisfiable: true,
-        weak_instance: Some(weak_instance),
+        weak_instance: Some(weak),
         interpretation: Some(interpretation),
         repair,
     })

@@ -133,11 +133,7 @@ pub fn cartesian_product(r: &Relation, s: &Relation, name: &str) -> Result<Relat
 
 /// Renames a relation (the scheme keeps the same attributes).
 pub fn rename(r: &Relation, name: &str) -> Relation {
-    let mut out = Relation::new(RelationScheme::new(name, r.scheme().attrs().clone()));
-    for row in r.iter() {
-        out.insert_values(&row.to_values()).expect("same scheme");
-    }
-    out
+    r.clone().into_renamed(name)
 }
 
 fn require_same_attrs(r: &Relation, s: &Relation) -> Result<()> {

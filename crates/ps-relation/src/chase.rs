@@ -75,21 +75,21 @@
 //! those whose lhs meets one of the run's padding columns.  A lone cell's
 //! chased value is its own symbol.
 //!
-//! **Labeled output.**  At the fixpoint the chase already knows which cells
-//! are equal: they share a class root.  So it hands back the weak instance
-//! as a [`LabeledRelation`] instead of symbol rows.  Each column is labeled
-//! densely in first-occurrence order down the column — a cell with a class
-//! gets its root's label in that column, a lone cell a fresh label — and
-//! keeps one symbol per label (the class representative, or the lone
-//! cell's own null).  Rows equal to an earlier row are dropped, and only
-//! rows without a lone cell are compared, by their label vectors: a lone
-//! cell's null occurs in no other cell, so a row holding one equals no
-//! other row.  The repair and `I(w)` run on these labels
-//! (`ps_core::consistency`, `ps_core::canonical`) after
-//! [`ChaseOutcome::into_labeled`]; [`ChaseOutcome::rows`]
-//! and [`ChaseOutcome::weak_instance`] materialize symbols only for the
-//! callers that ask.  The full-rescan engine labels its symbol rows by
-//! hashing, so both engines return the same shape.
+//! **Coded output.**  At the fixpoint the chase already knows which cells
+//! are equal: they share a class root.  So it writes the weak instance
+//! straight into a dictionary-encoded [`Relation`], with no symbol hashed.
+//! Each column is coded densely in first-occurrence order down the column
+//! — a cell with a class gets its root's code in that column, a lone cell
+//! a fresh code — and its dictionary keeps one symbol per code (the class
+//! representative, or the lone cell's own null).  Rows equal to an earlier
+//! row are dropped, and only rows without a lone cell are compared, by
+//! their codes: a lone cell's null occurs in no other cell, so a row
+//! holding one equals no other row.  The repair and `I(w)` read these
+//! codes (`ps_core::consistency`, `ps_core::canonical`) from the relation
+//! [`ChaseOutcome::into_weak_instance`] hands over; [`ChaseOutcome::rows`]
+//! materializes symbol rows only for the callers that ask.  The
+//! full-rescan engine inserts its symbol rows one by one
+//! ([`Relation::insert_values`]), so both engines return the same type.
 //!
 //! Both report their work in [`ChaseOutcome::row_visits`], which the
 //! `ps-bench` operation-counter test uses to prove the indexed engine does
@@ -106,13 +106,12 @@
 //! 12 of the paper (experiment E5).
 
 use std::collections::{HashMap, VecDeque};
-use std::hash::BuildHasherDefault;
 
 use ps_base::{AttrSet, FreshSymbols, NullSource, Symbol, SymbolTable};
 use ps_partition::UnionFind;
 
-use crate::labeled::SymbolHasher;
-use crate::{Database, Fd, LabeledRelation, Relation, Tableau};
+use crate::relation::SymbolMap;
+use crate::{Database, Fd, Relation, RelationScheme, Tableau};
 
 /// The outcome of chasing a tableau with FDs.
 #[derive(Debug, Clone)]
@@ -136,11 +135,10 @@ pub struct ChaseOutcome {
     /// the module docs) is not a visit.  The naive engine examines every
     /// pair on every round.
     pub row_visits: usize,
-    /// If consistent, the chased weak instance: the distinct chased rows,
-    /// as per-column labels.
-    weak: Option<LabeledRelation>,
+    /// If consistent, the chased weak instance: the distinct chased rows.
+    weak: Option<Relation>,
     /// `tableau_rows[r]`: the row of `weak` that tableau row `r` became;
-    /// empty when no row was dropped (then it is `r` itself).
+    /// empty when that is `r` itself for every row.
     tableau_rows: Vec<u32>,
 }
 
@@ -160,7 +158,7 @@ impl ChaseOutcome {
         steps: usize,
         rounds: usize,
         row_visits: usize,
-        (weak, tableau_rows): (LabeledRelation, Vec<u32>),
+        (weak, tableau_rows): (Relation, Vec<u32>),
     ) -> Self {
         ChaseOutcome {
             consistent: true,
@@ -174,7 +172,7 @@ impl ChaseOutcome {
 
     /// If consistent, the chased tableau rows, one per tableau row, with
     /// every symbol replaced by its representative.  Materialized from the
-    /// labels on every call.
+    /// weak instance's codes on every call.
     pub fn rows(&self) -> Option<Vec<Vec<Symbol>>> {
         let weak = self.weak.as_ref()?;
         let rows = if self.tableau_rows.is_empty() {
@@ -188,20 +186,24 @@ impl ChaseOutcome {
         Some(rows)
     }
 
-    /// If consistent, the chased weak instance as per-column labels: the
-    /// distinct chased rows in first-occurrence order.
-    pub fn into_labeled(self) -> Option<LabeledRelation> {
+    /// If consistent, the chased weak instance, named `weak_instance`: the
+    /// distinct chased rows in first-occurrence order, handed over without
+    /// a copy.
+    pub fn into_weak_instance(self) -> Option<Relation> {
         self.weak
     }
 
-    /// Converts the chased rows into a representative weak-instance relation
-    /// over `attrs` (the chased tableau's attributes) named `name`, built
-    /// column by column from the labels.  Returns `None` if the chase found
-    /// an inconsistency.
+    /// A copy of the representative weak-instance relation over `attrs`
+    /// (the chased tableau's attributes), named `name`.  Returns `None` if
+    /// the chase found an inconsistency.
     pub fn weak_instance(&self, name: &str, attrs: &AttrSet) -> Option<Relation> {
         let weak = self.weak.as_ref()?;
-        debug_assert_eq!(attrs, weak.attrs(), "the chased tableau's attributes");
-        Some(weak.to_relation(name))
+        debug_assert_eq!(
+            attrs,
+            weak.scheme().attrs(),
+            "the chased tableau's attributes"
+        );
+        Some(weak.clone().into_renamed(name))
     }
 }
 
@@ -312,12 +314,25 @@ pub fn chase_tableau_naive(tableau: &Tableau, fds: &[Fd]) -> ChaseOutcome {
         }
     }
 
-    let rows: Vec<Vec<Symbol>> = tableau
+    let mut weak = Relation::new(weak_scheme(tableau));
+    let mut chased = Vec::with_capacity(tableau.attrs().len());
+    let tableau_rows = tableau
         .rows()
-        .map(|row| row.iter().map(|&s| classes.find(s)).collect())
+        .map(|row| {
+            chased.clear();
+            chased.extend(row.iter().map(|&s| classes.find(s)));
+            weak.insert_values(&chased)
+                .expect("chased rows span the tableau");
+            weak.find_values(&chased)
+                .expect("the row was just inserted") as u32
+        })
         .collect();
-    let weak = LabeledRelation::from_rows(tableau.attrs().clone(), &rows);
-    ChaseOutcome::fixpoint(steps, rounds, row_visits, weak)
+    ChaseOutcome::fixpoint(steps, rounds, row_visits, (weak, tableau_rows))
+}
+
+/// The scheme of a chased weak instance over `tableau`'s attributes.
+fn weak_scheme(tableau: &Tableau) -> RelationScheme {
+    RelationScheme::new("weak_instance", tableau.attrs().clone())
 }
 
 /// Reusable working storage for the indexed chase engine.
@@ -336,7 +351,7 @@ pub fn chase_tableau_naive(tableau: &Tableau, fds: &[Fd]) -> ChaseOutcome {
 #[derive(Debug, Default)]
 pub struct ChaseScratch {
     /// Dense interning of every symbol outside the tableau's padding.
-    local: HashMap<Symbol, u32, BuildHasherDefault<SymbolHasher>>,
+    local: SymbolMap<u32>,
     /// `rep[r]` for a root `r`: the minimum symbol of the class.
     rep: Vec<Symbol>,
     /// Dense symbol ids, row-major: cell `(row, col)` is
@@ -371,11 +386,11 @@ pub struct ChaseScratch {
     queued: Vec<bool>,
     /// Scratch for the current row's lhs key (cloned only on index misses).
     key_buf: Vec<u32>,
-    /// Labeling at the fixpoint: `root_label[r]` for a class root `r` is
-    /// `(column, label)`, the last column that labeled the class and the
-    /// label it got there.
-    root_label: Vec<(u32, u32)>,
-    /// Labeling at the fixpoint: whether each row holds a lone cell.
+    /// Coding at the fixpoint: `root_code[r]` for a class root `r` is
+    /// `(column, code)`, the last column that coded the class and the code
+    /// it got there.
+    root_code: Vec<(u32, u32)>,
+    /// Coding at the fixpoint: whether each row holds a lone cell.
     lone_rows: Vec<bool>,
 }
 
@@ -440,49 +455,49 @@ impl ChaseScratch {
         }
     }
 
-    /// Labels the chased tableau at the fixpoint, column by column, in
+    /// Codes the chased tableau at the fixpoint, column by column, in
     /// first-occurrence order down the column: a cell with a class gets
-    /// its root's label in that column (the first cell of the root there
-    /// gets the next label, named by the class representative), and a lone
-    /// cell gets the next label, named by its own symbol.  Then drops every
+    /// its root's code in that column (the first cell of the root there
+    /// gets the next code, naming the class representative), and a lone
+    /// cell gets the next code, naming its own symbol.  Then drops every
     /// row equal to an earlier one, comparing only rows without a lone cell
     /// (see the module docs).
-    fn label(&mut self, tableau: &Tableau, uf: &mut UnionFind) -> (LabeledRelation, Vec<u32>) {
+    fn label(&mut self, tableau: &Tableau, uf: &mut UnionFind) -> (Relation, Vec<u32>) {
         let symbols = tableau.cells();
         let num_rows = tableau.num_rows();
         let width = tableau.attrs().len();
-        self.root_label.clear();
-        self.root_label.resize(self.rep.len(), (NONE, 0));
+        self.root_code.clear();
+        self.root_code.resize(self.rep.len(), (NONE, 0));
         self.lone_rows.clear();
         self.lone_rows.resize(num_rows, false);
-        let mut labels = Vec::with_capacity(width);
-        let mut names = Vec::with_capacity(width);
+        let mut codes = Vec::with_capacity(width);
+        let mut dictionary = Vec::with_capacity(width);
         for c in 0..width {
             let mut column = Vec::with_capacity(num_rows);
-            let mut column_names = Vec::new();
+            let mut names = Vec::new();
             for r in 0..num_rows {
                 let cell = r * width + c;
                 let id = self.cells[cell];
-                let label = if id == LONE {
+                let code = if id == LONE {
                     self.lone_rows[r] = true;
-                    column_names.push(symbols[cell]);
-                    column_names.len() as u32 - 1
+                    names.push(symbols[cell]);
+                    names.len() as u32 - 1
                 } else {
                     let root = uf.find(id as usize);
-                    let entry = &mut self.root_label[root];
+                    let entry = &mut self.root_code[root];
                     if entry.0 != c as u32 {
-                        *entry = (c as u32, column_names.len() as u32);
-                        column_names.push(self.rep[root]);
+                        *entry = (c as u32, names.len() as u32);
+                        names.push(self.rep[root]);
                     }
                     entry.1
                 };
-                column.push(label);
+                column.push(code);
             }
-            labels.push(column);
-            names.push(column_names);
+            codes.push(column);
+            dictionary.push(names);
         }
         let lone_rows = &self.lone_rows;
-        LabeledRelation::distinct(tableau.attrs().clone(), num_rows, labels, names, |r| {
+        Relation::from_codes(weak_scheme(tableau), num_rows, codes, dictionary, |r| {
             !lone_rows[r]
         })
     }
@@ -1330,12 +1345,19 @@ mod tests {
         assert_eq!(rows[0], rows[1]);
         let weak = outcome.weak.as_ref().unwrap();
         assert_eq!(weak.len(), 2);
-        assert_eq!((weak.labels(0), weak.labels(1)), (&[0, 1][..], &[0, 0][..]));
+        assert_eq!((weak.codes(0), weak.codes(1)), (&[0, 1][..], &[0, 0][..]));
         assert_eq!(weak.row_values(0), rows[0]);
         assert_eq!(weak.row_values(1), rows[2]);
         let w = outcome.weak_instance("W", &db.all_attributes()).unwrap();
         assert_eq!(w.len(), 2);
-        assert_eq!(w, LabeledRelation::from_relation(&w).to_relation("W"));
+        // The codes name each column's symbols in first-occurrence order.
+        let [sa, sa2, sb] = ["a", "a2", "b"].map(|n| f.symbols.lookup(n).unwrap());
+        assert_eq!((w.codes(0), w.codes(1)), (&[0, 1][..], &[0, 0][..]));
+        assert_eq!(
+            (w.dictionary(0), w.dictionary(1)),
+            (&[sa, sa2][..], &[sb][..])
+        );
+        assert_eq!(w.scheme().name(), "W");
     }
 
     #[test]
@@ -1361,8 +1383,8 @@ mod tests {
         assert!(scratch.lone_rows.iter().all(|&lone| lone));
         assert_eq!(apart.weak.as_ref().unwrap().len(), 2);
         let weak = apart.weak.as_ref().unwrap();
-        assert_eq!(weak.labels(weak.position(b).unwrap()), &[0, 1]);
-        assert_eq!(weak.labels(weak.position(a).unwrap()), &[0, 0]);
+        assert_eq!(weak.codes(weak.scheme().position(b).unwrap()), &[0, 1]);
+        assert_eq!(weak.codes(weak.scheme().position(a).unwrap()), &[0, 0]);
         let merged = chase_rows(&tableau, &[fd(&[a], &[b])], &f.symbols);
         assert_eq!(merged.weak.as_ref().unwrap().len(), 1);
         assert_eq!(merged.rows().unwrap().len(), 2);

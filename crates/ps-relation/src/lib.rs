@@ -13,8 +13,10 @@
 //!
 //! * [`RelationScheme`], [`Relation`], [`Database`] — schemes `R[U]`, finite
 //!   relations over them and databases `d = {r₁, …, r_n}`.  Relations are
-//!   stored columnar (one `Vec<Symbol>` per attribute plus a row-hash dedup
-//!   index); [`RowRef`] gives zero-copy row views.
+//!   stored dictionary-encoded: per attribute, one `u32` code per row,
+//!   numbered by first occurrence, plus a dictionary of the column's
+//!   symbols, with a lazily built row index; [`RowRef`] gives zero-copy row
+//!   views.
 //! * [`Tuple`] — an owned tuple over a scheme, stored in the scheme's
 //!   attribute order (the row-shaped construction/interchange type).
 //! * [`Fd`] / [`fd_closure`] — functional dependencies, Armstrong attribute
@@ -44,7 +46,6 @@ mod database;
 mod error;
 mod fd;
 pub mod fd_closure;
-mod labeled;
 mod mvd;
 mod relation;
 mod schema;
@@ -59,7 +60,6 @@ pub use consistency::{cad_consistent, weak_instance_consistent, CadOutcome, CadS
 pub use database::{Database, DatabaseBuilder};
 pub use error::RelationError;
 pub use fd::{fd, Fd};
-pub use labeled::LabeledRelation;
 pub use mvd::Mvd;
 pub use relation::{Relation, RowRef};
 pub use schema::{DatabaseScheme, RelationScheme};

@@ -60,38 +60,49 @@ impl Tableau {
     pub fn from_database(db: &Database, attrs: &AttrSet, nulls: &mut impl NullSource) -> Self {
         // Resolve each tableau column to the relation's column (or a
         // padding null) once per relation.
-        let (columns, segments): (Vec<_>, Vec<_>) = db
+        let (positions, segments): (Vec<_>, Vec<_>) = db
             .relations()
             .iter()
             .map(|relation| {
                 let scheme = relation.scheme();
-                let columns: Vec<Option<&[Symbol]>> = attrs
-                    .iter()
-                    .map(|a| scheme.position(a).map(|pos| relation.column(pos)))
-                    .collect();
-                let padding: Vec<usize> = (0..columns.len())
-                    .filter(|&c| columns[c].is_none())
+                let positions: Vec<Option<usize>> =
+                    attrs.iter().map(|a| scheme.position(a)).collect();
+                let padding: Vec<usize> = (0..positions.len())
+                    .filter(|&c| positions[c].is_none())
                     .collect();
                 assert_eq!(
-                    columns.len() - padding.len(),
+                    positions.len() - padding.len(),
                     scheme.arity(),
                     "the tableau's attributes must contain every attribute of {}",
                     scheme.name()
                 );
                 let rows = relation.len();
-                (columns, Segment { rows, padding })
+                (positions, Segment { rows, padding })
             })
             .unzip();
         let num_padding = segments.iter().map(|s| s.rows * s.padding.len()).sum();
         let mut padding = nulls.fresh_block(num_padding);
         let num_rows = db.total_tuples();
-        let mut cells = Vec::with_capacity(num_rows * attrs.len());
-        for (columns, segment) in columns.iter().zip(&segments) {
-            for row in 0..segment.rows {
-                cells.extend(columns.iter().map(|column| match column {
-                    Some(values) => values[row],
-                    None => padding.next().expect("the block holds every padding null"),
-                }));
+        let width = attrs.len();
+        let mut cells = vec![Symbol::from_index(0); num_rows * width];
+        let mut start = 0;
+        for ((relation, positions), segment) in db.relations().iter().zip(&positions).zip(&segments)
+        {
+            let rows = &mut cells[start * width..(start + segment.rows) * width];
+            start += segment.rows;
+            // The padding nulls in row-major order, then each of the
+            // relation's own columns, decoded down the column.
+            for row in rows.chunks_exact_mut(width) {
+                for &c in &segment.padding {
+                    row[c] = padding.next().expect("the block holds every padding null");
+                }
+            }
+            for (c, pos) in positions.iter().enumerate() {
+                let Some(pos) = *pos else { continue };
+                let names = relation.dictionary(pos);
+                for (row, &code) in rows.chunks_exact_mut(width).zip(relation.codes(pos)) {
+                    row[c] = names[code as usize];
+                }
             }
         }
         Tableau {

@@ -9,7 +9,7 @@
 //! inputs, and the attribute closure's linear Beeri–Bernstein counter
 //! algorithm must agree with the naïve fixpoint loop.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -56,6 +56,73 @@ fn random_relation(arity: usize, rows: usize, domain: usize, seed: u64) -> Rando
         relation,
         raw_rows,
     }
+}
+
+/// A random insert sequence over `arity` columns: `len` rows drawn from a
+/// per-column pool of `domain` constants and `domain` nulls, so rows and
+/// cells repeat.
+fn random_insert_sequence(
+    symbols: &mut SymbolTable,
+    arity: usize,
+    len: usize,
+    domain: usize,
+    rng: &mut StdRng,
+) -> Vec<Vec<Symbol>> {
+    let pools: Vec<Vec<Symbol>> = (0..arity)
+        .map(|c| {
+            let mut pool: Vec<Symbol> = (0..domain)
+                .map(|v| symbols.symbol(&format!("c{c}_v{v}")))
+                .collect();
+            pool.extend((0..domain).map(|_| symbols.fresh()));
+            pool
+        })
+        .collect();
+    (0..len)
+        .map(|_| {
+            pools
+                .iter()
+                .map(|pool| pool[rng.gen_range(0..pool.len())])
+                .collect()
+        })
+        .collect()
+}
+
+/// Reference first-occurrence labels of one column, by hashing.
+fn ref_hash_labels(column: impl Iterator<Item = Symbol>) -> (Vec<u32>, Vec<Symbol>) {
+    let mut label_of: HashMap<Symbol, u32> = HashMap::new();
+    let mut names = Vec::new();
+    let labels = column
+        .map(|symbol| {
+            *label_of.entry(symbol).or_insert_with(|| {
+                names.push(symbol);
+                names.len() as u32 - 1
+            })
+        })
+        .collect();
+    (labels, names)
+}
+
+/// Inserts `rows` one by one into a new relation over `scheme`, checking
+/// each `insert_values` answer against a `Vec` + `HashSet` model; returns
+/// the relation and the model's rows.
+fn insert_against_model(
+    scheme: &RelationScheme,
+    rows: &[Vec<Symbol>],
+) -> (Relation, Vec<Vec<Symbol>>) {
+    let mut relation = Relation::new(scheme.clone());
+    let mut model: Vec<Vec<Symbol>> = Vec::new();
+    let mut seen: HashSet<Vec<Symbol>> = HashSet::new();
+    for row in rows {
+        prop_assert_eq!(relation.contains_values(row), seen.contains(row));
+        let new = seen.insert(row.clone());
+        if new {
+            model.push(row.clone());
+        }
+        prop_assert_eq!(relation.insert_values(row).unwrap(), new);
+        prop_assert!(relation.contains_values(row));
+        prop_assert_eq!(relation.len(), model.len());
+    }
+    (relation, model)
 }
 
 /// A random non-empty subset of `attrs`.
@@ -348,6 +415,60 @@ proptest! {
         }
     }
 
+    /// The dictionary-encoded relation agrees with a `Vec<Vec<Symbol>>` +
+    /// `HashSet` model over insert sequences with repeated rows and cells,
+    /// constants and nulls: every `insert_values` and `contains_values`
+    /// answer, `len` and `row_values`; each column's codes and dictionary
+    /// are the first-occurrence hash labels of the model's column; and
+    /// `==` holds exactly when the two row sequences are equal (a second
+    /// sequence replays the first with repeats appended, reordered, or
+    /// drawn anew).
+    #[test]
+    fn prop_dictionary_relation_matches_row_model(
+        seed in 0u64..10_000,
+        arity in 1usize..4,
+        len in 0usize..24,
+        domain in 1usize..4,
+    ) {
+        let mut universe = Universe::new();
+        let mut symbols = SymbolTable::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let attrs: Vec<Attribute> = (0..arity).map(|i| universe.attr(&format!("A{i}"))).collect();
+        let scheme = RelationScheme::new("R", attrs);
+        let rows = random_insert_sequence(&mut symbols, arity, len, domain, &mut rng);
+        let (relation, model) = insert_against_model(&scheme, &rows);
+        for (idx, row) in model.iter().enumerate() {
+            prop_assert_eq!(&relation.row_values(idx), row);
+        }
+        prop_assert_eq!(relation.storage_cells(), arity * model.len());
+        for pos in 0..arity {
+            let (labels, names) = ref_hash_labels(model.iter().map(|row| row[pos]));
+            prop_assert_eq!(relation.codes(pos), labels.as_slice());
+            prop_assert_eq!(relation.dictionary(pos), names.as_slice());
+        }
+        // Probes never inserted, some with a symbol no column holds.
+        for probe in random_insert_sequence(&mut symbols, arity, 4, domain + 1, &mut rng) {
+            prop_assert_eq!(relation.contains_values(&probe), model.contains(&probe));
+        }
+
+        let mut replay = rows.clone();
+        match rng.gen_range(0..3) {
+            0 if !rows.is_empty() => {
+                for _ in 0..rng.gen_range(0..4) {
+                    replay.push(rows[rng.gen_range(0..rows.len())].clone());
+                }
+            }
+            1 => {
+                for i in (1..replay.len()).rev() {
+                    replay.swap(i, rng.gen_range(0..i + 1));
+                }
+            }
+            _ => replay = random_insert_sequence(&mut symbols, arity, len, domain, &mut rng),
+        }
+        let (other, other_model) = insert_against_model(&scheme, &replay);
+        prop_assert_eq!(relation == other, model == other_model);
+    }
+
     /// `project` agrees with project-every-row-then-dedup.
     #[test]
     fn prop_project_matches_row_reference(
@@ -504,6 +625,13 @@ proptest! {
                 prop_assert!(db.has_weak_instance(&w));
             }
             prop_assert!(w.satisfies_all_fds(fds));
+            // The codes the chase wrote are exactly the ones the public
+            // insert path assigns to the same rows.
+            let mut reinserted = Relation::new(w.scheme().clone());
+            for row in w.iter() {
+                prop_assert!(reinserted.insert_values(&row.to_values()).unwrap());
+            }
+            prop_assert_eq!(&reinserted, &w);
         }
     }
 

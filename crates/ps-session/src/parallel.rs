@@ -182,13 +182,12 @@ impl SetSnapshot {
     ) -> (ConsistencyAnswer, u64) {
         let outcome = consistent_with_closed(db, &self.closed, fresh, scratch);
         let row_visits = outcome.chase.row_visits as u64;
-        let witness = outcome.weak_instance();
         let answer = ConsistencyAnswer {
             consistent: outcome.consistent,
             mode: ConsistencyMode::Polynomial,
             fds: outcome.fds,
             sums: outcome.sums,
-            witness,
+            witness: outcome.chase.into_weak_instance(),
             interpretation: None,
         };
         (answer, row_visits)

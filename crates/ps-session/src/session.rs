@@ -800,7 +800,7 @@ impl Session {
                     &mut self.chase_scratch,
                 );
                 counters.row_visits += outcome.chase.row_visits as u64;
-                let witness = outcome.weak_instance();
+                let witness = outcome.chase.into_weak_instance();
                 if witness.is_some() {
                     self.symbols.advance_past(&nulls);
                 }

@@ -1,15 +1,20 @@
-//! Differential tests for the Theorem 12 witness path, which runs on the
-//! chase's labels from the fixpoint to `I(w)`.
+//! Differential tests for the Theorem 12 witness path, which keeps the
+//! weak-instance relation the chase writes, code by code, from the fixpoint
+//! to `I(w)`.
 //!
-//! The reference is the symbol-level composition the labels replace: the
-//! chased rows (`ChaseOutcome::rows`) inserted one by one into a
-//! `Relation`, the pinned Lemma 12.1 reference `repair_sum_violations_naive`
-//! and the hash-labelled `canonical_interpretation`, all minting from a
-//! clone of the null source the path under test uses.  The weak-instance
-//! relation must be byte-identical, and the `RepairStatus` and `I(w)` equal,
-//! on the session, snapshot and `weak_instance_many_par` paths.
+//! The reference is the symbol-level composition: the chased rows
+//! (`ChaseOutcome::rows`) inserted one by one into a `Relation`, so its
+//! codes come from `insert_values`, then the pinned Lemma 12.1 reference
+//! `repair_sum_violations_naive` and `canonical_interpretation`, all
+//! minting from a clone of the null source the path under test uses.  The
+//! weak-instance relation must be byte-identical (codes and dictionaries),
+//! and the `RepairStatus` and `I(w)` equal, on the session, snapshot and
+//! `weak_instance_many_par` paths.  Both sides build `I(w)` with the same
+//! builder; `canonical_props`' block-by-block reference is the independent
+//! check of that builder.
 //!
-//! The generator reaches the three shapes the labels treat specially:
+//! The generator reaches the three shapes the chase's coding treats
+//! specially:
 //! sums whose repair adds bridges, the same all-constant tuple in two
 //! relations (two chased rows that coincide and are kept once), and a
 //! database holding an old null, which the chase interns like a constant
@@ -143,7 +148,7 @@ struct Reference {
 }
 
 /// The symbol-level composition: chased rows → `Relation::insert_values`
-/// → `repair_sum_violations_naive` → hash-labelled `I(w)`.
+/// → `repair_sum_violations_naive` → `I(w)`.
 fn reference(closed: &ClosedConstraints, db: &Database, nulls: &mut impl NullSource) -> Reference {
     let outcome = consistent_with_closed(db, closed, nulls, &mut ChaseScratch::default());
     let Some(rows) = outcome.chase.rows() else {
@@ -276,9 +281,8 @@ proptest! {
 
     /// Random sum and FPD sets over random databases with twinned
     /// all-constant tuples, with the database's own null near or far from
-    /// the padding nulls: the
-    /// labeled witness path equals the symbol-level reference on every
-    /// path.
+    /// the padding nulls: the coded witness path equals the symbol-level
+    /// reference on every path.
     #[test]
     fn prop_labeled_witness_matches_the_symbol_reference(
         seed in 0u64..100_000,
@@ -292,9 +296,9 @@ proptest! {
     }
 }
 
-/// The generator reaches what the labels treat specially: repairs that
-/// bridge, chased rows dropped as duplicates, and tableaux whose nulls lie
-/// far apart.
+/// The generator reaches what the chase's coding treats specially:
+/// repairs that bridge, chased rows dropped as duplicates, and tableaux
+/// whose nulls lie far apart.
 #[test]
 fn generated_cases_cover_bridges_duplicate_rows_and_sparse_nulls() {
     let (mut bridged, mut deduplicated, mut sparse_runs) = (0, 0, 0);
