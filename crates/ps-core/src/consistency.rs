@@ -23,6 +23,9 @@
 //!    consistent with the FD set `F` alone, which Honeyman's chase decides in
 //!    polynomial time — [`consistent_with_pds`] runs all four steps, and
 //!    [`consistent_with_closed`] the chase alone against a cached `E⁺`.
+//!    [`decide_with_closed`] is its verdict twin: the same chase, stopped
+//!    at the verdict with no weak instance labelled, for callers that want
+//!    the answer and not the witness.
 //!
 //! Lemma 12.1's constructive argument (adding bridging tuples to repair
 //! violated sum constraints) is implemented by [`repair_sum_violations`], so
@@ -83,7 +86,8 @@ use ps_base::{AttrSet, Attribute, NullSource, Symbol, SymbolTable, Universe};
 use ps_lattice::{Equation, TermArena, TermNode};
 use ps_partition::UnionFind;
 use ps_relation::{
-    chase_fds_over_with, fd_closure, ChaseOutcome, ChaseScratch, Database, Fd, Relation,
+    chase_fds_over_with, chase_verdict_over, fd_closure, ChaseOutcome, ChaseScratch, ChaseVerdict,
+    Database, Fd, Relation,
 };
 
 use crate::Result;
@@ -579,21 +583,17 @@ pub fn consistent_with_pds(
 /// The chase half of [`consistent_with_pds`], for callers that cache the
 /// normalized/closed constraint system per set (the session layer and its
 /// snapshots): chases `db` against an already-closed system and packages
-/// the outcome.  Padding nulls come from `nulls`; `scratch` holds the
-/// chase's reusable index and worklist buffers across calls.
+/// the outcome with the chased weak instance — the witness path, which
+/// [`crate::weak_bridge::witness_from_consistency`] repairs into a Theorem 7
+/// witness.  Padding nulls come from `nulls`; `scratch` holds the chase's
+/// reusable index and worklist buffers across calls.
 pub fn consistent_with_closed(
     db: &Database,
     closed: &ClosedConstraints,
     nulls: &mut impl NullSource,
     scratch: &mut ChaseScratch,
 ) -> ConsistencyOutcome {
-    // The chase runs over the database's attributes together with every
-    // attribute the constraints mention.
-    let mut attrs = db.all_attributes();
-    for a in closed.attributes.iter() {
-        attrs.insert(a);
-    }
-
+    let attrs = chase_attributes(db, closed);
     let chase = chase_fds_over_with(db, &attrs, &closed.fds, nulls, scratch);
     ConsistencyOutcome {
         consistent: chase.consistent,
@@ -602,6 +602,32 @@ pub fn consistent_with_closed(
         attributes: attrs,
         chase,
     }
+}
+
+/// The verdict twin of [`consistent_with_closed`]: the same chase over the
+/// same tableau, left by the chase's verdict exit
+/// ([`ps_relation::chase_verdict_over`]), so nothing is labelled and no
+/// weak instance is built.  By Lemma 12.1 the verdict is Theorem 12's
+/// answer; `steps` and `row_visits` equal the witness path's.  The padding
+/// nulls drawn from `nulls` do not outlive the call.
+pub fn decide_with_closed(
+    db: &Database,
+    closed: &ClosedConstraints,
+    nulls: &mut impl NullSource,
+    scratch: &mut ChaseScratch,
+) -> ChaseVerdict {
+    let attrs = chase_attributes(db, closed);
+    chase_verdict_over(db, &attrs, &closed.fds, nulls, scratch)
+}
+
+/// The chase runs over the database's attributes together with every
+/// attribute the constraints mention.
+fn chase_attributes(db: &Database, closed: &ClosedConstraints) -> AttrSet {
+    let mut attrs = db.all_attributes();
+    for a in closed.attributes.iter() {
+        attrs.insert(a);
+    }
+    attrs
 }
 
 /// Whether a relation satisfies the *one-directional* sum PD `C ≤ A + B`

@@ -100,10 +100,20 @@
 //! Neither consults a symbol table: constants and nulls are told apart by
 //! [`Symbol::is_constant`].
 //!
-//! [`chase_fds_over_with`] is the one database-level entry point: it pads
-//! the tableau with nulls from any [`NullSource`] and runs the indexed
-//! engine.  This is the polynomial-time workhorse behind Theorems 6, 7 and
-//! 12 of the paper (experiment E5).
+//! **Two exits.**  The indexed engine runs one fixpoint loop and leaves it
+//! by one of two exits.  The *witness exit*, [`chase_tableau_with`], codes
+//! the fixpoint into its weak instance as above.  The *verdict exit*,
+//! [`chase_tableau_verdict`], stops at the fixpoint (or the clash) and
+//! returns a [`ChaseVerdict`]: the verdict, `steps` and `row_visits`,
+//! equal to the witness exit's, with nothing labelled.  Theorem 12's
+//! verdict is exactly "the loop ends without a clash", so the decision
+//! paths take the verdict exit and only the witness paths (Theorems 6 and
+//! 7, the Lemma 12.1 repair, `I(w)`) pay for the labels.
+//!
+//! [`chase_fds_over_with`] and [`chase_verdict_over`] are the database-level
+//! entry points to the two exits: each pads the tableau with nulls from any
+//! [`NullSource`] and runs the indexed engine.  This is the polynomial-time
+//! workhorse behind Theorems 6, 7 and 12 of the paper (experiment E5).
 
 use std::collections::{HashMap, VecDeque};
 
@@ -140,6 +150,20 @@ pub struct ChaseOutcome {
     /// `tableau_rows[r]`: the row of `weak` that tableau row `r` became;
     /// empty when that is `r` itself for every row.
     tableau_rows: Vec<u32>,
+}
+
+/// What the verdict exit of the indexed engine reports: whether the chase
+/// reached a fixpoint without equating two distinct constants, and the
+/// work it took, counted exactly as in [`ChaseOutcome`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChaseVerdict {
+    /// Whether the chase finished without equating two distinct constants.
+    pub consistent: bool,
+    /// Number of equate operations performed.
+    pub steps: usize,
+    /// Number of (row, FD) examinations performed
+    /// (see [`ChaseOutcome::row_visits`]).
+    pub row_visits: usize,
 }
 
 impl ChaseOutcome {
@@ -638,15 +662,43 @@ enum LeaderIndex {
 }
 
 /// Chases `tableau` with `fds` using the indexed, worklist-driven engine
-/// (see the module docs).  The leader indexes, occurrence lists, pending
-/// bits, dirty-row queue, interning map and key scratch live in
-/// `scratch` and are cleared — not reallocated — between runs; pass
+/// (see the module docs) and labels the fixpoint into its weak instance:
+/// the witness exit.  The leader indexes, occurrence lists, pending bits,
+/// dirty-row queue, interning map and key scratch live in `scratch` and are
+/// cleared — not reallocated — between runs; pass
 /// `&mut ChaseScratch::default()` for a one-off chase.
 pub fn chase_tableau_with(
     tableau: &Tableau,
     fds: &[Fd],
     scratch: &mut ChaseScratch,
 ) -> ChaseOutcome {
+    let (verdict, mut uf) = chase_worklist(tableau, fds, scratch);
+    if !verdict.consistent {
+        return ChaseOutcome::inconsistent(verdict.steps, 1, verdict.row_visits);
+    }
+    let weak = scratch.label(tableau, &mut uf);
+    ChaseOutcome::fixpoint(verdict.steps, 1, verdict.row_visits, weak)
+}
+
+/// The verdict exit of the indexed engine: the same fixpoint loop as
+/// [`chase_tableau_with`], with the same `steps` and `row_visits`, but
+/// nothing is labelled and no weak instance is built.
+pub fn chase_tableau_verdict(
+    tableau: &Tableau,
+    fds: &[Fd],
+    scratch: &mut ChaseScratch,
+) -> ChaseVerdict {
+    chase_worklist(tableau, fds, scratch).0
+}
+
+/// The worklist fixpoint both exits share.  Returns the verdict and the
+/// union-find over the classes in `scratch`, which [`ChaseScratch::label`]
+/// reads at a fixpoint; after a clash the loop stops at once.
+fn chase_worklist(
+    tableau: &Tableau,
+    fds: &[Fd],
+    scratch: &mut ChaseScratch,
+) -> (ChaseVerdict, UnionFind) {
     let num_rows = tableau.num_rows();
     let width = tableau.attrs().len();
     let fd_columns = active_fd_columns(tableau, fds);
@@ -769,7 +821,12 @@ pub fn chase_tableau_with(
                 match scratch.merge_cells(&mut uf, tableau.cells(), (width, words, dense), a, b) {
                     Merge::Same => {}
                     Merge::Clash => {
-                        return ChaseOutcome::inconsistent(steps, 1, row_visits);
+                        let verdict = ChaseVerdict {
+                            consistent: false,
+                            steps,
+                            row_visits,
+                        };
+                        return (verdict, uf);
                     }
                     Merge::Merged => steps += 1,
                 }
@@ -777,8 +834,12 @@ pub fn chase_tableau_with(
         }
     }
 
-    let weak = scratch.label(tableau, &mut uf);
-    ChaseOutcome::fixpoint(steps, 1, row_visits, weak)
+    let verdict = ChaseVerdict {
+        consistent: true,
+        steps,
+        row_visits,
+    };
+    (verdict, uf)
 }
 
 /// Chases the padded tableau of `db` over the attribute universe `attrs`
@@ -795,6 +856,22 @@ pub fn chase_fds_over_with(
 ) -> ChaseOutcome {
     let tableau = Tableau::from_database(db, attrs, nulls);
     chase_tableau_with(&tableau, fds, scratch)
+}
+
+/// The verdict exit of [`chase_fds_over_with`]: pads the same tableau and
+/// runs the same fixpoint loop, but stops at the verdict
+/// ([`chase_tableau_verdict`]).  The padding nulls drawn from `nulls` live
+/// only in the tableau, which is dropped on return, so a caller that draws
+/// them from a detached source keeps none.
+pub fn chase_verdict_over(
+    db: &Database,
+    attrs: &AttrSet,
+    fds: &[Fd],
+    nulls: &mut impl NullSource,
+    scratch: &mut ChaseScratch,
+) -> ChaseVerdict {
+    let tableau = Tableau::from_database(db, attrs, nulls);
+    chase_tableau_verdict(&tableau, fds, scratch)
 }
 
 /// [`chase_fds_over_with`] with a detached [`FreshSymbols`] source; the

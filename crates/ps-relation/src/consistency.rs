@@ -17,10 +17,10 @@ use ps_base::{Attribute, Symbol, SymbolTable};
 use crate::{chase, ChaseScratch, Database, Fd, Relation, RelationScheme};
 
 /// Whether `db` is consistent with `fds` under the weak instance assumption
-/// (Honeyman's polynomial test).
+/// (Honeyman's polynomial test), through the chase's verdict exit.
 pub fn weak_instance_consistent(db: &Database, fds: &[Fd], symbols: &mut SymbolTable) -> bool {
     let attrs = db.all_attributes();
-    chase::chase_fds_over_with(db, &attrs, fds, symbols, &mut ChaseScratch::default()).consistent
+    chase::chase_verdict_over(db, &attrs, fds, symbols, &mut ChaseScratch::default()).consistent
 }
 
 /// Statistics returned by the CAD solver alongside its verdict.

@@ -30,7 +30,8 @@
 //!   with FDs ([`chase_tableau_with`], the indexed worklist engine, with the
 //!   full-rescan loop kept as the reference [`chase_tableau_naive`]; or
 //!   both steps at once with [`chase_fds_over_with`]), detect
-//!   inconsistency, extract a representative weak instance.
+//!   inconsistency, extract a representative weak instance — or stop at
+//!   the verdict ([`chase_tableau_verdict`], [`chase_verdict_over`]).
 //! * [`consistency`] — consistency of a database with a set of FDs under the
 //!   weak instance assumption (polynomial, Section 6.2) and under the
 //!   complete-atomic-data assumption (NP-complete, Section 6.1; exact
@@ -54,7 +55,8 @@ mod tuple;
 
 pub use chase::{
     canonical_chase_rows, chase_fds_over_frozen, chase_fds_over_with, chase_tableau_naive,
-    chase_tableau_with, ChaseOutcome, ChaseScratch,
+    chase_tableau_verdict, chase_tableau_with, chase_verdict_over, ChaseOutcome, ChaseScratch,
+    ChaseVerdict,
 };
 pub use consistency::{cad_consistent, weak_instance_consistent, CadOutcome, CadSearchStats};
 pub use database::{Database, DatabaseBuilder};

@@ -17,8 +17,8 @@ use rand::{Rng, SeedableRng};
 
 use ps_base::{AttrSet, Attribute, Symbol, SymbolTable, Universe};
 use ps_relation::{
-    canonical_chase_rows, chase_tableau_naive, chase_tableau_with, fd_closure, ChaseScratch,
-    Database, Fd, Mvd, Relation, RelationScheme, Tableau,
+    canonical_chase_rows, chase_tableau_naive, chase_tableau_verdict, chase_tableau_with,
+    fd_closure, ChaseScratch, Database, Fd, Mvd, Relation, RelationScheme, Tableau,
 };
 
 /// A random relation over `arity` attributes with `rows` candidate rows
@@ -632,6 +632,39 @@ proptest! {
                 prop_assert!(reinserted.insert_values(&row.to_values()).unwrap());
             }
             prop_assert_eq!(&reinserted, &w);
+        }
+    }
+
+    /// The verdict exit runs the witness exit's fixpoint loop and stops at
+    /// its verdict: on random inputs (see [`random_chase_case`]) it reports
+    /// the verdict, `steps` and `row_visits` of [`chase_tableau_with`], and
+    /// the verdict of the full-rescan reference.  One scratch serves both
+    /// exits in turn, so neither depends on what the other left behind.
+    #[test]
+    fn prop_chase_verdict_matches_both_engines(
+        seed in 0u64..10_000,
+        relations in 1usize..4,
+        rows in 1usize..6,
+        num_fds in 0usize..8,
+    ) {
+        let mut universe = Universe::new();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xD1C7);
+        let attrs: Vec<Attribute> = (0..4).map(|i| universe.attr(&format!("A{i}"))).collect();
+        let mut scratch = ChaseScratch::default();
+        for _ in 0..2 {
+            let case = random_chase_case(&attrs, relations, rows, num_fds, &mut rng);
+            let verdict = chase_tableau_verdict(&case.tableau, &case.fds, &mut scratch);
+            let labelled = chase_tableau_with(&case.tableau, &case.fds, &mut scratch);
+            prop_assert_eq!(
+                (verdict.consistent, verdict.steps, verdict.row_visits),
+                (labelled.consistent, labelled.steps, labelled.row_visits)
+            );
+            prop_assert_eq!(
+                verdict,
+                chase_tableau_verdict(&case.tableau, &case.fds, &mut ChaseScratch::default())
+            );
+            let naive = chase_tableau_naive(&case.tableau, &case.fds);
+            prop_assert_eq!(verdict.consistent, naive.consistent);
         }
     }
 

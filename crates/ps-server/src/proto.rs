@@ -282,8 +282,8 @@ pub enum Payload {
         /// Verdicts in goal order.
         implied: Vec<bool>,
     },
-    /// `consistent`: the Theorem 12 verdict plus the closed system's shape
-    /// and the witness size.
+    /// `consistent`: the Theorem 12 verdict plus the closed system's shape.
+    /// It carries no witness; `weak_instance` is the witness op.
     Consistent {
         /// The verdict.
         consistent: bool,
@@ -292,8 +292,6 @@ pub enum Payload {
         fds: u64,
         /// Surviving sum constraints.
         sums: u64,
-        /// Rows of the witnessing weak instance, when one exists.
-        witness_rows: Option<u64>,
     },
     /// `weak_instance`: the Theorem 7 verdict, the witness size and how the
     /// Lemma 12.1 repair behind the witness ended.
@@ -620,12 +618,10 @@ impl Payload {
                 consistent,
                 fds,
                 sums,
-                witness_rows,
             } => Json::obj(vec![
                 ("consistent", Json::Bool(*consistent)),
                 ("fds", num(*fds)),
                 ("sums", num(*sums)),
-                ("witness_rows", opt_rows(*witness_rows)),
             ]),
             Payload::WeakInstance {
                 satisfiable,
@@ -697,7 +693,6 @@ impl Payload {
                 consistent: get_bool(value, "consistent")?,
                 fds: get_u64(value, "fds")?,
                 sums: get_u64(value, "sums")?,
-                witness_rows: get_opt_u64(value, "witness_rows")?,
             },
             "weak_instance" => Payload::WeakInstance {
                 satisfiable: get_bool(value, "satisfiable")?,
@@ -975,7 +970,6 @@ mod tests {
                     consistent: false,
                     fds: 2,
                     sums: 1,
-                    witness_rows: None,
                 },
                 Counters::default(),
             ),
@@ -993,6 +987,27 @@ mod tests {
             let line = response.to_line();
             assert_eq!(Response::parse_line(&line).unwrap(), response);
         }
+    }
+
+    #[test]
+    fn consistent_answers_carry_no_witness_rows() {
+        let response = Response::ok(
+            Some(1),
+            "consistent",
+            Payload::Consistent {
+                consistent: true,
+                fds: 3,
+                sums: 0,
+            },
+            Counters::default(),
+        );
+        let line = response.to_line();
+        assert!(!line.contains("witness_rows"), "{line}");
+        // An older server's answer, which still had the field, decodes to
+        // the same payload.
+        let older = line.replace("\"sums\":0", "\"sums\":0,\"witness_rows\":7");
+        assert_ne!(older, line);
+        assert_eq!(Response::parse_line(&older).unwrap(), response);
     }
 
     #[test]

@@ -232,7 +232,6 @@ impl ServerCore {
                             consistent: answer.consistent,
                             fds: answer.fds.len() as u64,
                             sums: answer.sums.len() as u64,
-                            witness_rows: answer.witness.map(|w| w.len() as u64),
                         },
                         counters,
                     )

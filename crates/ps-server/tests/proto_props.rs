@@ -108,14 +108,13 @@ fn arb_payload() -> impl Strategy<Value = (String, Payload)> {
                 },
             )
         }),
-        (0u64..2, 0u64..1 << 20, 0u64..1 << 20, 0u64..1 << 20).prop_map(|(c, fds, sums, rows)| {
+        (0u64..2, 0u64..1 << 20, 0u64..1 << 20).prop_map(|(c, fds, sums)| {
             (
                 "consistent".to_owned(),
                 Payload::Consistent {
                     consistent: c == 1,
                     fds,
                     sums,
-                    witness_rows: (rows % 2 == 0).then_some(rows),
                 },
             )
         }),

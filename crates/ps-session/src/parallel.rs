@@ -21,8 +21,9 @@
 //!   registry access; the std scope API is all that is needed): workers
 //!   claim chunks of the item range from a shared [`AtomicUsize`] cursor,
 //!   keep private per-worker state (a [`FreshSymbols`] null source, a
-//!   [`ChaseScratch`], a [`Counters`] accumulator), and their per-item
-//!   results are merged back into input order after the join.
+//!   [`ChaseScratch`] taken from the snapshot's pool and handed back after
+//!   the batch, a [`Counters`] accumulator), and their per-item results are
+//!   merged back into input order after the join.
 //!
 //! **Claim size.**  A claim is about a quarter of an even share of the
 //! batch, between 1 and 16 items (`claim_len`), so a batch of a few
@@ -50,15 +51,15 @@
 //! frozen epoch, never the live set's.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use ps_base::{FreshSymbols, SymbolTable, Universe};
-use ps_core::consistency::{consistent_with_closed, ClosedConstraints};
+use ps_core::consistency::{consistent_with_closed, decide_with_closed, ClosedConstraints};
 use ps_core::weak_bridge::{witness_from_consistency, SatisfiabilityWitness};
 use ps_lattice::{Equation, ImplicationEngine, TermArena};
 use ps_relation::{ChaseScratch, Database, Relation};
 
-use crate::session::{ConsistencyAnswer, ConsistencyMode};
+use crate::session::ConsistencyAnswer;
 use crate::{Counters, Epoch, Error, Outcome, Result};
 
 /// Compile-time `Send + Sync` guards: a future `Rc`/`Cell` regression in
@@ -82,16 +83,23 @@ const _: () = {
 ///   frozen vocabulary `V` surfaces as [`Error::OutsideVocabulary`] instead
 ///   of silently extending `V`);
 /// * the closed constraint system of Section 6.2, chased against through
-///   the session's own pipeline (`consistent_with_closed`), with padding
-///   nulls minted from per-worker [`FreshSymbols`] sources instead of the
-///   shared table;
+///   the session's own pipeline (`decide_with_closed` for a verdict,
+///   `consistent_with_closed` for a witness), with padding nulls minted
+///   from per-worker [`FreshSymbols`] sources instead of the shared table;
 /// * copies of the session's `Universe` / `SymbolTable` / `TermArena` at
 ///   freeze time, so parsing results and databases built against the
 ///   session before the freeze resolve identically.
 ///
+/// Beside these it keeps a pool of [`ChaseScratch`] buffers that the
+/// executor's workers hand back after each batch, so the next batch chases
+/// with warm buffers instead of growing them from empty.  The pool holds at
+/// most as many scratches as workers ever ran on the snapshot at once; a
+/// buffer decides no verdict and no counter, and a cloned snapshot starts
+/// with an empty pool.
+///
 /// The snapshot records the set's [`Epoch`] at freeze time; every outcome
 /// computed through it reports that epoch in [`Counters::epoch`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SetSnapshot {
     epoch: Epoch,
     pds: Vec<Equation>,
@@ -100,6 +108,21 @@ pub struct SetSnapshot {
     arena: TermArena,
     engine: ImplicationEngine,
     closed: ClosedConstraints,
+    scratches: Mutex<Vec<ChaseScratch>>,
+}
+
+impl Clone for SetSnapshot {
+    fn clone(&self) -> Self {
+        SetSnapshot::freeze(
+            self.epoch,
+            self.pds.clone(),
+            self.universe.clone(),
+            self.symbols.clone(),
+            self.arena.clone(),
+            self.engine.clone(),
+            self.closed.clone(),
+        )
+    }
 }
 
 impl SetSnapshot {
@@ -122,7 +145,28 @@ impl SetSnapshot {
             arena,
             engine,
             closed,
+            scratches: Mutex::new(Vec::new()),
         }
+    }
+
+    /// A chase scratch for one worker: a pooled one when a batch handed one
+    /// back, else an empty one.  A poisoned pool is still a pool of valid
+    /// buffers, since every chase clears what it reuses.
+    fn take_scratch(&self) -> ChaseScratch {
+        let mut pool = self
+            .scratches
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        pool.pop().unwrap_or_default()
+    }
+
+    /// Hands a worker's chase scratch back to the pool.
+    fn give_back(&self, scratch: ChaseScratch) {
+        let mut pool = self
+            .scratches
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        pool.push(scratch);
     }
 
     /// The [`Epoch`] the set was frozen at.
@@ -170,27 +214,21 @@ impl SetSnapshot {
     }
 
     /// Theorem 12 polynomial consistency of one database against the frozen
-    /// closed system.  `fresh` supplies padding/repair nulls and `scratch`
-    /// the reusable chase buffers — per-worker state in parallel use; pass
-    /// throwaways (`snapshot.symbols().fresh_source()`,
-    /// `ChaseScratch::default()`) for one-off calls.
+    /// closed system: the chase's verdict exit, as in
+    /// [`crate::Session::consistent`], so the answer carries no witness.
+    /// `fresh` supplies the padding nulls and `scratch` the reusable chase
+    /// buffers — per-worker state in parallel use; pass throwaways
+    /// (`snapshot.symbols().fresh_source()`, `ChaseScratch::default()`) for
+    /// one-off calls.
     pub fn consistent(
         &self,
         db: &Database,
         fresh: &mut FreshSymbols,
         scratch: &mut ChaseScratch,
     ) -> (ConsistencyAnswer, u64) {
-        let outcome = consistent_with_closed(db, &self.closed, fresh, scratch);
-        let row_visits = outcome.chase.row_visits as u64;
-        let answer = ConsistencyAnswer {
-            consistent: outcome.consistent,
-            mode: ConsistencyMode::Polynomial,
-            fds: outcome.fds,
-            sums: outcome.sums,
-            witness: outcome.chase.into_weak_instance(),
-            interpretation: None,
-        };
-        (answer, row_visits)
+        let verdict = decide_with_closed(db, &self.closed, fresh, scratch);
+        let answer = ConsistencyAnswer::polynomial(verdict.consistent, &self.closed);
+        (answer, verdict.row_visits as u64)
     }
 
     /// Theorem 7 weak-instance satisfiability of one database against the
@@ -209,8 +247,9 @@ impl SetSnapshot {
     }
 }
 
-/// Private per-worker state: a detached null source, reusable chase
-/// buffers, and a counter accumulator merged after the join.
+/// Private per-worker state: a detached null source, chase buffers taken
+/// from the snapshot's pool (and handed back after the batch), and a
+/// counter accumulator merged after the join.
 struct WorkerState {
     fresh: FreshSymbols,
     scratch: ChaseScratch,
@@ -288,13 +327,14 @@ impl ParallelExecutor {
         }
         let new_state = || WorkerState {
             fresh: snapshot.symbols.fresh_source(),
-            scratch: ChaseScratch::default(),
+            scratch: snapshot.take_scratch(),
             counters: base,
         };
         let threads = self.threads.min(items.len());
         if threads == 1 {
             let mut state = new_state();
             let values = items.iter().map(|item| work(item, &mut state)).collect();
+            snapshot.give_back(state.scratch);
             return (values, state.counters);
         }
         let claim = claim_len(items.len(), threads);
@@ -318,6 +358,7 @@ impl ParallelExecutor {
                                 out.push((idx, work(item, &mut state)));
                             }
                         }
+                        snapshot.give_back(state.scratch);
                         (out, state.counters)
                     })
                 })
@@ -377,8 +418,8 @@ impl ParallelExecutor {
     }
 
     /// Batched Theorem 12 polynomial consistency: each database is chased
-    /// independently by whichever worker claims it, with per-worker
-    /// [`ChaseScratch`] and [`FreshSymbols`].
+    /// to its verdict ([`SetSnapshot::consistent`]) by whichever worker
+    /// claims it, with per-worker [`ChaseScratch`] and [`FreshSymbols`].
     ///
     /// Counters: per database, `row_visits` accumulates the chase's visits
     /// and `engine_hits` ticks once (the frozen closure was reused) —
@@ -431,6 +472,7 @@ impl ParallelExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::ConsistencyMode;
     use crate::Session;
 
     fn warm_session() -> (Session, crate::ConstraintSetId, Vec<Equation>) {
@@ -552,6 +594,33 @@ mod tests {
         assert!(outcome.value[0].weak_instance.is_some());
         assert!(!outcome.value[1].satisfiable);
         assert!(outcome.counters.row_visits > 0);
+    }
+
+    #[test]
+    fn workers_hand_their_chase_scratch_back_to_the_snapshot() {
+        let (mut session, set, _) = warm_session();
+        let db = session
+            .database()
+            .relation("R", &["A", "B", "C"], &[&["a", "b", "c"]])
+            .unwrap()
+            .build();
+        let snapshot = session.snapshot(set).unwrap();
+        let pooled = |s: &SetSnapshot| s.scratches.lock().unwrap().len();
+        assert_eq!(pooled(&snapshot), 0);
+        let one = ParallelExecutor::new(1);
+        for _ in 0..3 {
+            let outcome = one
+                .consistent_many_par(&snapshot, std::slice::from_ref(&db))
+                .unwrap();
+            assert!(outcome.value[0].consistent);
+            assert_eq!(pooled(&snapshot), 1, "the one scratch is reused");
+        }
+        let batch = vec![db; 4];
+        ParallelExecutor::new(2)
+            .weak_instance_many_par(&snapshot, &batch)
+            .unwrap();
+        assert!((1..=2).contains(&pooled(&snapshot)));
+        assert_eq!(pooled(&SetSnapshot::clone(&snapshot)), 0);
     }
 
     #[test]

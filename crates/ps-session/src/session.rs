@@ -80,15 +80,30 @@ pub struct ConsistencyAnswer {
     /// Sum constraints `C ≤ A + B` that survived closure (always empty in
     /// CAD mode, which only admits FPDs).
     pub sums: Vec<SumConstraint>,
-    /// A witnessing relation when consistent: the chase's representative
-    /// weak instance (polynomial mode, satisfies `F`; apply
-    /// [`ps_core::consistency::repair_sum_violations`] to also satisfy
-    /// `sums`) or the CAD witness (exact mode).
+    /// The CAD witness when consistent (exact mode only).  A polynomial
+    /// answer is the chase's verdict alone and carries no witness: callers
+    /// wanting one use [`Session::weak_instance`], which chases, repairs the
+    /// sum violations (Lemma 12.1) and builds `I(w)`.
     pub witness: Option<Relation>,
     /// The witnessing interpretation `I(w)` (exact mode only; polynomial
     /// callers wanting an interpretation should use
     /// [`Session::weak_instance`], which also repairs sum violations).
     pub interpretation: Option<PartitionInterpretation>,
+}
+
+impl ConsistencyAnswer {
+    /// A polynomial-mode answer: the chase's verdict against `closed`, with
+    /// no witness.
+    pub(crate) fn polynomial(consistent: bool, closed: &ClosedConstraints) -> Self {
+        ConsistencyAnswer {
+            consistent,
+            mode: ConsistencyMode::Polynomial,
+            fds: closed.fds.clone(),
+            sums: closed.sums.clone(),
+            witness: None,
+            interpretation: None,
+        }
+    }
 }
 
 /// The orientation-normalized term-id pair of a PD — the unit the
@@ -765,10 +780,11 @@ impl Session {
     /// Theorem 12's polynomial open-world pipeline or Theorem 11's exact
     /// CAD+EAP search (the latter requires an FPD-only set).
     ///
-    /// The polynomial chase mints its padding nulls from a detached source;
-    /// the session's symbol table moves past them only when the answer
-    /// carries them in its witness, so an inconsistent database uses up no
-    /// nulls.
+    /// The polynomial answer is the chase's verdict exit
+    /// ([`ps_core::consistency::decide_with_closed`]): no weak instance is
+    /// labelled, and the padding nulls come from a detached source that is
+    /// dropped, so the session's null cursor ([`SymbolTable::num_fresh`])
+    /// does not move.  [`Session::weak_instance`] is the witness path.
     pub fn consistent(
         &mut self,
         set: ConstraintSetId,
@@ -792,26 +808,14 @@ impl Session {
                     .closed
                     .as_ref()
                     .expect("closure just ensured");
-                let mut nulls = self.symbols.fresh_source();
-                let outcome = ps_core::consistency::consistent_with_closed(
+                let verdict = ps_core::consistency::decide_with_closed(
                     db,
                     closed,
-                    &mut nulls,
+                    &mut self.symbols.fresh_source(),
                     &mut self.chase_scratch,
                 );
-                counters.row_visits += outcome.chase.row_visits as u64;
-                let witness = outcome.chase.into_weak_instance();
-                if witness.is_some() {
-                    self.symbols.advance_past(&nulls);
-                }
-                ConsistencyAnswer {
-                    consistent: outcome.consistent,
-                    mode,
-                    fds: outcome.fds,
-                    sums: outcome.sums,
-                    witness,
-                    interpretation: None,
-                }
+                counters.row_visits += verdict.row_visits as u64;
+                ConsistencyAnswer::polynomial(verdict.consistent, closed)
             }
             ConsistencyMode::ExactCadEap => {
                 self.ensure_fpds(idx, &mut counters)?;
@@ -839,9 +843,10 @@ impl Session {
     /// Lemma 12.1 sum-constraint repair and the interpretation `I(w)` built
     /// from it.  Both are `None` only when the repair runs out of its bridge
     /// budget before its fixpoint, and then `repair.converged` is `false`
-    /// (see [`ps_core::weak_bridge::witness_from_consistency`]).  As in
-    /// [`Session::consistent`], the symbol table moves past the chase's and
-    /// the repair's nulls only when a weak instance is handed out.
+    /// (see [`ps_core::weak_bridge::witness_from_consistency`]).  This is
+    /// the one polynomial witness path: the symbol table moves past the
+    /// chase's and the repair's nulls only when a weak instance is handed
+    /// out.
     pub fn weak_instance(
         &mut self,
         set: ConstraintSetId,

@@ -22,8 +22,6 @@
 //! runs the Theorem 12 consistency test for the whole constraint set.
 
 use partition_semantics::core::canonical::relation_satisfies_pd;
-use partition_semantics::core::consistency::repair_sum_violations;
-use partition_semantics::core::weak_bridge::interpretation_from_weak_instance;
 use partition_semantics::prelude::*;
 
 fn main() {
@@ -118,15 +116,14 @@ fn main() {
         .unwrap();
     let answer = outcome.value;
     println!("\nDatabase consistent with E?  {}", answer.consistent);
-    if let Some(weak) = &answer.witness {
-        let (repaired, converged) =
-            repair_sum_violations(weak, &answer.fds, &answer.sums, session.symbols_mut(), 16);
+    let witness = session.weak_instance(e, &db).unwrap().value;
+    if let (Some(weak), Some(interpretation)) = (&witness.weak_instance, &witness.interpretation) {
         println!(
-            "weak instance: {} rows before repair, {} after (converged: {converged})",
+            "weak instance: {} rows before repair, {} after (converged: {})",
+            weak.len() - witness.repair.bridges,
             weak.len(),
-            repaired.len()
+            witness.repair.converged
         );
-        let interpretation = interpretation_from_weak_instance(&repaired).unwrap();
         println!(
             "I(w) satisfies the database: {}",
             interpretation.satisfies_database(&db).unwrap()

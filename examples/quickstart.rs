@@ -15,8 +15,6 @@
 //! the implication engine across all queries.
 
 use partition_semantics::core::canonical::relation_satisfies_pd;
-use partition_semantics::core::consistency::repair_sum_violations;
-use partition_semantics::core::weak_bridge::interpretation_from_weak_instance;
 use partition_semantics::prelude::*;
 
 fn main() {
@@ -122,27 +120,28 @@ fn main() {
         answer.sums.len(),
         outcome.counters.row_visits,
     );
-    if let Some(weak) = &answer.witness {
-        println!(
-            "  weak instance has {} rows over {} attributes",
-            weak.len(),
-            weak.scheme().arity()
-        );
-        let (repaired, converged) =
-            repair_sum_violations(weak, &answer.fds, &answer.sums, session.symbols_mut(), 16);
-        println!(
-            "  after Lemma 12.1 repair: {} rows (converged: {converged})",
-            repaired.len()
-        );
-    }
 
     // ------------------------------------------------------------------
-    // 5. From a weak instance back to a partition interpretation (Thm 6/7).
+    // 5. The witness: a weak instance and its interpretation (Thm 6/7).
     // ------------------------------------------------------------------
-    if let Some(weak) = &answer.witness {
-        let interpretation = interpretation_from_weak_instance(weak).unwrap();
+    // `consistent` answers with the verdict alone; `weak_instance` chases
+    // again, repairs the sum violations (Lemma 12.1) and builds I(w).
+    let witness = session
+        .weak_instance(e, &db)
+        .expect("well-formed inputs")
+        .value;
+    if let Some(weak) = &witness.weak_instance {
         println!(
-            "\nCanonical interpretation I(w): {} attributes over a population of {} elements",
+            "\nWeak instance: {} rows over {} attributes, {} of them Lemma 12.1 bridging rows (converged: {})",
+            weak.len(),
+            weak.scheme().arity(),
+            witness.repair.bridges,
+            witness.repair.converged
+        );
+    }
+    if let Some(interpretation) = &witness.interpretation {
+        println!(
+            "Canonical interpretation I(w): {} attributes over a population of {} elements",
             interpretation.len(),
             interpretation.total_population().len()
         );

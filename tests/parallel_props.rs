@@ -22,15 +22,15 @@ use partition_semantics::session::Session;
 use proptest::prelude::*;
 use ps_bench::{fanout_consistency_workload, random_word_problem_workload};
 
-/// A consistency witness's rows with nulls renamed to first-occurrence
+/// A weak-instance witness's rows with nulls renamed to first-occurrence
 /// order, so witnesses minted from different null sources compare equal
 /// exactly when they agree up to null renaming.
 fn canonical_witness(
-    answer: &ConsistencyAnswer,
+    witness: &SatisfiabilityWitness,
     symbols: &SymbolTable,
 ) -> Option<Vec<Vec<String>>> {
-    let witness = answer.witness.as_ref()?;
-    let rows: Vec<Vec<Symbol>> = witness.iter().map(|t| t.values().collect()).collect();
+    let weak = witness.weak_instance.as_ref()?;
+    let rows: Vec<Vec<Symbol>> = weak.iter().map(|t| t.values().collect()).collect();
     Some(canonical_chase_rows(&rows, symbols))
 }
 
@@ -65,10 +65,10 @@ proptest! {
         }
     }
 
-    /// Consistency and weak-instance fan-out: chase verdicts, witnesses and
-    /// summed chase counters match the sequential warm loop at every pool
-    /// width (per-worker null sources must not change any verdict), and
-    /// each consistent witness is the session's up to null renaming.
+    /// Consistency and weak-instance fan-out: chase verdicts and summed
+    /// chase counters match the sequential warm loop at every pool width
+    /// (per-worker null sources must not change any verdict), and each
+    /// weak-instance witness is the session's up to null renaming.
     #[test]
     fn prop_parallel_consistency_agrees_with_sequential(seed in 0u64..5_000) {
         let w = fanout_consistency_workload(3, 5, 10, seed);
@@ -90,9 +90,10 @@ proptest! {
                 .consistent(set, db, ConsistencyMode::Polynomial)
                 .unwrap();
             verdicts.push(outcome.value.consistent);
-            witnesses.push(canonical_witness(&outcome.value, session.symbols()));
             sequential += outcome.counters;
-            satisfiable.push(session.weak_instance(set, db).unwrap().value.satisfiable);
+            let weak = session.weak_instance(set, db).unwrap().value;
+            satisfiable.push(weak.satisfiable);
+            witnesses.push(canonical_witness(&weak, session.symbols()));
         }
         prop_assert!(verdicts.iter().any(|&v| !v), "odd databases violate an FD");
 
@@ -102,13 +103,6 @@ proptest! {
             let outcome = pool.consistent_many_par(&snapshot, &w.databases).unwrap();
             let par: Vec<bool> = outcome.value.iter().map(|a| a.consistent).collect();
             prop_assert_eq!(&par, &verdicts, "threads={}", threads);
-            let par_witnesses: Vec<_> = outcome
-                .value
-                .iter()
-                .map(|a| canonical_witness(a, snapshot.symbols()))
-                .collect();
-            prop_assert_eq!(&par_witnesses, &witnesses, "threads={}", threads);
-            prop_assert!(witnesses.iter().any(Option::is_some), "even databases are consistent");
             prop_assert_eq!(outcome.counters.row_visits, sequential.row_visits);
             prop_assert_eq!(outcome.counters.engine_hits, sequential.engine_hits);
             prop_assert_eq!(outcome.counters.rule_firings, 0);
@@ -117,6 +111,13 @@ proptest! {
             let weak = pool.weak_instance_many_par(&snapshot, &w.databases).unwrap();
             let sat: Vec<bool> = weak.value.iter().map(|s| s.satisfiable).collect();
             prop_assert_eq!(&sat, &satisfiable, "threads={}", threads);
+            let par_witnesses: Vec<_> = weak
+                .value
+                .iter()
+                .map(|s| canonical_witness(s, snapshot.symbols()))
+                .collect();
+            prop_assert_eq!(&par_witnesses, &witnesses, "threads={}", threads);
+            prop_assert!(witnesses.iter().any(Option::is_some), "even databases are consistent");
         }
     }
 }

@@ -104,7 +104,9 @@ proptest! {
 
     /// Theorem 12: `Session::consistent(Polynomial)` agrees with the free
     /// `consistent_with_pds` pipeline on a consistent-by-construction
-    /// workload *and* on the same workload with an injected FD violation.
+    /// workload *and* on the same workload with an injected FD violation:
+    /// same verdict, same closed FDs and the same chase `row_visits`, though
+    /// the session stops at the verdict and hands out no witness.
     #[test]
     fn prop_session_polynomial_consistency_matches_reference(
         seed in 0u64..10_000,
@@ -125,11 +127,13 @@ proptest! {
             .unwrap();
         prop_assert_eq!(ok.value.consistent, reference_ok.consistent);
         prop_assert_eq!(&ok.value.fds, &reference_ok.fds);
-        prop_assert_eq!(ok.value.witness.is_some(), reference_ok.weak_instance().is_some());
+        prop_assert_eq!(ok.counters.row_visits, reference_ok.chase.row_visits as u64);
+        prop_assert!(ok.value.witness.is_none(), "a polynomial answer carries no witness");
         let bad = session
             .consistent(set, &clashed, ConsistencyMode::Polynomial)
             .unwrap();
         prop_assert_eq!(bad.value.consistent, reference_bad.consistent);
+        prop_assert_eq!(bad.counters.row_visits, reference_bad.chase.row_visits as u64);
         prop_assert!(!bad.value.consistent, "injected clash must be detected");
         // The closure was built once; the second query hit the cache.
         prop_assert_eq!(ok.counters.engine_misses, 1);
@@ -357,12 +361,14 @@ fn warm_session_beats_two_cold_sessions_by_rule_firings() {
     }
 }
 
-/// The session's chase and Lemma 12.1 repair mint their nulls from the
-/// session's own symbol table, so the next `symbols_mut().fresh()` — what
-/// the `quickstart` and `fleet_registry` examples feed into
-/// `repair_sum_violations` — is distinct from every null of a witness the
-/// session already returned.  A session that minted from a detached source
-/// without advancing its table would hand the same nulls out twice.
+/// The session's witness path — the chase and the Lemma 12.1 repair behind
+/// `Session::weak_instance` — mints its nulls from the session's own symbol
+/// table, so the next `symbols_mut().fresh()` (what a caller feeding
+/// `repair_sum_violations` by hand would use) is distinct from every null
+/// of a witness the session already returned.  A session that minted from
+/// a detached source without advancing its table would hand the same nulls
+/// out twice.  The polynomial `consistent` answer in between carries no
+/// witness and keeps no nulls.
 #[test]
 fn session_witness_nulls_stay_fresh() {
     let mut session = Session::new();
@@ -383,17 +389,14 @@ fn session_witness_nulls_stay_fresh() {
         .consistent(set, &db, ConsistencyMode::Polynomial)
         .unwrap()
         .value;
-    let chased = consistent.witness.expect("consistent database");
+    assert!(consistent.consistent && consistent.witness.is_none());
     let weak = session.weak_instance(set, &db).unwrap().value;
+    assert!(weak.repair.bridges > 0, "the repair adds bridging rows");
     let repaired = weak.weak_instance.expect("the repair converges");
-    assert!(
-        repaired.len() > chased.len(),
-        "the repair adds bridging rows"
-    );
 
-    let nulls: std::collections::HashSet<Symbol> = [&chased, &repaired]
+    let nulls: std::collections::HashSet<Symbol> = repaired
         .iter()
-        .flat_map(|w| w.iter().flat_map(|t| t.values()).collect::<Vec<_>>())
+        .flat_map(|t| t.values().collect::<Vec<_>>())
         .filter(|s| s.is_null())
         .collect();
     assert!(!nulls.is_empty());
@@ -404,8 +407,10 @@ fn session_witness_nulls_stay_fresh() {
 }
 
 /// Only a handed-out witness keeps its nulls: an inconsistent database
-/// leaves the session's null cursor where it was, and after a consistent
-/// one the next null lies above every null of the witness.
+/// leaves the session's null cursor where it was, a polynomial `consistent`
+/// answer (a verdict, never a witness) leaves it there on a consistent
+/// database too, and after a weak instance the next null lies above every
+/// null of the witness.
 #[test]
 fn session_witness_less_answers_give_their_nulls_back() {
     let mut session = Session::new();
@@ -441,19 +446,61 @@ fn session_witness_less_answers_give_their_nulls_back() {
         .consistent(set, &fine, ConsistencyMode::Polynomial)
         .unwrap()
         .value;
-    let chased = decided.witness.expect("consistent database");
-    let next = session.symbols_mut().fresh();
+    assert!(decided.consistent && decided.witness.is_none());
+    assert_eq!(session.symbols().num_fresh(), before);
     let weak = session.weak_instance(set, &fine).unwrap().value;
     let repaired = weak.weak_instance.expect("the repair converges");
     let after = session.symbols_mut().fresh();
-    let nulls = |w: &Relation| -> Vec<Symbol> {
-        w.iter()
-            .flat_map(|t| t.to_values())
-            .filter(|s| s.is_null())
-            .collect()
-    };
-    let (chased, repaired) = (nulls(&chased), nulls(&repaired));
-    assert!(!chased.is_empty() && !repaired.is_empty());
-    assert!(chased.iter().all(|&s| s < next), "{next} is not fresh");
-    assert!(repaired.iter().all(|&s| s < after), "{after} is not fresh");
+    let nulls: Vec<Symbol> = repaired
+        .iter()
+        .flat_map(|t| t.to_values())
+        .filter(|s| s.is_null())
+        .collect();
+    assert!(!nulls.is_empty());
+    assert!(nulls.iter().all(|&s| s < after), "{after} is not fresh");
+}
+
+/// The polynomial `consistent` answer is the chase's verdict alone, so it
+/// keeps no nulls: across many answers on consistent and inconsistent
+/// databases, through the session and through `consistent_many_par` at
+/// several widths, `num_fresh()` does not move, while the verdicts still
+/// match the witness path's.
+#[test]
+fn polynomial_consistent_keeps_no_nulls() {
+    let w = ps_bench::fanout_consistency_workload(3, 5, 12, 7);
+    let mut session = Session::from_parts(w.universe, w.symbols, w.arena);
+    let set = session.register(&w.pds).unwrap();
+    let before = session.symbols().num_fresh();
+    let mut verdicts = Vec::new();
+    for _ in 0..4 {
+        verdicts.clear();
+        for db in &w.databases {
+            let answer = session
+                .consistent(set, db, ConsistencyMode::Polynomial)
+                .unwrap()
+                .value;
+            assert!(answer.witness.is_none());
+            verdicts.push(answer.consistent);
+        }
+        assert_eq!(session.symbols().num_fresh(), before);
+    }
+    assert!(verdicts.iter().any(|&v| v) && verdicts.iter().any(|&v| !v));
+
+    let snapshot = session.snapshot(set).unwrap();
+    for threads in [1, 2, 4] {
+        let pool = partition_semantics::session::ParallelExecutor::new(threads);
+        let outcome = pool.consistent_many_par(&snapshot, &w.databases).unwrap();
+        let par: Vec<bool> = outcome.value.iter().map(|a| a.consistent).collect();
+        assert_eq!(par, verdicts, "threads={threads}");
+        assert!(outcome.value.iter().all(|a| a.witness.is_none()));
+        assert_eq!(session.symbols().num_fresh(), before);
+    }
+
+    // The witness path agrees on every verdict, and it is what moves the
+    // cursor.
+    for (db, &verdict) in w.databases.iter().zip(&verdicts) {
+        let weak = session.weak_instance(set, db).unwrap().value;
+        assert_eq!(weak.satisfiable, verdict);
+    }
+    assert!(session.symbols().num_fresh() > before);
 }
