@@ -779,12 +779,12 @@ mod tests {
 
     #[test]
     fn consistency_workload_is_consistent() {
-        let mut w = consistency_workload(4, 16, 7);
+        let w = consistency_workload(4, 16, 7);
         let fds: Vec<Fd> = w.fpds.iter().map(Fpd::to_fd).collect();
         assert!(ps_relation::consistency::weak_instance_consistent(
             &w.database,
             &fds,
-            &mut w.symbols
+            &w.symbols
         ));
     }
 
@@ -806,7 +806,7 @@ mod tests {
             .collect();
         for (d, db) in w.databases.iter().enumerate() {
             let consistent =
-                ps_relation::consistency::weak_instance_consistent(db, &fds, &mut w.symbols);
+                ps_relation::consistency::weak_instance_consistent(db, &fds, &w.symbols);
             assert_eq!(consistent, d % 2 == 0, "database {d}");
         }
     }

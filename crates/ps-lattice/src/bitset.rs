@@ -551,6 +551,12 @@ impl BitMatrix {
         changed
     }
 
+    /// The words of `row`; bit `c % 64` of word `c / 64` is column `c`.
+    pub(crate) fn row(&self, row: usize) -> &[u64] {
+        let start = row * self.words_per_row;
+        &self.bits[start..start + self.words_per_row]
+    }
+
     /// Iterates over the column indices of set bits in `row`.
     pub fn iter_row(&self, row: usize) -> impl Iterator<Item = usize> + '_ {
         let start = row * self.words_per_row;

@@ -1,217 +1,165 @@
-//! Finite countermodel construction for non-implications (the proof of
-//! Theorem 8, (c) ⇒ (b)).
+//! Finite countermodels for non-implications (the proof of Theorem 8,
+//! (c) ⇒ (b), through Lemma 9.2).
 //!
-//! When `E ⊭ e = e′`, the paper (adapting Dean's argument for free lattices)
-//! exhibits a *finite* lattice satisfying `E` and violating `e = e′`: take
-//! the quotient lattice `L_E`, restrict to the sublattice `L_H` generated by
-//! finite meets of (classes of) bounded-complexity expressions, and observe
-//! that `L_H` is finite and still separates `e` from `e′`.
+//! When `E ⊭ e = e′`, some finite lattice with constants satisfies `E` and
+//! separates `e` from `e′`.  [`finite_countermodel`] reads that lattice off
+//! the order `≤_E` that algorithm ALG derives over the subexpression set `V`
+//! of `E` and the goal:
 //!
-//! [`finite_countermodel`] is a faithful, best-effort implementation of that
-//! construction with `H` instantiated as the subexpression set of the
-//! instance: it builds every meet of a non-empty subset of subexpressions
-//! (plus the join of all attributes, the top of `L_H`), orders the quotient
-//! by the derived relation `≤_E` computed by algorithm ALG, and materializes
-//! the result as an explicit [`FiniteLattice`] with constants.  Because the
-//! paper's `H` ranges over *all* bounded-complexity expressions (not just
-//! subexpressions), the restricted candidate set occasionally fails to be
-//! closed under joins; in that case the function returns `None` rather than
-//! an unsound model.  Whenever it returns `Some`, the result is a verified
-//! countermodel: it satisfies every equation of `E` and violates the goal.
+//! * A down-set `D ⊆ V` of `(V, ≤_E)` is *closed* if `x+y ∈ D` whenever
+//!   `x, y ∈ D` and `x+y ∈ V`.  Closed down-sets are closed under
+//!   intersection, so they form a finite lattice `L`: meet is `∩`, and join
+//!   is the closure of `∪`.  Each attribute `A` denotes `↓A`.
+//! * Let `h` evaluate a term in `L`.  Then `h(t) = ↓t` for every `t ∈ V`.
+//!   For a meet `l*r`, `↓(l*r) = ↓l ∩ ↓r` by rules 3 and 4 plus
+//!   transitivity.  For a join `l+r`, `↓(l+r)` is a closed down-set (rule 2)
+//!   that contains `l` and `r` (rule 5), and every closed down-set containing
+//!   both contains `l+r`, so it is the closure of `↓l ∪ ↓r`.
+//! * Rule 6 gives `↓l = ↓r` for each `l = r` in `E`, so `L ⊨ E`.  If
+//!   `u ≰_E v`, then `u ∈ ↓u ∖ ↓v`, so `L` violates `u = v`.
+//!
+//! The construction therefore succeeds on *every* non-implication.  The
+//! model is one bitset per term of `V` — the engine's `pred` rows — plus the
+//! joins of `V`; nothing is interned into the arena.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use ps_base::Attribute;
+use ps_base::{Attribute, Universe};
 
-use crate::{Equation, FiniteLattice, ImplicationEngine, TermArena, TermId, TermNode};
+use crate::{BitMatrix, Equation, ImplicationEngine, LatticeError, TermArena, TermId, TermNode};
 
-/// A finite lattice with constants witnessing `E ⊭ goal`.
+/// The lattice of closed down-sets of `(V, ≤_E)` with constants, witnessing
+/// `E ⊭ goal`.
 #[derive(Debug, Clone)]
 pub struct Countermodel {
-    /// The finite lattice.
-    pub lattice: FiniteLattice,
-    /// The element named by each attribute occurring in the instance.
-    pub assignment: HashMap<Attribute, usize>,
-    /// One representative term per lattice element (useful for display).
-    pub representatives: Vec<TermId>,
+    /// Row `i` is `↓t` for the `i`-th term `t` of `V` in the engine's dense
+    /// order; bit `i` of a down-set stands for that term.
+    down: BitMatrix,
+    /// Each join `c = l+r` of `V`, as dense indices `(c, l, r)`.
+    joins: Vec<(usize, usize, usize)>,
+    /// The dense index of each attribute's atom: `A` denotes `↓A`.
+    atoms: HashMap<Attribute, usize>,
+    /// A goal side `u` and the other side `v` with `u ≰_E v`.
+    separated: (TermId, TermId),
 }
 
 impl Countermodel {
     /// Whether the countermodel satisfies an equation (as a lattice with
-    /// constants, Section 2.2).
+    /// constants, Section 2.2).  An attribute outside `V` has no value:
+    /// [`LatticeError::UnassignedAttribute`].
     pub fn satisfies(
         &self,
         arena: &TermArena,
-        universe: &ps_base::Universe,
+        universe: &Universe,
         equation: Equation,
     ) -> crate::Result<bool> {
-        self.lattice
-            .satisfies(arena, equation, &self.assignment, universe)
+        Ok(self.evaluate(arena, universe, equation.lhs)?
+            == self.evaluate(arena, universe, equation.rhs)?)
+    }
+
+    /// The size of `V`, the poset whose closed down-sets make up the model.
+    pub fn num_terms(&self) -> usize {
+        self.down.dim()
+    }
+
+    /// The separated goal sides `(u, v)`: `u ≰_E v`, so `u` lies in the
+    /// value of `u` but not in the value of `v`.
+    pub fn separated(&self) -> (TermId, TermId) {
+        self.separated
+    }
+
+    /// The value of `term` in the model: a closed down-set, as bit words
+    /// over the dense order of `V`.
+    fn evaluate(
+        &self,
+        arena: &TermArena,
+        universe: &Universe,
+        term: TermId,
+    ) -> crate::Result<Vec<u64>> {
+        match arena.node(term) {
+            TermNode::Atom(a) => match self.atoms.get(&a) {
+                Some(&i) => Ok(self.down.row(i).to_vec()),
+                None => Err(LatticeError::UnassignedAttribute(
+                    universe.name(a).unwrap_or("<unknown>").to_owned(),
+                )),
+            },
+            TermNode::Meet(l, r) => {
+                let mut d = self.evaluate(arena, universe, l)?;
+                let e = self.evaluate(arena, universe, r)?;
+                d.iter_mut().zip(e).for_each(|(x, y)| *x &= y);
+                Ok(d)
+            }
+            TermNode::Join(l, r) => {
+                let mut d = self.evaluate(arena, universe, l)?;
+                let e = self.evaluate(arena, universe, r)?;
+                d.iter_mut().zip(e).for_each(|(x, y)| *x |= y);
+                self.close(&mut d);
+                Ok(d)
+            }
+        }
+    }
+
+    /// Closes a down-set under the joins of `V`: while some `x+y ∈ V` has
+    /// `x, y ∈ d` but not `x+y ∈ d`, adds `↓(x+y)`.
+    fn close(&self, d: &mut [u64]) {
+        let has = |d: &[u64], i: usize| (d[i / 64] >> (i % 64)) & 1 == 1;
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for &(c, l, r) in &self.joins {
+                if has(d, l) && has(d, r) && !has(d, c) {
+                    d.iter_mut()
+                        .zip(self.down.row(c))
+                        .for_each(|(x, &y)| *x |= y);
+                    grew = true;
+                }
+            }
+        }
     }
 }
 
-/// Attempts to build a finite countermodel for `E ⊭ goal` (Theorem 8's
-/// finite-controllability argument).
+/// The countermodel for `E ⊭ goal`, where `E` is the engine's constraint
+/// set: the lattice of closed down-sets of `(V, ≤_E)` (see the module
+/// documentation).
 ///
-/// Returns `None` when
-/// * the instance has more than `max_generators` distinct subexpressions
-///   (the construction is exponential in that number) — and regardless of
-///   `max_generators`, more than 63 generators is always rejected, since the
-///   subset masks are 64-bit (a `max_generators >= 64` used to overflow the
-///   `1 << generators.len()` shift),
-/// * `E ⊨ goal` (no countermodel exists), or
-/// * the subexpression-restricted candidate set fails to form a lattice
-///   (see the module documentation).
-///
-/// Any returned model has been verified to satisfy every equation of `E` and
-/// to violate `goal`.
+/// Extends `V` with the goal's subterms first, as
+/// [`ImplicationEngine::entails_goal`] does.  Returns `None` exactly when
+/// `E ⊨ goal`.
 pub fn finite_countermodel(
-    arena: &mut TermArena,
-    universe: &ps_base::Universe,
-    equations: &[Equation],
+    engine: &mut ImplicationEngine,
+    arena: &TermArena,
     goal: Equation,
-    max_generators: usize,
 ) -> Option<Countermodel> {
-    // ------------------------------------------------------------------
-    // 1. H = subexpressions of E and the goal.
-    // ------------------------------------------------------------------
-    let mut generators: Vec<TermId> = Vec::new();
-    {
-        let mut seen: HashSet<TermId> = HashSet::new();
-        let mut push_subterms = |root: TermId, generators: &mut Vec<TermId>| {
-            for t in arena.subterms(root) {
-                if seen.insert(t) {
-                    generators.push(t);
-                }
-            }
-        };
-        for eq in equations {
-            push_subterms(eq.lhs, &mut generators);
-            push_subterms(eq.rhs, &mut generators);
-        }
-        push_subterms(goal.lhs, &mut generators);
-        push_subterms(goal.rhs, &mut generators);
-    }
-    if generators.is_empty() || generators.len() > max_generators {
+    if engine.entails_goal(arena, goal) {
         return None;
     }
-
-    // The attributes occurring in the instance.
-    let attributes: Vec<Attribute> = {
-        let mut out: Vec<Attribute> = Vec::new();
-        for &g in &generators {
-            if let TermNode::Atom(a) = arena.node(g) {
-                if !out.contains(&a) {
-                    out.push(a);
-                }
+    let forward = !engine
+        .leq(goal.lhs, goal.rhs)
+        .expect("goal terms were just added to V");
+    let separated = if forward {
+        (goal.lhs, goal.rhs)
+    } else {
+        (goal.rhs, goal.lhs)
+    };
+    let terms = engine.terms();
+    let dense: HashMap<TermId, usize> = terms.iter().enumerate().map(|(i, &t)| (t, i)).collect();
+    let mut joins = Vec::new();
+    let mut atoms = HashMap::new();
+    for (i, &t) in terms.iter().enumerate() {
+        match arena.node(t) {
+            TermNode::Atom(a) => {
+                atoms.insert(a, i);
             }
-        }
-        out
-    };
-
-    // ------------------------------------------------------------------
-    // 2. Candidate elements: meets of non-empty subsets of H, plus the join
-    //    of all attributes (the top of L_H).
-    // ------------------------------------------------------------------
-    let mut candidates: Vec<TermId> = Vec::new();
-    let mut candidate_set: HashSet<TermId> = HashSet::new();
-    // The subset masks are 64-bit, so the shift below is only defined for
-    // fewer than 64 generators; `checked_shl` turns a `max_generators >= 64`
-    // call into a clean `None` instead of a shift-overflow panic (debug) or
-    // a wrapped, silently wrong mask (release).
-    let mask_limit: u64 = 1u64.checked_shl(u32::try_from(generators.len()).ok()?)?;
-    let mut meet_of_mask: Vec<Option<TermId>> = vec![None; mask_limit as usize];
-    for mask in 1..mask_limit {
-        let lowest = mask.trailing_zeros() as usize;
-        let rest = mask & (mask - 1);
-        let term = if rest == 0 {
-            generators[lowest]
-        } else {
-            let prefix = meet_of_mask[rest as usize].expect("smaller masks built first");
-            arena.meet(prefix, generators[lowest])
-        };
-        meet_of_mask[mask as usize] = Some(term);
-        if candidate_set.insert(term) {
-            candidates.push(term);
+            TermNode::Join(l, r) => joins.push((i, dense[&l], dense[&r])),
+            TermNode::Meet(..) => {}
         }
     }
-    let top = {
-        let mut atoms = attributes.iter();
-        let first = arena.atom(*atoms.next()?);
-        atoms.fold(first, |acc, &a| {
-            let atom = arena.atom(a);
-            arena.join(acc, atom)
-        })
-    };
-    if candidate_set.insert(top) {
-        candidates.push(top);
-    }
-
-    // ------------------------------------------------------------------
-    // 3. The derived order ≤_E over the candidates (algorithm ALG).
-    // ------------------------------------------------------------------
-    let order = ImplicationEngine::with_goal_terms(arena, equations, &candidates);
-    // Every queried term is a candidate, and all candidates were added as
-    // goal terms, so `None` (term outside V) would be a construction bug
-    // here — surface it instead of conflating it with `false`.
-    let leq = |p: TermId, q: TermId| {
-        order
-            .leq(p, q)
-            .expect("candidates are in V by construction")
-    };
-
-    // Quotient by mutual ≤_E.
-    let mut representatives: Vec<TermId> = Vec::new();
-    let mut class_of: HashMap<TermId, usize> = HashMap::new();
-    for &candidate in &candidates {
-        let class = representatives
-            .iter()
-            .position(|&r| leq(candidate, r) && leq(r, candidate));
-        match class {
-            Some(idx) => {
-                class_of.insert(candidate, idx);
-            }
-            None => {
-                class_of.insert(candidate, representatives.len());
-                representatives.push(candidate);
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // 4. Materialize the finite lattice; bail out if the restricted candidate
-    //    set is not a lattice.
-    // ------------------------------------------------------------------
-    let n = representatives.len();
-    let lattice =
-        FiniteLattice::from_leq(n, |i, j| leq(representatives[i], representatives[j])).ok()?;
-
-    let mut assignment: HashMap<Attribute, usize> = HashMap::new();
-    for &a in &attributes {
-        // Every attribute's atom was interned while collecting candidates,
-        // so both lookups succeed; `?` (not a panic) covers the impossible.
-        let atom = arena.atom_of(a)?;
-        assignment.insert(a, *class_of.get(&atom)?);
-    }
-
-    let model = Countermodel {
-        lattice,
-        assignment,
-        representatives,
-    };
-
-    // ------------------------------------------------------------------
-    // 5. Verify: the model must satisfy E and violate the goal.
-    // ------------------------------------------------------------------
-    for &eq in equations {
-        if !model.satisfies(arena, universe, eq).ok()? {
-            return None;
-        }
-    }
-    if model.satisfies(arena, universe, goal).ok()? {
-        return None;
-    }
-    Some(model)
+    Some(Countermodel {
+        down: engine.down_sets().clone(),
+        joins,
+        atoms,
+        separated,
+    })
 }
 
 #[cfg(test)]
@@ -219,7 +167,6 @@ mod tests {
     use super::*;
     use crate::parse_equation;
     use crate::word_problem;
-    use ps_base::Universe;
 
     fn build(texts: &[&str], goal: &str) -> (Universe, TermArena, Vec<Equation>, Equation) {
         let mut universe = Universe::new();
@@ -232,45 +179,51 @@ mod tests {
         (universe, arena, equations, goal)
     }
 
+    /// The countermodel for `E ⊭ goal`, checked to satisfy `E` and to
+    /// violate the goal.
+    fn verified(
+        universe: &Universe,
+        arena: &TermArena,
+        equations: &[Equation],
+        goal: Equation,
+    ) -> Countermodel {
+        assert!(!word_problem::entails(arena, equations, goal));
+        let mut engine = ImplicationEngine::new(arena, equations);
+        let model =
+            finite_countermodel(&mut engine, arena, goal).expect("every non-implication has one");
+        for &eq in equations {
+            assert!(model.satisfies(arena, universe, eq).unwrap());
+        }
+        assert!(!model.satisfies(arena, universe, goal).unwrap());
+        model
+    }
+
     #[test]
     fn distributivity_gets_a_countermodel() {
-        let (universe, mut arena, equations, goal) = build(&[], "A*(B+C) = (A*B)+(A*C)");
-        assert!(!word_problem::entails(&arena, &equations, goal));
-        let model = finite_countermodel(&mut arena, &universe, &equations, goal, 12)
-            .expect("the free modular-ish quotient separates the two sides");
-        assert!(!model.satisfies(&arena, &universe, goal).unwrap());
-        assert!(!model.lattice.is_distributive() || model.lattice.len() <= 2);
+        let (universe, arena, equations, goal) = build(&[], "A*(B+C) = (A*B)+(A*C)");
+        let model = verified(&universe, &arena, &equations, goal);
+        // (A*B)+(A*C) ≤ A*(B+C) is an identity, so the other way fails.
+        assert_eq!(model.separated(), (goal.lhs, goal.rhs));
     }
 
     #[test]
     fn simple_fd_non_implications_get_countermodels() {
-        let (universe, mut arena, equations, goal) = build(&["A = A*B"], "B = B*A");
-        assert!(!word_problem::entails(&arena, &equations, goal));
-        let model = finite_countermodel(&mut arena, &universe, &equations, goal, 12)
-            .expect("A ≤ B without B ≤ A is realizable in a two-element chain");
-        // The model satisfies the premise and violates the goal, and the
-        // constants for A and B denote different elements.
-        for &eq in &equations {
-            assert!(model.satisfies(&arena, &universe, eq).unwrap());
-        }
-        assert!(!model.satisfies(&arena, &universe, goal).unwrap());
-        let a = universe.lookup("A").unwrap();
-        let b = universe.lookup("B").unwrap();
-        assert_ne!(model.assignment[&a], model.assignment[&b]);
+        let (mut universe, mut arena, equations, goal) = build(&["A = A*B"], "B = B*A");
+        let model = verified(&universe, &arena, &equations, goal);
+        // A ≤ B without B ≤ A: the constants for A and B differ.
+        let a_is_b = parse_equation("A = B", &mut universe, &mut arena).unwrap();
+        assert!(!model.satisfies(&arena, &universe, a_is_b).unwrap());
     }
 
     #[test]
     fn entailed_goals_have_no_countermodel() {
-        let (universe, mut arena, equations, goal) = build(&["A = A*B", "B = B*C"], "A = A*C");
-        assert!(word_problem::entails(&arena, &equations, goal));
-        assert!(finite_countermodel(&mut arena, &universe, &equations, goal, 12).is_none());
+        let (_, arena, equations, goal) = build(&["A = A*B", "B = B*C"], "A = A*C");
+        let mut engine = ImplicationEngine::new(&arena, &equations);
+        assert!(finite_countermodel(&mut engine, &arena, goal).is_none());
     }
 
     #[test]
-    fn max_generators_64_does_not_overflow_the_subset_mask() {
-        // Regression: `1u64 << generators.len()` used to panic (debug) or
-        // wrap (release) once the generator count reached 64, which a caller
-        // could trigger simply by passing `max_generators = 64`.
+    fn a_64_subterm_instance_gets_a_verified_countermodel() {
         let mut universe = Universe::new();
         let mut arena = TermArena::new();
         // Exactly 64 distinct subexpressions: 32 atoms, the 31 meets of the
@@ -286,31 +239,85 @@ mod tests {
             .fold(atoms[0], |acc, &t| arena.meet(acc, t));
         let join = arena.join(atoms[0], atoms[1]);
         let goal = Equation::new(meet_chain, join);
-        // 64 distinct subexpressions ⇒ the mask would need a 1 << 64 shift.
-        let result = finite_countermodel(&mut arena, &universe, &[], goal, 64);
-        // No panic, no wrap: the oversized instance is rejected cleanly.
-        assert!(result.is_none());
-    }
-
-    #[test]
-    fn oversized_instances_are_rejected() {
-        let (universe, mut arena, equations, goal) =
-            build(&["A*(B+(C*(D+E))) = A", "B = (A+C)*(D+E)"], "A = B");
-        assert!(finite_countermodel(&mut arena, &universe, &equations, goal, 4).is_none());
+        let model = verified(&universe, &arena, &[], goal);
+        assert_eq!(model.num_terms(), 64);
+        assert_eq!(model.separated(), (join, meet_chain));
     }
 
     #[test]
     fn sum_goal_countermodel_respects_constants() {
         // C = A + B does not follow from A ≤ C and B ≤ C alone.
-        let (universe, mut arena, equations, goal) = build(&["A = A*C", "B = B*C"], "C = A+B");
-        assert!(!word_problem::entails(&arena, &equations, goal));
-        if let Some(model) = finite_countermodel(&mut arena, &universe, &equations, goal, 12) {
-            for &eq in &equations {
-                assert!(model.satisfies(&arena, &universe, eq).unwrap());
+        let (universe, arena, equations, goal) = build(&["A = A*C", "B = B*C"], "C = A+B");
+        verified(&universe, &arena, &equations, goal);
+    }
+
+    #[test]
+    fn joins_outside_v_close_to_a_fixpoint() {
+        // A+B is not in V.  Closing ↓A ∪ ↓B adds ↓(B+G) ∋ Z first, and only
+        // then does the earlier join A+Z apply, adding H.  E ⊨ H = A+B, so
+        // the model must satisfy it.
+        let (mut universe, mut arena, equations, goal) =
+            build(&["H = A+Z", "Z = B+G", "G = G*A"], "A = B");
+        let model = verified(&universe, &arena, &equations, goal);
+        let consequence = parse_equation("H = A+B", &mut universe, &mut arena).unwrap();
+        assert!(word_problem::entails(&arena, &equations, consequence));
+        assert!(model.satisfies(&arena, &universe, consequence).unwrap());
+    }
+
+    #[test]
+    fn attributes_outside_v_have_no_value() {
+        let (mut universe, mut arena, equations, goal) = build(&["A = A*B"], "B = A");
+        let model = verified(&universe, &arena, &equations, goal);
+        let foreign = parse_equation("A = D", &mut universe, &mut arena).unwrap();
+        assert_eq!(
+            model.satisfies(&arena, &universe, foreign),
+            Err(LatticeError::UnassignedAttribute("D".into()))
+        );
+    }
+
+    #[test]
+    fn every_term_of_v_denotes_its_down_set() {
+        // h(t) = ↓t on the engine's fixture suite: for all u, v ∈ V,
+        // h(u) = h(u*v) exactly when u ≤_E v.
+        let (mut universe, mut arena, equations, _) =
+            build(&["A=A*B", "C=B+D", "D=D*(A+C)", "E=A*C"], "A=A*C");
+        let goals: Vec<Equation> = [
+            "A=A*C",
+            "B=B*C",
+            "D=D*C",
+            "E=E*B",
+            "A+D=C+A",
+            "E=A",
+            "A*(A+B)=A",
+        ]
+        .iter()
+        .map(|t| parse_equation(t, &mut universe, &mut arena).unwrap())
+        .collect();
+        let mut engine = ImplicationEngine::new(&arena, &equations);
+        let roots: Vec<TermId> = goals.iter().flat_map(|g| [g.lhs, g.rhs]).collect();
+        engine.add_goal_terms(&arena, &roots);
+        let mut checked = 0;
+        for &goal in &goals {
+            let Some(model) = finite_countermodel(&mut engine, &arena, goal) else {
+                continue;
+            };
+            let terms = engine.terms().to_vec();
+            for &u in &terms {
+                for &v in &terms {
+                    let meet = arena.meet(u, v);
+                    assert_eq!(
+                        model
+                            .satisfies(&arena, &universe, Equation::new(u, meet))
+                            .unwrap(),
+                        engine.leq(u, v).unwrap(),
+                        "{} ≤ {}",
+                        arena.display(u, &universe),
+                        arena.display(v, &universe)
+                    );
+                }
             }
-            assert!(!model.satisfies(&arena, &universe, goal).unwrap());
-        } else {
-            panic!("expected a countermodel for C = A+B");
+            checked += 1;
         }
+        assert!(checked > 0, "the suite has a non-implication");
     }
 }

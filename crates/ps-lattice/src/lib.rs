@@ -31,6 +31,9 @@
 //!   isomorphism testing and term evaluation; used to reproduce Figures 1
 //!   and 2 and to cross-validate the symbolic algorithms by finite model
 //!   checking.
+//! * [`countermodel`] — Theorem 8's finite countermodel for a
+//!   non-implication: the lattice of closed down-sets of ALG's order `≤_E`
+//!   on `V`, read off an [`ImplicationEngine`].
 //! * [`semigroup`] — the uniform word problem for idempotent commutative
 //!   semigroups, which Section 5.3 identifies with FD implication.
 

@@ -643,6 +643,11 @@ impl ImplicationEngine {
         self.row_ops
     }
 
+    /// The `pred` rows: row `j` is the down-set `↓terms[j]` of `(V, ≤_E)`.
+    pub(crate) fn down_sets(&self) -> &BitMatrix {
+        &self.pred
+    }
+
     /// All pairs of *atoms* `(A, B)` with `A ≤_E B`; used by the consistency
     /// pipeline of Section 6.2 to compute the closure `E⁺`.
     pub fn atom_consequences(&self, arena: &TermArena) -> Vec<(TermId, TermId)> {

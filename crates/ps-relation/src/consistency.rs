@@ -17,10 +17,13 @@ use ps_base::{Attribute, Symbol, SymbolTable};
 use crate::{chase, ChaseScratch, Database, Fd, Relation, RelationScheme};
 
 /// Whether `db` is consistent with `fds` under the weak instance assumption
-/// (Honeyman's polynomial test), through the chase's verdict exit.
-pub fn weak_instance_consistent(db: &Database, fds: &[Fd], symbols: &mut SymbolTable) -> bool {
+/// (Honeyman's polynomial test), through the chase's verdict exit.  The
+/// padding nulls come from a detached [`SymbolTable::fresh_source`] that is
+/// dropped, so the table's null cursor does not move.
+pub fn weak_instance_consistent(db: &Database, fds: &[Fd], symbols: &SymbolTable) -> bool {
     let attrs = db.all_attributes();
-    chase::chase_verdict_over(db, &attrs, fds, symbols, &mut ChaseScratch::default()).consistent
+    let mut nulls = symbols.fresh_source();
+    chase::chase_verdict_over(db, &attrs, fds, &mut nulls, &mut ChaseScratch::default()).consistent
 }
 
 /// Statistics returned by the CAD solver alongside its verdict.
@@ -261,13 +264,52 @@ mod tests {
         assert!(!weak_instance_consistent(
             &db,
             &[fd(&[a], &[b])],
-            &mut f.symbols
+            &f.symbols
         ));
-        assert!(weak_instance_consistent(
-            &db,
-            &[fd(&[b], &[a])],
-            &mut f.symbols
-        ));
+        assert!(weak_instance_consistent(&db, &[fd(&[b], &[a])], &f.symbols));
+    }
+
+    #[test]
+    fn weak_instance_consistency_leaves_the_null_cursor_alone() {
+        let mut f = fixture();
+        // R1[AB] and R2[BC] pad each other's missing column with nulls.
+        let db = DatabaseBuilder::new()
+            .relation(
+                &mut f.universe,
+                &mut f.symbols,
+                "R1",
+                &["A", "B"],
+                &[&["a", "b1"], &["a", "b2"]],
+            )
+            .unwrap()
+            .relation(
+                &mut f.universe,
+                &mut f.symbols,
+                "R2",
+                &["B", "C"],
+                &[&["b1", "c1"], &["b2", "c2"]],
+            )
+            .unwrap()
+            .build();
+        let [a, b, c] = ["A", "B", "C"].map(|n| f.universe.lookup(n).unwrap());
+        let attrs = db.all_attributes();
+        for (fds, consistent) in [(vec![fd(&[a], &[b])], false), (vec![fd(&[b], &[c])], true)] {
+            let before = f.symbols.num_fresh();
+            assert_eq!(weak_instance_consistent(&db, &fds, &f.symbols), consistent);
+            assert_eq!(f.symbols.num_fresh(), before);
+            // Padding from the table itself gives the same verdict but
+            // moves its cursor.
+            let mut own = f.symbols.clone();
+            let verdict = chase::chase_verdict_over(
+                &db,
+                &attrs,
+                &fds,
+                &mut own,
+                &mut ChaseScratch::default(),
+            );
+            assert_eq!(verdict.consistent, consistent);
+            assert!(own.num_fresh() > before);
+        }
     }
 
     #[test]
@@ -345,8 +387,7 @@ mod tests {
         assert!(outcome.stats.assignments > 0);
         // The same database is consistent in the open world: fresh nulls can
         // be used instead of forcing existing constants.
-        let mut symbols = f.symbols.clone();
-        assert!(weak_instance_consistent(&db, &fds, &mut symbols));
+        assert!(weak_instance_consistent(&db, &fds, &f.symbols));
     }
 
     #[test]

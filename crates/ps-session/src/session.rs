@@ -702,6 +702,16 @@ impl Session {
         for &goal in goals {
             self.validate_equation(goal)?;
         }
+        self.on_engine(set, |engine, arena| engine.entails_many(arena, goals))
+    }
+
+    /// Runs `query` on the set's cached engine, counting the rule firings
+    /// of any `V` extension it makes.
+    fn on_engine<T>(
+        &mut self,
+        set: ConstraintSetId,
+        query: impl FnOnce(&mut ImplicationEngine, &TermArena) -> T,
+    ) -> Result<Outcome<T>> {
         let idx = self.index_of(set)?;
         let mut counters = Counters {
             epoch: self.sets[idx].epoch,
@@ -710,7 +720,7 @@ impl Session {
         ensure_engine(&self.arena, &mut self.sets[idx], &mut counters);
         let engine = self.sets[idx].engine.as_mut().expect("engine just ensured");
         let before = engine.rule_firings() as u64;
-        let value = engine.entails_many(&self.arena, goals);
+        let value = query(engine, &self.arena);
         counters.rule_firings += engine.rule_firings() as u64 - before;
         self.totals += counters;
         Ok(Outcome::new(value, counters))
@@ -752,24 +762,19 @@ impl Session {
         Ok(Outcome::new(value, Counters::default()))
     }
 
-    /// Theorem 8's finite controllability: searches for a finite lattice
-    /// with constants satisfying the registered set but violating `goal`
-    /// (useful as an explanation when [`Session::implies`] answers `false`).
+    /// Theorem 8's finite controllability: a finite lattice with constants
+    /// satisfying the registered set but violating `goal`, or `None` exactly
+    /// when [`Session::implies`] answers `true`.  Answered from the cached
+    /// engine, like [`Session::implies`].
     pub fn countermodel(
         &mut self,
         set: ConstraintSetId,
         goal: Equation,
-        max_generators: usize,
-    ) -> Result<Option<ps_lattice::Countermodel>> {
+    ) -> Result<Outcome<Option<ps_lattice::Countermodel>>> {
         self.validate_equation(goal)?;
-        let idx = self.index_of(set)?;
-        Ok(ps_lattice::finite_countermodel(
-            &mut self.arena,
-            &self.universe,
-            &self.sets[idx].pds,
-            goal,
-            max_generators,
-        ))
+        self.on_engine(set, |engine, arena| {
+            ps_lattice::finite_countermodel(engine, arena, goal)
+        })
     }
 
     // ------------------------------------------------------------------

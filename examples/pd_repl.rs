@@ -99,27 +99,22 @@ fn main() -> ExitCode {
             },
         );
         if !entailed {
-            // Theorem 8's finite controllability: try to exhibit a finite
-            // lattice with constants satisfying E but violating the goal.
+            // Theorem 8's finite controllability: the closed down-sets of
+            // (V, ≤_E) form a finite lattice with constants satisfying E but
+            // violating the goal.
             let model = session
-                .countermodel(e, goal, 10)
-                .expect("session-owned goal");
-            match model {
-                Some(model) => println!(
-                    "      countermodel: a {}-element lattice (constants: {})",
-                    model.lattice.len(),
-                    model
-                        .assignment
-                        .iter()
-                        .map(|(&a, &e)| format!(
-                            "{}↦e{e}",
-                            session.universe().name(a).unwrap_or("?")
-                        ))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-                None => println!("      countermodel: not found by the restricted construction"),
-            }
+                .countermodel(e, goal)
+                .expect("session-owned goal")
+                .value
+                .expect("a non-implication always has a countermodel");
+            let (u, v) = model.separated();
+            let arena = session.arena();
+            println!(
+                "      countermodel: closed down-sets of a {}-term V, separating {} ≰ {}",
+                model.num_terms(),
+                arena.display(u, session.universe()),
+                arena.display(v, session.universe()),
+            );
         }
     }
     ExitCode::SUCCESS

@@ -43,7 +43,7 @@ fn fpd_only_sets_agree_with_the_honeyman_chase() {
             &mut world.symbols,
         )
         .unwrap();
-        let direct = weak_instance_consistent(&db, &fds, &mut world.symbols);
+        let direct = weak_instance_consistent(&db, &fds, &world.symbols);
         assert_eq!(pipeline.consistent, direct, "seed {seed}");
         // No sum constraints can arise from FPDs written as X = X*Y.
         assert!(pipeline.sums.is_empty(), "seed {seed}");

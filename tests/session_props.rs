@@ -100,6 +100,34 @@ proptest! {
             prop_assert_eq!(single.counters.engine_hits, 1);
             prop_assert_eq!(single.counters.engine_misses, 0);
         }
+        // Theorem 8: the countermodel comes from the same cached engine,
+        // `None` exactly for implied goals, and interns no term.
+        let interned = session.arena().len();
+        for (&goal, &reference) in w.goals.iter().zip(expected.iter()) {
+            let model = session.countermodel(set, goal).unwrap();
+            prop_assert_eq!(model.counters.engine_hits, 1);
+            prop_assert_eq!(model.counters.rule_firings, 0);
+            prop_assert_eq!(model.value.is_none(), reference);
+            if let Some(model) = model.value {
+                for &pd in &w.equations {
+                    prop_assert!(model.satisfies(session.arena(), session.universe(), pd).unwrap());
+                }
+                prop_assert!(!model.satisfies(session.arena(), session.universe(), goal).unwrap());
+            }
+        }
+        prop_assert_eq!(session.arena().len(), interned);
+        // On a cold session it pays the same `V` extension as `implies`.
+        let cold_firings = |countermodel: bool| {
+            let w = random_word_problem_workload(5, 4, 4, 6, 3, seed);
+            let mut cold = Session::from_parts(w.universe, SymbolTable::new(), w.arena);
+            let set = cold.register(&w.equations).unwrap();
+            if countermodel {
+                cold.countermodel(set, w.goals[0]).unwrap().counters.rule_firings
+            } else {
+                cold.implies(set, w.goals[0]).unwrap().counters.rule_firings
+            }
+        };
+        prop_assert_eq!(cold_firings(true), cold_firings(false));
     }
 
     /// Theorem 12: `Session::consistent(Polynomial)` agrees with the free
