@@ -196,27 +196,6 @@ impl SatisfiabilityWitness {
     }
 }
 
-/// Verifies the statement of Theorem 7 on concrete objects: given an
-/// interpretation satisfying `d` and the PDs `e`, the canonical relation
-/// `R(I)` is a weak instance for `d`; and conversely a weak instance
-/// satisfying `e` (as a relation, Definition 7) yields, via `I(w)`, an
-/// interpretation satisfying `d` and `e`.  Returns the round-tripped
-/// interpretation for further inspection.
-pub fn roundtrip_through_weak_instance(
-    db: &Database,
-    interpretation: &PartitionInterpretation,
-    arena: &TermArena,
-    e: &[Equation],
-    symbols: &mut SymbolTable,
-) -> Result<PartitionInterpretation> {
-    debug_assert!(interpretation.satisfies_database(db)?);
-    let w = weak_instance_from_interpretation(interpretation, symbols)?;
-    debug_assert!(db.has_weak_instance(&w));
-    let back = interpretation_from_weak_instance(&w)?;
-    let _ = (arena, e);
-    Ok(back)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,6 +306,10 @@ mod tests {
     #[test]
     fn figure1_interpretation_roundtrips_to_a_weak_instance() {
         let mut fig = fixtures::figure1();
+        assert!(fig
+            .interpretation
+            .satisfies_database(&fig.database)
+            .unwrap());
         let w = weak_instance_from_interpretation(&fig.interpretation, &mut fig.symbols).unwrap();
         // R(I) is a weak instance for the Figure 1 database (Theorem 6 proof).
         assert!(fig.database.has_weak_instance(&w));
@@ -334,14 +317,7 @@ mod tests {
         // relation (Definition 7) — the Theorem 7 "⇒" direction.
         assert!(relation_satisfies_all_pds(&w, &fig.arena, &fig.dependencies).unwrap());
         // Round-tripping through I(w) again satisfies d and E.
-        let back = roundtrip_through_weak_instance(
-            &fig.database,
-            &fig.interpretation,
-            &fig.arena,
-            &fig.dependencies,
-            &mut fig.symbols,
-        )
-        .unwrap();
+        let back = interpretation_from_weak_instance(&w).unwrap();
         assert!(back.satisfies_database(&fig.database).unwrap());
         assert!(back
             .satisfies_all_pds(&fig.arena, &fig.dependencies)

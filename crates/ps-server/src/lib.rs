@@ -10,9 +10,10 @@
 //!
 //! The architecture is single-writer/many-readers: one writer thread owns
 //! the mutating [`ps_session::Session`] (registrations, `add_pd` /
-//! `remove_pd` under the epoch discipline), while reader threads answer
-//! queries against immutable `Arc<`[`ps_session::SetSnapshot`]`>` freezes,
-//! fanning batches out through a [`ps_session::ParallelExecutor`].  Every
+//! `remove_pd` under the epoch discipline, and implication against each
+//! set's live ALG engine), while reader threads answer database queries
+//! against immutable `Arc<`[`ps_session::SetSnapshot`]`>` freezes through
+//! a [`ps_session::ParallelExecutor`].  Every
 //! response carries the verdict, the answering set's epoch and the
 //! strategy-independent [`ps_session::Counters`]; a bounded request queue
 //! provides backpressure as a typed `overloaded` error, and `shutdown`
@@ -25,7 +26,7 @@
 //! * [`proto`] — typed request/response frames and their JSON codec
 //!   (shared with `ps-bench` via [`ps_base::json`]).
 //! * [`state`] — the [`ServerCore`]: resolve (writer half) / compute
-//!   (reader half) with deterministic per-client counter charging.
+//!   (reader half) with deterministic per-client counters.
 //! * [`serve`] — the threaded transports: [`serve_stdio`] and
 //!   [`serve_tcp`], behind the `psserve` binary.
 

@@ -641,10 +641,9 @@ nonsense\n\
                 ("stats".to_owned(), 1),
             ]
         );
-        assert!(
-            report.totals.engine_misses >= 2,
-            "first implies paid the freeze"
-        );
+        // The first implies built the engine, the second reused it.
+        assert_eq!(report.totals.engine_misses, 1);
+        assert_eq!(report.totals.engine_hits, 1);
     }
 
     #[test]

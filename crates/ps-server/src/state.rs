@@ -4,33 +4,46 @@
 //! cached engines behind handles — so the server runs it on exactly one
 //! *writer* thread.  [`ServerCore::resolve`] is the writer half of a
 //! request: it parses PDs and goals into the session's interners, applies
-//! mutations, and freezes the target set into an `Arc<SetSnapshot>`
-//! (PR 7 epoch discipline: stale snapshots are re-frozen, live mutations
-//! can never disturb a snapshot already handed out).  The result is either
-//! a finished [`Response`] (mutations, errors) or a [`ComputeTask`]: an
-//! owned, `Send` bundle of snapshot + parsed inputs that any *reader*
-//! thread can finish via [`ServerCore::compute`] without touching the
-//! session — batches fan out through the
-//! [`ParallelExecutor`] there.
+//! mutations and answers implication queries, so the result is a finished
+//! [`Response`].  Database queries and connectivity are the exception:
+//! they resolve to a [`ComputeTask`], an owned, `Send` bundle of parsed
+//! inputs (plus, for database queries, the set frozen into an
+//! `Arc<SetSnapshot>`) that any *reader* thread can finish via
+//! [`ServerCore::compute`] without touching the session.
+//!
+//! Implication (Theorem 9's ALG) runs on the writer against the set's live
+//! engine: answering a goal means extending `V` in place and reading one
+//! bit of `≤_E`, which costs less than copying the engine out.  The chase
+//! work of `consistent` and `weak_instance` runs on a snapshot.  A set is
+//! re-frozen only when its epoch has moved since the cached snapshot was
+//! taken; growth of the shared interners never re-freezes it, and reusing
+//! the snapshot across that growth is sound because
+//!
+//! * constants and nulls are disjoint namespaces ([`Symbol::is_null`]), so
+//!   a padding null minted from the frozen table can never equal a
+//!   constant interned after the freeze;
+//! * the chase and the Lemma 12.1 repair read symbol and attribute ids,
+//!   never the frozen tables, so a database over newer interners is
+//!   chased exactly as it would be against a fresh freeze; and
+//! * the server never mints a session null, so the frozen table's null
+//!   cursor equals the live one and the padding nulls are the same either
+//!   way.
 //!
 //! ## Counter determinism
 //!
-//! Every successful response carries [`Counters`].  So that a client's
+//! Every successful response carries [`Counters`], and a client's
 //! responses are a pure function of its *own* request script (given
-//! constraint sets not shared with other clients), the counters charge:
+//! constraint sets not shared with other clients):
 //!
-//! * the query's own compute work (chase `row_visits`, one `engine_hits`
-//!   per batch — identical to the sequential [`Session`] conventions), and
-//! * the *charged* part of any snapshot freeze the query forced: the first
-//!   freeze of a set, a re-freeze after an epoch bump, and a re-freeze
-//!   extending the engine vocabulary with the query's goals.  Each of
-//!   these is determined by the target set's own history.
+//! * an implication query reports exactly [`Session::implies_many`]'s
+//!   counters: one engine miss when the set's engine is first built, one
+//!   hit otherwise, and the rule firings of any build or `V` extension;
+//! * a database query reports its own compute work (chase `row_visits`,
+//!   one `engine_hits` per database) plus the work of the freeze it forced,
+//!   if any: the set's first freeze or a re-freeze after an epoch bump.
+//!   Both are determined by the set's own history.
 //!
-//! A re-freeze forced only by *global* interner growth (another client
-//! interned attributes or symbols since the cached snapshot was taken) is
-//! interleaving-dependent, so it is deliberately **uncharged**: the
-//! session totals (visible through `stats`) still count it, the response
-//! counters do not.
+//! [`Symbol::is_null`]: ps_base::Symbol::is_null
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -44,23 +57,15 @@ use ps_session::{
 
 use crate::proto::{DatabaseSpec, ErrorKind, Op, Payload, Request, Response, WireError};
 
-/// A cached freeze of one named set, plus the interner lengths observed at
-/// freeze time (the staleness probe for uncharged re-freezes).
-struct CachedSnapshot {
-    snapshot: Arc<SetSnapshot>,
-    universe_len: usize,
-    symbols_len: usize,
-    arena_len: usize,
-}
-
-/// One named constraint set: the session handle plus the snapshot cache.
+/// One named constraint set: the session handle plus its last freeze.
 struct SetState {
     id: ConstraintSetId,
-    cached: Option<CachedSnapshot>,
+    cached: Option<Arc<SetSnapshot>>,
 }
 
 /// The work a reader thread finishes after the writer resolved a request:
-/// an owned snapshot plus parsed inputs, nothing borrowed from the session.
+/// parsed inputs plus, for a database query, the set's snapshot — nothing
+/// borrowed from the session.
 pub struct ComputeTask {
     id: Option<u64>,
     op: &'static str,
@@ -69,14 +74,6 @@ pub struct ComputeTask {
 }
 
 enum ComputeKind {
-    ImpliesOne {
-        snapshot: Arc<SetSnapshot>,
-        goal: Equation,
-    },
-    ImpliesMany {
-        snapshot: Arc<SetSnapshot>,
-        goals: Vec<Equation>,
-    },
     Consistent {
         snapshot: Arc<SetSnapshot>,
         db: Database,
@@ -93,8 +90,8 @@ enum ComputeKind {
 
 /// What [`ServerCore::resolve`] produced for a request.
 pub enum Step {
-    /// The response is final (mutations, registrations, errors, shutdown
-    /// acknowledgements).
+    /// The response is final (mutations, registrations, implication,
+    /// errors, shutdown acknowledgements).
     Done(Response),
     /// The writer prepared an owned task; finish it on any thread with
     /// [`ServerCore::compute`].
@@ -158,14 +155,16 @@ impl ServerCore {
         self.executor
     }
 
-    /// Cumulative session counters (everything ever charged to the session,
-    /// uncharged re-freezes included) — surfaced by the `stats` op.
+    /// Cumulative session counters: the writer's implication work and
+    /// every snapshot freeze, across all clients — surfaced by the `stats`
+    /// op.  Reader-side compute counts only in its own response.
     pub fn session_totals(&self) -> Counters {
         self.session.counters()
     }
 
-    /// Resolves a request on the writer thread: mutations are applied and
-    /// answered, queries are packaged into an owned [`ComputeTask`].
+    /// Resolves a request on the writer thread: mutations and implication
+    /// queries are answered, database and connectivity queries are
+    /// packaged into an owned [`ComputeTask`].
     ///
     /// `stats` is answered by the serving layer (it owns the clock and the
     /// request tallies), so it resolves to a protocol error here.
@@ -176,8 +175,16 @@ impl ServerCore {
             Op::Register { set, pds } => self.resolve_register(set, pds),
             Op::AddPd { set, pd } => self.resolve_add_pd(set, pd),
             Op::RemovePd { set, pd } => self.resolve_remove_pd(set, pd),
-            Op::Implies { set, goal } => self.resolve_implies(set, std::slice::from_ref(goal)),
-            Op::ImpliesMany { set, goals } => self.resolve_implies(set, goals),
+            Op::Implies { set, goal } => {
+                self.resolve_implies(set, std::slice::from_ref(goal), |implied| {
+                    Payload::Implies {
+                        implied: implied[0],
+                    }
+                })
+            }
+            Op::ImpliesMany { set, goals } => {
+                self.resolve_implies(set, goals, |implied| Payload::ImpliesMany { implied })
+            }
             Op::Consistent { set, database } => self.resolve_db_query(set, database, false),
             Op::WeakInstance { set, database } => self.resolve_db_query(set, database, true),
             Op::ConnectedComponents { vertices, edges } => {
@@ -202,22 +209,6 @@ impl ServerCore {
     pub fn compute(task: ComputeTask, executor: ParallelExecutor) -> Response {
         let ComputeTask { id, op, base, kind } = task;
         let result = match kind {
-            ComputeKind::ImpliesOne { snapshot, goal } => executor
-                .implies_many_par(&snapshot, &[goal])
-                .map(|outcome| {
-                    let implied = outcome.value.first().copied().unwrap_or_default();
-                    (Payload::Implies { implied }, outcome.counters)
-                }),
-            ComputeKind::ImpliesMany { snapshot, goals } => {
-                executor.implies_many_par(&snapshot, &goals).map(|outcome| {
-                    (
-                        Payload::ImpliesMany {
-                            implied: outcome.value,
-                        },
-                        outcome.counters,
-                    )
-                })
-            }
             ComputeKind::Consistent { snapshot, db } => executor
                 .consistent_many_par(&snapshot, std::slice::from_ref(&db))
                 .map(|outcome| {
@@ -329,26 +320,23 @@ impl ServerCore {
         ))
     }
 
-    fn resolve_implies(&mut self, set: &str, goal_texts: &[String]) -> ResolveResult {
+    /// Answers implication on the writer, against the set's live engine;
+    /// `payload` shapes the verdicts for the request's op.
+    fn resolve_implies(
+        &mut self,
+        set: &str,
+        goal_texts: &[String],
+        payload: fn(Vec<bool>) -> Payload,
+    ) -> ResolveResult {
         let goals = self.parse_pds(goal_texts)?;
-        let (snapshot, base) = self.ensure_snapshot(set, &goals)?;
-        let kind = if goal_texts.len() == 1 && goals.len() == 1 {
-            ComputeKind::ImpliesOne {
-                snapshot,
-                goal: goals[0],
-            }
-        } else {
-            ComputeKind::ImpliesMany { snapshot, goals }
-        };
-        Ok(Resolved::Pending(base, kind))
+        let id = self.set_id(set)?;
+        let outcome = self.session.implies_many(id, &goals).map_err(wire_error)?;
+        Ok(Resolved::Finished(payload(outcome.value), outcome.counters))
     }
 
     fn resolve_db_query(&mut self, set: &str, spec: &DatabaseSpec, weak: bool) -> ResolveResult {
-        // Intern the database first so the snapshot freeze (stale or
-        // grown-only) covers its symbols; fresh nulls minted against the
-        // frozen table then can never collide with database symbols.
         let db = self.build_database(spec)?;
-        let (snapshot, base) = self.ensure_snapshot(set, &[])?;
+        let (snapshot, base) = self.ensure_snapshot(set)?;
         let kind = if weak {
             ComputeKind::WeakInstance { snapshot, db }
         } else {
@@ -413,72 +401,35 @@ impl ServerCore {
         Ok(builder.build())
     }
 
-    /// Returns a snapshot of the named set covering `goals`, plus the
-    /// *charged* freeze counters (see the module docs for the policy:
-    /// set-history-driven freezes are charged, global-interner-growth
-    /// re-freezes are not).
-    fn ensure_snapshot(
-        &mut self,
-        set: &str,
-        goals: &[Equation],
-    ) -> Result<(Arc<SetSnapshot>, Counters), WireError> {
+    /// Returns the named set's snapshot, re-frozen only when the set's
+    /// epoch moved since the cached one, plus the counters of that freeze
+    /// (zero work on reuse).
+    fn ensure_snapshot(&mut self, set: &str) -> Result<(Arc<SetSnapshot>, Counters), WireError> {
         let id = self.set_id(set)?;
         let epoch = self.session.epoch(id).map_err(wire_error)?;
-        let zero = Counters {
-            epoch,
-            ..Counters::default()
-        };
-        let state = self.sets.get(set).expect("set_id just resolved the name");
-        if let Some(cached) = &state.cached {
-            let fresh_for_set = cached.snapshot.epoch() == epoch
-                && goals.iter().all(|&g| cached.snapshot.covers(g));
-            if fresh_for_set {
-                let interners_unchanged = cached.universe_len == self.session.universe().len()
-                    && cached.symbols_len == self.session.symbols().num_constants()
-                    && cached.arena_len == self.session.arena().len();
-                if interners_unchanged {
-                    return Ok((cached.snapshot.clone(), zero));
-                }
-                // Grown-only re-freeze: everything the set needs is warm
-                // (hits only, zero firings), the interners just moved under
-                // it.  Uncharged — the growth came from other clients.
-                let snapshot = self
-                    .session
-                    .snapshot_with_goals(id, goals)
-                    .map_err(wire_error)?;
-                self.cache_snapshot(set, &snapshot);
-                return Ok((snapshot, zero));
-            }
+        let state = self
+            .sets
+            .get_mut(set)
+            .expect("set_id just resolved the name");
+        if let Some(snapshot) = state.cached.as_ref().filter(|s| s.epoch() == epoch) {
+            let zero = Counters {
+                epoch,
+                ..Counters::default()
+            };
+            return Ok((snapshot.clone(), zero));
         }
-        // Charged freeze: first build, epoch-stale rebuild, or goal-
-        // vocabulary extension — all determined by the set's own history.
         let before = self.session.counters();
-        let snapshot = self
-            .session
-            .snapshot_with_goals(id, goals)
-            .map_err(wire_error)?;
+        let snapshot = self.session.snapshot(id).map_err(wire_error)?;
         let after = self.session.counters();
-        let charged = Counters {
+        let freeze = Counters {
             rule_firings: after.rule_firings - before.rule_firings,
             row_visits: after.row_visits - before.row_visits,
             engine_hits: after.engine_hits - before.engine_hits,
             engine_misses: after.engine_misses - before.engine_misses,
             epoch,
         };
-        self.cache_snapshot(set, &snapshot);
-        Ok((snapshot, charged))
-    }
-
-    fn cache_snapshot(&mut self, set: &str, snapshot: &Arc<SetSnapshot>) {
-        let cached = CachedSnapshot {
-            snapshot: snapshot.clone(),
-            universe_len: self.session.universe().len(),
-            symbols_len: self.session.symbols().num_constants(),
-            arena_len: self.session.arena().len(),
-        };
-        if let Some(state) = self.sets.get_mut(set) {
-            state.cached = Some(cached);
-        }
+        state.cached = Some(snapshot.clone());
+        Ok((snapshot, freeze))
     }
 }
 
@@ -547,8 +498,9 @@ mod tests {
         let Ok((_, counters)) = &r.result else {
             unreachable!()
         };
-        // First query pays the freeze: engine + closure builds.
-        assert_eq!(counters.engine_misses, 2);
+        // The first query builds the ALG engine only; the Section 6.2
+        // closure waits for the first database query.
+        assert_eq!(counters.engine_misses, 1);
         assert!(counters.rule_firings > 0);
 
         // A warm repeat of the same goal is hit-only.
@@ -563,7 +515,7 @@ mod tests {
         assert_eq!(counters.rule_firings, 0);
         assert_eq!(counters.engine_hits, 1);
 
-        // Mutation bumps the epoch; the next query re-freezes (charged).
+        // Mutation bumps the epoch.
         let r = core.handle(&req(Op::AddPd {
             set: "s".into(),
             pd: "B = B*C".into(),
@@ -574,6 +526,7 @@ mod tests {
         };
         assert_eq!(counters.epoch, Epoch::new(1));
 
+        // The next implication extends the engine in place: no rebuild.
         let r = core.handle(&req(Op::Implies {
             set: "s".into(),
             goal: "A = A*C".into(),
@@ -583,7 +536,89 @@ mod tests {
             unreachable!()
         };
         assert_eq!(counters.epoch, Epoch::new(1));
-        assert!(counters.engine_misses >= 1, "closure rebuilt after add_pd");
+        assert_eq!(counters.engine_misses, 0);
+        assert_eq!(counters.engine_hits, 1);
+
+        // The first database query after the mutation builds the closure.
+        let r = core.handle(&req(Op::Consistent {
+            set: "s".into(),
+            database: two_row_database(),
+        }));
+        let Ok((_, counters)) = &r.result else {
+            unreachable!()
+        };
+        assert_eq!(counters.epoch, Epoch::new(1));
+        assert_eq!(counters.engine_misses, 1, "closure built after add_pd");
+    }
+
+    fn two_row_database() -> DatabaseSpec {
+        DatabaseSpec {
+            relations: vec![crate::proto::RelationSpec {
+                name: "R".into(),
+                attrs: vec!["A".into(), "B".into()],
+                rows: vec![vec!["a".into(), "b1".into()], vec!["a".into(), "b2".into()]],
+            }],
+        }
+    }
+
+    #[test]
+    fn a_one_goal_implies_many_answers_an_array() {
+        let mut core = ServerCore::new(1);
+        core.handle(&req(Op::Register {
+            set: "s".into(),
+            pds: vec!["A = A*B".into()],
+        }));
+        let r = core.handle(&req(Op::ImpliesMany {
+            set: "s".into(),
+            goals: vec!["A*B = A".into()],
+        }));
+        let parsed = Response::parse_line(&r.to_line()).expect("the reply parses");
+        assert_eq!(
+            ok_payload(&parsed),
+            &Payload::ImpliesMany {
+                implied: vec![true]
+            }
+        );
+    }
+
+    #[test]
+    fn interner_growth_from_another_set_keeps_the_snapshot() {
+        let mut core = ServerCore::new(1);
+        core.handle(&req(Op::Register {
+            set: "a".into(),
+            pds: vec!["A = A*B".into()],
+        }));
+        core.handle(&req(Op::Consistent {
+            set: "a".into(),
+            database: two_row_database(),
+        }));
+        let frozen = core.sets["a"].cached.clone().expect("the query froze `a`");
+
+        // Set `b` grows the universe and the arena.
+        core.handle(&req(Op::Register {
+            set: "b".into(),
+            pds: vec!["X = X*Y".into()],
+        }));
+        let r = core.handle(&req(Op::Implies {
+            set: "b".into(),
+            goal: "X*Z = X + Z*Y".into(),
+        }));
+        assert!(r.result.is_ok());
+
+        let totals = core.session_totals();
+        let r = core.handle(&req(Op::Consistent {
+            set: "a".into(),
+            database: two_row_database(),
+        }));
+        let Ok((_, counters)) = &r.result else {
+            panic!("expected success, got {r:?}");
+        };
+        let cached = core.sets["a"].cached.as_ref().expect("still frozen");
+        assert!(Arc::ptr_eq(cached, &frozen), "no re-freeze");
+        assert_eq!(core.session_totals(), totals, "no freeze work");
+        assert_eq!(counters.engine_misses, 0);
+        assert_eq!(counters.rule_firings, 0);
+        assert_eq!(counters.engine_hits, 1, "the chase's own closure reuse");
     }
 
     #[test]
@@ -593,13 +628,7 @@ mod tests {
             set: "fd".into(),
             pds: vec!["A = A*B".into()],
         }));
-        let database = DatabaseSpec {
-            relations: vec![crate::proto::RelationSpec {
-                name: "R".into(),
-                attrs: vec!["A".into(), "B".into()],
-                rows: vec![vec!["a".into(), "b1".into()], vec!["a".into(), "b2".into()]],
-            }],
-        };
+        let database = two_row_database();
         // Theorem 12 (polynomial consistency) and Theorem 7 (weak-instance
         // satisfiability) coincide for PD sets; pin that the two wire ops
         // agree on the same database.

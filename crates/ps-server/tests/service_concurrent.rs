@@ -5,9 +5,10 @@
 //!
 //! The pin works because clients use disjoint constraint sets over
 //! disjoint vocabularies (so `Session::register`'s content dedup cannot
-//! alias them) and the serving layer charges each response only the
-//! counter work the client's own history explains — shared-interner
-//! growth caused by neighbours re-freezes uncharged.
+//! alias them) and every response's counters count only work the
+//! client's own history explains: implication runs on the set's live
+//! engine, and a database query re-freezes its set only after the set's
+//! epoch moved, so neighbours growing the shared interners change nothing.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -40,7 +41,7 @@ fn script(client: usize) -> Vec<String> {
                 pds: vec![format!("{a}*{b} = {a}"), format!("{b}*{c} = {b}")],
             },
         ),
-        // Cold query: charges the freeze, answers by transitivity.
+        // Cold query: builds the set's engine, answers by transitivity.
         req(
             2,
             Op::Implies {
@@ -48,7 +49,7 @@ fn script(client: usize) -> Vec<String> {
                 goal: format!("{a}*{c} = {a}"),
             },
         ),
-        // Warm repeat: zero-work cache hit plus one engine hit.
+        // Warm repeat: one engine hit, zero rule firings.
         req(
             3,
             Op::Implies {
@@ -69,7 +70,7 @@ fn script(client: usize) -> Vec<String> {
         ),
         // A frame the JSON layer rejects; the connection must survive it.
         "{\"op\": \"implies\", \"set\":".to_owned(),
-        // Mutation: bumps the set's epoch, invalidating the snapshot.
+        // Mutation: bumps the set's epoch.
         req(
             5,
             Op::AddPd {
@@ -77,7 +78,7 @@ fn script(client: usize) -> Vec<String> {
                 pd: format!("{c}*{d} = {c}"),
             },
         ),
-        // Post-mutation query: charged rebuild at the new epoch.
+        // Post-mutation query: extends the engine in place at the new epoch.
         req(
             6,
             Op::Implies {

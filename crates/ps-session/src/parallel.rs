@@ -102,7 +102,6 @@ const _: () = {
 #[derive(Debug)]
 pub struct SetSnapshot {
     epoch: Epoch,
-    pds: Vec<Equation>,
     universe: Universe,
     symbols: SymbolTable,
     arena: TermArena,
@@ -115,7 +114,6 @@ impl Clone for SetSnapshot {
     fn clone(&self) -> Self {
         SetSnapshot::freeze(
             self.epoch,
-            self.pds.clone(),
             self.universe.clone(),
             self.symbols.clone(),
             self.arena.clone(),
@@ -130,7 +128,6 @@ impl SetSnapshot {
     /// (and pre-extends) the live set's cached artifacts first.
     pub(crate) fn freeze(
         epoch: Epoch,
-        pds: Vec<Equation>,
         universe: Universe,
         symbols: SymbolTable,
         arena: TermArena,
@@ -139,7 +136,6 @@ impl SetSnapshot {
     ) -> Self {
         SetSnapshot {
             epoch,
-            pds,
             universe,
             symbols,
             arena,
@@ -172,11 +168,6 @@ impl SetSnapshot {
     /// The [`Epoch`] the set was frozen at.
     pub fn epoch(&self) -> Epoch {
         self.epoch
-    }
-
-    /// The PDs of the frozen set, deduplicated, in first-seen order.
-    pub fn pds(&self) -> &[Equation] {
-        &self.pds
     }
 
     /// The frozen attribute universe.

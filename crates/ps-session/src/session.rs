@@ -671,7 +671,6 @@ impl Session {
         let set = &self.sets[idx];
         Ok(Arc::new(crate::SetSnapshot::freeze(
             set.epoch,
-            set.pds.clone(),
             self.universe.clone(),
             self.symbols.clone(),
             self.arena.clone(),

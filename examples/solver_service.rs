@@ -68,12 +68,12 @@ fn main() {
             pds: vec!["A = A*B".to_owned(), "C = A+B".to_owned()],
         },
         // Cold query: the first frame to touch the set pays for the engine
-        // freeze (watch `engine_misses` and `rule_firings` in the reply).
+        // build (watch `engine_misses` and `rule_firings` in the reply).
         Op::Implies {
             set: "quickstart".to_owned(),
             goal: "A + C = C".to_owned(),
         },
-        // Warm repeat: same verdict, zero closure work, one engine hit.
+        // Warm repeat: same verdict, zero rule firings, one engine hit.
         Op::Implies {
             set: "quickstart".to_owned(),
             goal: "A + C = C".to_owned(),
@@ -82,7 +82,8 @@ fn main() {
             set: "quickstart".to_owned(),
             goals: vec!["B + C = C".to_owned(), "B = B*A".to_owned()],
         },
-        // Live mutation: the epoch bumps, and the next query re-freezes.
+        // Live mutation: the epoch bumps; the next implication extends the
+        // engine in place, and the next database query re-freezes the set.
         // `A = A*C` is the FD A → C, which the database below satisfies.
         Op::AddPd {
             set: "quickstart".to_owned(),
